@@ -34,8 +34,12 @@ fn pipeline(c: &mut Criterion) {
     let request = AccessRequest { requester: tom(), uri: CSLAB_URI.to_string() };
     group.bench_function("end_to_end", |b| {
         b.iter(|| {
-            let source =
-                DocumentSource { xml: &xml, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+            let source = DocumentSource {
+                xml: &xml,
+                dtd: Some(LAB_DTD),
+                dtd_uri: Some(LAB_DTD_URI),
+                ..Default::default()
+            };
             black_box(processor.process(&request, &source).expect("pipeline").xml.len())
         })
     });

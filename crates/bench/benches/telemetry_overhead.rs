@@ -19,7 +19,12 @@ const BATCHES: usize = 9;
 const ITERS_PER_BATCH: usize = 30;
 
 fn run_pipeline(processor: &SecurityProcessor, xml: &str, request: &AccessRequest) -> usize {
-    let source = DocumentSource { xml, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     processor.process(request, &source).expect("pipeline").xml.len()
 }
 

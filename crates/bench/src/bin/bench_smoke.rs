@@ -143,7 +143,12 @@ fn pipeline_processor(limits: ResourceLimits) -> SecurityProcessor {
 }
 
 fn run_pipeline(processor: &SecurityProcessor, xml: &str, request: &AccessRequest) -> usize {
-    let source = DocumentSource { xml, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     processor.process(request, &source).expect("pipeline").xml.len()
 }
 
@@ -590,8 +595,12 @@ fn main() {
         let (xml_ref, request_ref) = (&xml, &request);
         std::thread::scope(|scope| {
             let worker = scope.spawn(move || {
-                let source =
-                    DocumentSource { xml: xml_ref, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+                let source = DocumentSource {
+                    xml: xml_ref,
+                    dtd: Some(LAB_DTD),
+                    dtd_uri: Some(LAB_DTD_URI),
+                    ..Default::default()
+                };
                 matches!(p.process(request_ref, &source), Err(e) if e.is_cancelled())
             });
             std::thread::sleep(cancel_delay);

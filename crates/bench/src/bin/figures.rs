@@ -88,7 +88,12 @@ fn fig3() -> Report {
     let out = processor
         .process(
             &AccessRequest { requester, uri: CSLAB_URI.to_string() },
-            &DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) },
+            &DocumentSource {
+                xml: CSLAB_XML,
+                dtd: Some(LAB_DTD),
+                dtd_uri: Some(LAB_DTD_URI),
+                ..Default::default()
+            },
         )
         .expect("pipeline runs");
     println!("== Figure 3(b): Tom's view ==\n{}", render_tree(&out.view));

@@ -234,7 +234,7 @@ pub fn run_view_parallel(s: &BenchScenario, threads: usize) -> usize {
         compiled: None,
         cancel: None,
     };
-    let (_, stats) = compute_view_engine(&s.doc, &ax, &ad, &s.dir, s.policy, &opts)
+    let (_, stats) = compute_view_engine(s.doc.clone(), &ax, &ad, &s.dir, s.policy, &opts)
         .expect("bench corpora stay within default limits");
     stats.granted_nodes
 }

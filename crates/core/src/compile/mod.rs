@@ -40,15 +40,14 @@
 use crate::analysis::SchemaNode;
 use crate::decision::policy_fingerprint;
 use crate::label::{first_def, Label, Sign3};
+use crate::schema::{dtd_hash, schema_key, PreparedSchema};
 use crate::static_analysis::absdom::{AbsLabel, SignSet};
 use crate::static_analysis::{analyze_applicable, Verdict};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 use xmlsec_authz::{Authorization, PolicyConfig};
-use xmlsec_dtd::{serialize_dtd, Dtd};
+use xmlsec_dtd::Dtd;
 use xmlsec_subjects::Directory;
 use xmlsec_telemetry as telemetry;
 
@@ -286,6 +285,21 @@ pub fn compile(
     dir: &Directory,
     policy: PolicyConfig,
 ) -> Result<CompiledPolicy, CompileError> {
+    let fingerprint = policy_fingerprint(axml, adtd, dir, policy);
+    compile_fingerprinted(dtd, root_element, axml, adtd, dir, policy, fingerprint)
+}
+
+/// [`compile`] with the [`policy_fingerprint`] of the inputs already
+/// computed by the caller.
+fn compile_fingerprinted(
+    dtd: &Dtd,
+    root_element: &str,
+    axml: &[&Authorization],
+    adtd: &[&Authorization],
+    dir: &Directory,
+    policy: PolicyConfig,
+    fingerprint: u64,
+) -> Result<CompiledPolicy, CompileError> {
     let started = std::time::Instant::now();
     let mut auths: Vec<(&Authorization, bool)> = Vec::with_capacity(axml.len() + adtd.len());
     auths.extend(axml.iter().map(|&a| (a, false)));
@@ -345,7 +359,7 @@ pub fn compile(
     }
 
     let compiled = CompiledPolicy {
-        fingerprint: policy_fingerprint(axml, adtd, dir, policy),
+        fingerprint,
         root: root_element.to_string(),
         policy,
         elements,
@@ -364,10 +378,7 @@ pub fn compile(
 /// different schemas inside one [`CompiledCache`] (the policy
 /// fingerprint alone hashes only authorizations/policy/directory).
 pub fn schema_hash(dtd: &Dtd, root_element: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    serialize_dtd(dtd).hash(&mut h);
-    root_element.hash(&mut h);
-    h.finish()
+    schema_key(dtd_hash(dtd), root_element)
 }
 
 /// Default [`CompiledCache`] capacity (one entry per distinct
@@ -437,12 +448,42 @@ impl CompiledCache {
         dir: &Directory,
         policy: PolicyConfig,
     ) -> Result<Arc<CompiledPolicy>, CompileError> {
-        let schema = schema_hash(dtd, root_element);
         let fingerprint = policy_fingerprint(axml, adtd, dir, policy);
+        self.get_or_insert(fingerprint, schema_hash(dtd, root_element), || {
+            compile_fingerprinted(dtd, root_element, axml, adtd, dir, policy, fingerprint)
+        })
+    }
+
+    /// [`CompiledCache::get_or_compile`] for a schema prepared once
+    /// (whose precomputed hash keys the lookup, so a hit serializes
+    /// nothing) and a `fingerprint` the caller already computed with
+    /// [`policy_fingerprint`] over the same inputs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn get_or_compile_prepared(
+        &self,
+        schema: &PreparedSchema,
+        root_element: &str,
+        fingerprint: u64,
+        axml: &[&Authorization],
+        adtd: &[&Authorization],
+        dir: &Directory,
+        policy: PolicyConfig,
+    ) -> Result<Arc<CompiledPolicy>, CompileError> {
+        self.get_or_insert(fingerprint, schema.schema_hash(root_element), || {
+            compile_fingerprinted(schema.dtd(), root_element, axml, adtd, dir, policy, fingerprint)
+        })
+    }
+
+    fn get_or_insert(
+        &self,
+        fingerprint: u64,
+        schema: u64,
+        compile: impl FnOnce() -> Result<CompiledPolicy, CompileError>,
+    ) -> Result<Arc<CompiledPolicy>, CompileError> {
         if let Some(hit) = self.get(fingerprint, schema) {
             return Ok(hit);
         }
-        let compiled = Arc::new(compile(dtd, root_element, axml, adtd, dir, policy)?);
+        let compiled = Arc::new(compile()?);
         self.put(schema, Arc::clone(&compiled));
         Ok(compiled)
     }

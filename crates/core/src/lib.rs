@@ -11,7 +11,9 @@
 //! - [`naive`] — an independent declarative evaluator used as a
 //!   differential-testing oracle and benchmark baseline;
 //! - [`processor`] — the four-step server-side security processor
-//!   (parse → label → prune → unparse) with DTD loosening (§7).
+//!   (parse → label → prune → unparse) with DTD loosening (§7);
+//! - [`schema`] — DTDs prepared once per stored schema for that
+//!   pipeline.
 //!
 //! ```
 //! use xmlsec_core::{compute_view, PolicyConfig};
@@ -42,6 +44,7 @@ pub mod limits;
 pub mod naive;
 pub mod par;
 pub mod processor;
+pub mod schema;
 pub mod stages;
 pub mod static_analysis;
 pub mod update;
@@ -61,6 +64,7 @@ pub use par::Parallelism;
 pub use processor::{
     AccessRequest, DocumentSource, ProcessError, ProcessOutput, ProcessorOptions, SecurityProcessor,
 };
+pub use schema::PreparedSchema;
 pub use static_analysis::write::{
     analyze_policy_writes, classify_batch, BatchVerdict, SubjectWriteTable, WriteAttributeCell,
     WriteCell, WriteElementCell, WriteOps, WriteReport, WriteTable,

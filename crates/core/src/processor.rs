@@ -13,15 +13,17 @@
 //! text, ready to be "transmitted to the user who requested access".
 
 use crate::compile::{CompiledCache, CompiledPolicy};
+use crate::decision::policy_fingerprint;
 use crate::decision::DecisionCache;
 use crate::limits::ResourceLimits;
 use crate::par::Parallelism;
+use crate::schema::PreparedSchema;
 use crate::stages;
-use crate::view::{compute_view_engine, EngineOptions, ViewStats};
+use crate::view::{compute_view_fingerprinted, EngineOptions, ViewStats};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xmlsec_authz::{AuthorizationBase, PolicyConfig};
-use xmlsec_dtd::{loosen, normalize, parse_dtd, serialize_dtd, Dtd, Validator, ValidityError};
+use xmlsec_dtd::{loosen, normalize, Validator, ValidityError};
 use xmlsec_subjects::{Directory, Requester};
 use xmlsec_telemetry as telemetry;
 use xmlsec_xml::cancel::{CancelReason, CancelToken};
@@ -170,15 +172,35 @@ pub struct AccessRequest {
 }
 
 /// Everything the processor needs to know about a stored document.
-#[derive(Debug, Clone)]
+///
+/// A repository that serves many requests per document passes the
+/// schema it prepared when the DTD was stored ([`DocumentSource::schema`])
+/// and the stored revision's validity memo, so a request does only the
+/// per-request work. One-off callers pass the DTD text and leave the
+/// rest at its default:
+///
+/// ```
+/// # use xmlsec_core::DocumentSource;
+/// let source =
+///     DocumentSource { xml: "<a/>", dtd: Some("<!ELEMENT a EMPTY>"), ..Default::default() };
+/// ```
+#[derive(Debug, Clone, Default)]
 pub struct DocumentSource<'a> {
     /// The document text.
     pub xml: &'a str,
-    /// The DTD text, if the document has a schema.
+    /// The DTD text, if the document has a schema. Parsed per request;
+    /// ignored when [`DocumentSource::schema`] is set.
     pub dtd: Option<&'a str>,
     /// URI under which schema-level authorizations are registered
     /// (`dtd(URI)` in the algorithm).
     pub dtd_uri: Option<&'a str>,
+    /// The document's DTD, prepared once when it was stored.
+    pub schema: Option<&'a PreparedSchema>,
+    /// Memoized validity of this revision of the document against
+    /// `schema`. The processor reads it instead of validating and fills
+    /// it in the first time it validates; the owner resets it whenever
+    /// the document or its DTD changes.
+    pub schema_valid: Option<&'a OnceLock<bool>>,
 }
 
 /// The processor's output: the view and its transmitted artifacts.
@@ -259,7 +281,7 @@ impl SecurityProcessor {
 
         // Step 1: parsing (document, then DTD). When no external DTD is
         // supplied, a DOCTYPE internal subset in the document serves as
-        // the schema.
+        // the schema. A prepared schema skips the DTD parse.
         let mut doc = {
             let _s = stages::parse();
             parse_cancellable(
@@ -269,21 +291,25 @@ impl SecurityProcessor {
                 Some(&self.options.cancel),
             )?
         };
-        let dtd: Option<Dtd> = {
-            let _s = stages::dtd_parse();
-            self.checkpoint()?;
-            match source.dtd {
-                Some(text) => Some(parse_dtd(text)?),
-                None => doc
-                    .doctype
-                    .as_ref()
-                    .and_then(|dt| dt.internal_subset.clone())
-                    .map(|subset| parse_dtd(&subset))
-                    .transpose()?,
+        let parsed_here: Option<PreparedSchema>;
+        let schema = match source.schema {
+            Some(s) => Some(s),
+            None => {
+                let _s = stages::dtd_parse();
+                self.checkpoint()?;
+                let text = source
+                    .dtd
+                    .or_else(|| doc.doctype.as_ref().and_then(|dt| dt.internal_subset.as_deref()));
+                parsed_here = text.map(PreparedSchema::parse).transpose()?;
+                parsed_here.as_ref()
             }
         };
-        let mut validated = false;
-        if let Some(d) = &dtd {
+        let dtd = schema.map(PreparedSchema::dtd);
+        // Whether `doc` is valid against `dtd`: validated at most once per
+        // request, and at most once per revision when the source carries
+        // a memo.
+        let mut valid: Option<bool> = source.schema_valid.and_then(|m| m.get().copied());
+        if let Some(d) = dtd {
             self.checkpoint()?;
             // Normalize first so authorizations conditioned on defaulted
             // attributes behave uniformly; then (optionally) validate.
@@ -291,13 +317,13 @@ impl SecurityProcessor {
                 let _s = stages::normalize();
                 normalize(d, &mut doc);
             }
-            if self.options.validate_input {
+            if self.options.validate_input && valid != Some(true) {
                 let _s = stages::validate();
                 let errs = Validator::new(d).validate(&doc);
+                valid = remember_validity(source, errs.is_empty());
                 if !errs.is_empty() {
                     return Err(ProcessError::Invalid(errs));
                 }
-                validated = true;
             }
         }
 
@@ -326,33 +352,38 @@ impl SecurityProcessor {
         // every cell is guaranteed, the whole labeling pass — are served
         // from a table compiled once per (applicable set, schema) and
         // cached. The table's guarantees quantify over *conforming*
-        // documents only, so when input validation is off the document
-        // is validated here purely to gate the compiled path; a
-        // non-conforming document silently takes the interpreted route.
+        // documents only, so a document whose validity is not yet known
+        // is validated here (once per revision with a memo) purely to
+        // gate the compiled path; a non-conforming document silently
+        // takes the interpreted route. The policy fingerprint keys the
+        // cache lookup and the labeling memo alike, so it is computed
+        // once.
         let mut compiled: Option<Arc<CompiledPolicy>> = None;
+        let mut fingerprint = None;
         if self.options.compile {
-            if let (Some(cache), Some(d)) = (&self.compiled, &dtd) {
-                let _s = stages::compile();
+            if let (Some(cache), Some(s)) = (&self.compiled, schema) {
                 self.checkpoint()?;
-                if validated || Validator::new(d).validate(&doc).is_empty() {
-                    if let Some(root) = doc.element_name(doc.root()) {
-                        compiled = cache
-                            .get_or_compile(
-                                d,
-                                root,
-                                &axml,
-                                &adtd,
-                                &self.directory,
-                                self.options.policy,
-                            )
-                            .ok();
-                    }
+                if valid.is_none() {
+                    let _s = stages::validate();
+                    let ok = Validator::new(s.dtd()).validate(&doc).is_empty();
+                    valid = remember_validity(source, ok);
+                }
+                let root = doc.element_name(doc.root()).filter(|_| valid == Some(true));
+                if let Some(root) = root {
+                    let _s = stages::compile();
+                    let policy = self.options.policy;
+                    let fp = policy_fingerprint(&axml, &adtd, &self.directory, policy);
+                    fingerprint = Some(fp);
+                    compiled = cache
+                        .get_or_compile_prepared(s, root, fp, &axml, &adtd, &self.directory, policy)
+                        .ok();
                 }
             }
         }
 
         // Step 2–3: labeling and pruning (stage spans open inside
-        // compute_view, where the two halves are distinguishable).
+        // compute_view, where the two halves are distinguishable). The
+        // freshly parsed document is pruned in place.
         let engine = EngineOptions {
             limits: self.options.limits.xpath,
             parallelism: self.options.parallelism,
@@ -360,20 +391,27 @@ impl SecurityProcessor {
             compiled: compiled.as_deref(),
             cancel: Some(&self.options.cancel),
         };
-        let (view, stats) =
-            compute_view_engine(&doc, &axml, &adtd, &self.directory, self.options.policy, &engine)?;
+        let (view, stats) = compute_view_fingerprinted(
+            doc,
+            &axml,
+            &adtd,
+            &self.directory,
+            self.options.policy,
+            &engine,
+            fingerprint,
+        )?;
 
         // Loosening, so the view stays valid without revealing what was
         // hidden.
         self.checkpoint()?;
-        let loosened = {
+        let loosened_dtd = {
             let _s = stages::loosen();
-            dtd.as_ref().map(loosen)
+            schema.map(|s| s.loosened_text().to_string())
         };
         if self.options.verify_view {
-            if let Some(l) = &loosened {
+            if let Some(d) = dtd {
                 let _s = stages::verify();
-                let errs = Validator::new(l).validate(&view);
+                let errs = Validator::new(&loosen(d)).validate(&view);
                 debug_assert!(
                     errs.is_empty(),
                     "pruned view must validate against the loosened DTD: {errs:?}"
@@ -388,14 +426,24 @@ impl SecurityProcessor {
             let _s = stages::serialize();
             serialize(&view, &SerializeOptions::canonical())
         };
-        Ok(ProcessOutput { view, xml, loosened_dtd: loosened.as_ref().map(serialize_dtd), stats })
+        Ok(ProcessOutput { view, xml, loosened_dtd, stats })
     }
+}
+
+/// Records a validation outcome in the source's memo, for later requests
+/// on the same revision, and returns it for the rest of this request.
+fn remember_validity(source: &DocumentSource<'_>, ok: bool) -> Option<bool> {
+    if let Some(memo) = source.schema_valid {
+        let _ = memo.set(ok);
+    }
+    Some(ok)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xmlsec_authz::{AuthType, Authorization, ObjectSpec, Sign};
+    use xmlsec_dtd::parse_dtd;
     use xmlsec_subjects::Subject;
 
     const DTD: &str = r#"
@@ -443,7 +491,7 @@ mod tests {
     }
 
     fn source() -> DocumentSource<'static> {
-        DocumentSource { xml: XML, dtd: Some(DTD), dtd_uri: Some("lab.dtd") }
+        DocumentSource { xml: XML, dtd: Some(DTD), dtd_uri: Some("lab.dtd"), ..Default::default() }
     }
 
     #[test]
@@ -470,7 +518,8 @@ mod tests {
     #[test]
     fn malformed_document_is_a_parse_error() {
         let p = processor();
-        let bad = DocumentSource { xml: "<lab><open>", dtd: None, dtd_uri: None };
+        let bad =
+            DocumentSource { xml: "<lab><open>", dtd: None, dtd_uri: None, ..Default::default() };
         assert!(matches!(p.process(&request("Tom"), &bad), Err(ProcessError::Xml(_))));
     }
 
@@ -480,7 +529,12 @@ mod tests {
         p.options.validate_input = true;
         // project missing required @name
         let bad_xml = "<lab><project><manager>S</manager></project></lab>";
-        let src = DocumentSource { xml: bad_xml, dtd: Some(DTD), dtd_uri: Some("lab.dtd") };
+        let src = DocumentSource {
+            xml: bad_xml,
+            dtd: Some(DTD),
+            dtd_uri: Some("lab.dtd"),
+            ..Default::default()
+        };
         match p.process(&request("Tom"), &src) {
             Err(ProcessError::Invalid(errs)) => assert!(!errs.is_empty()),
             other => panic!("expected validity failure, got {other:?}"),
@@ -493,7 +547,12 @@ mod tests {
     #[test]
     fn bad_dtd_is_a_dtd_error() {
         let p = processor();
-        let src = DocumentSource { xml: XML, dtd: Some("<!ELEMENT"), dtd_uri: None };
+        let src = DocumentSource {
+            xml: XML,
+            dtd: Some("<!ELEMENT"),
+            dtd_uri: None,
+            ..Default::default()
+        };
         assert!(matches!(p.process(&request("Tom"), &src), Err(ProcessError::Dtd(_))));
     }
 
@@ -517,7 +576,7 @@ mod tests {
         for _ in 0..50 {
             bomb.push_str("</lab>");
         }
-        let src = DocumentSource { xml: &bomb, dtd: None, dtd_uri: None };
+        let src = DocumentSource { xml: &bomb, dtd: None, dtd_uri: None, ..Default::default() };
         let err = p.process(&request("Tom"), &src).unwrap_err();
         assert!(err.is_resource_limit(), "{err}");
         assert!(matches!(
@@ -528,7 +587,8 @@ mod tests {
             })
         ));
         // A malformed document is NOT a resource-limit failure.
-        let bad = DocumentSource { xml: "<lab><open>", dtd: None, dtd_uri: None };
+        let bad =
+            DocumentSource { xml: "<lab><open>", dtd: None, dtd_uri: None, ..Default::default() };
         assert!(!p.process(&request("Tom"), &bad).unwrap_err().is_resource_limit());
     }
 
@@ -587,7 +647,12 @@ mod tests {
         // be skipped (its guarantees only cover conforming instances),
         // and the interpreted result served instead.
         let bad_xml = "<lab><project><manager>S</manager></project></lab>";
-        let src = DocumentSource { xml: bad_xml, dtd: Some(DTD), dtd_uri: Some("lab.dtd") };
+        let src = DocumentSource {
+            xml: bad_xml,
+            dtd: Some(DTD),
+            dtd_uri: Some("lab.dtd"),
+            ..Default::default()
+        };
         let want = processor().process(&request("Tom"), &src).unwrap();
         let p = processor().with_compiled_cache(Arc::new(CompiledCache::new()));
         let out = p.process(&request("Tom"), &src).unwrap();
@@ -597,6 +662,35 @@ mod tests {
             p.compiled.as_ref().unwrap().is_empty(),
             "a non-conforming document must not trigger compilation"
         );
+    }
+
+    #[test]
+    fn prepared_schema_and_validity_memo_match_the_text_source() {
+        let want = processor().process(&request("Tom"), &source()).unwrap();
+        let schema = PreparedSchema::parse(DTD).unwrap();
+        let memo = OnceLock::new();
+        let prepared = DocumentSource {
+            xml: XML,
+            dtd_uri: Some("lab.dtd"),
+            schema: Some(&schema),
+            schema_valid: Some(&memo),
+            ..Default::default()
+        };
+        let p = processor().with_compiled_cache(Arc::new(CompiledCache::new()));
+        let out = p.process(&request("Tom"), &prepared).unwrap();
+        assert_eq!(out.xml, want.xml);
+        assert_eq!(out.loosened_dtd, want.loosened_dtd);
+        assert_eq!(out.stats, want.stats);
+        assert_eq!(memo.get(), Some(&true), "the compile gate's validation is memoized");
+        assert_eq!(p.compiled.as_ref().unwrap().len(), 1);
+
+        // A memo that says "invalid" is trusted: no validation, no
+        // compiled path, the same interpreted view.
+        let invalid = OnceLock::from(false);
+        let p = processor().with_compiled_cache(Arc::new(CompiledCache::new()));
+        let src = DocumentSource { schema_valid: Some(&invalid), ..prepared };
+        assert_eq!(p.process(&request("Tom"), &src).unwrap().xml, want.xml);
+        assert!(p.compiled.as_ref().unwrap().is_empty());
     }
 
     #[test]
@@ -654,7 +748,7 @@ mod tests {
         // Same document, but without a DTD URI: Tom loses the schema grant
         // (papers were only granted at the schema level to Tom... they are
         // covered by /lab R+ anyway; check stats instead).
-        let src = DocumentSource { xml: XML, dtd: Some(DTD), dtd_uri: None };
+        let src = DocumentSource { xml: XML, dtd: Some(DTD), dtd_uri: None, ..Default::default() };
         let out = p.process(&request("Tom"), &src).unwrap();
         assert_eq!(out.stats.schema_auths, 0);
     }

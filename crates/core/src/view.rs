@@ -287,6 +287,20 @@ pub fn label_document_engine(
     policy: PolicyConfig,
     opts: &EngineOptions<'_>,
 ) -> Result<Labeling, EvalError> {
+    label_document_fingerprinted(doc, axml, adtd, dir, policy, opts, None)
+}
+
+/// [`label_document_engine`], reusing the [`policy_fingerprint`] of the
+/// inputs when the caller already computed it.
+pub(crate) fn label_document_fingerprinted(
+    doc: &Document,
+    axml: &[&Authorization],
+    adtd: &[&Authorization],
+    dir: &Directory,
+    policy: PolicyConfig,
+    opts: &EngineOptions<'_>,
+    fingerprint: Option<u64>,
+) -> Result<Labeling, EvalError> {
     // Fingerprint of the applicable sets: keys the cross-request decision
     // cache and guards the compiled table — a compiled policy built for
     // different applicable sets (stale, or misrouted by the caller) is
@@ -294,7 +308,7 @@ pub fn label_document_engine(
     // the view. Order-independent, so computing it before the canonical
     // reordering below is fine.
     let fingerprint = if opts.decisions.is_some() || opts.compiled.is_some() {
-        policy_fingerprint(axml, adtd, dir, policy)
+        fingerprint.unwrap_or_else(|| policy_fingerprint(axml, adtd, dir, policy))
     } else {
         0
     };
@@ -1220,31 +1234,45 @@ pub fn compute_view_limited(
     policy: PolicyConfig,
     limits: &EvalLimits,
 ) -> Result<(Document, ViewStats), EvalError> {
-    compute_view_engine(doc, axml, adtd, dir, policy, &EngineOptions::sequential(*limits))
+    compute_view_engine(doc.clone(), axml, adtd, dir, policy, &EngineOptions::sequential(*limits))
 }
 
 /// The full engine entry point: [`label_document_engine`] on `doc`, then
-/// pruning on a copy. Sequential callers get exactly the historical
-/// [`compute_view_limited`] behavior; parallel callers get the same
-/// bytes (differential-tested) faster.
+/// pruning of `doc` itself, in place — the caller hands over a document
+/// it no longer needs (clone first to keep the original). Sequential
+/// callers get exactly the historical [`compute_view_limited`] behavior;
+/// parallel callers get the same bytes (differential-tested) faster.
 pub fn compute_view_engine(
-    doc: &Document,
+    doc: Document,
     axml: &[&Authorization],
     adtd: &[&Authorization],
     dir: &Directory,
     policy: PolicyConfig,
     opts: &EngineOptions<'_>,
 ) -> Result<(Document, ViewStats), EvalError> {
+    compute_view_fingerprinted(doc, axml, adtd, dir, policy, opts, None)
+}
+
+/// [`compute_view_engine`] with an optional precomputed fingerprint
+/// (see [`label_document_fingerprinted`]).
+pub(crate) fn compute_view_fingerprinted(
+    mut doc: Document,
+    axml: &[&Authorization],
+    adtd: &[&Authorization],
+    dir: &Directory,
+    policy: PolicyConfig,
+    opts: &EngineOptions<'_>,
+    fingerprint: Option<u64>,
+) -> Result<(Document, ViewStats), EvalError> {
     let labeling = {
         let _s = crate::stages::label();
-        label_document_engine(doc, axml, adtd, dir, policy, opts)?
+        label_document_fingerprinted(&doc, axml, adtd, dir, policy, opts, fingerprint)?
     };
     let _s = crate::stages::prune();
-    let mut view = doc.clone();
-    let removed = prune_document(&mut view, &labeling, policy);
+    let removed = prune_document(&mut doc, &labeling, policy);
     let mut stats = labeling.stats;
     stats.pruned_nodes = removed;
-    Ok((view, stats))
+    Ok((doc, stats))
 }
 
 /// Renders the labeled tree with per-node signs (diagnostics, and the
@@ -1565,7 +1593,8 @@ mod tests {
         let policy = PolicyConfig::paper_default();
         let d = dir();
         let seq = EngineOptions::sequential(EvalLimits::default_limits());
-        let (view_seq, stats_seq) = compute_view_engine(&doc, &ax, &[], &d, policy, &seq).unwrap();
+        let (view_seq, stats_seq) =
+            compute_view_engine(doc.clone(), &ax, &[], &d, policy, &seq).unwrap();
         for threads in [2usize, 4, 8] {
             let par_opts = EngineOptions {
                 limits: EvalLimits::default_limits(),
@@ -1575,7 +1604,7 @@ mod tests {
                 cancel: None,
             };
             let (view_par, stats_par) =
-                compute_view_engine(&doc, &ax, &[], &d, policy, &par_opts).unwrap();
+                compute_view_engine(doc.clone(), &ax, &[], &d, policy, &par_opts).unwrap();
             assert_eq!(
                 serialize(&view_par, &SerializeOptions::canonical()),
                 serialize(&view_seq, &SerializeOptions::canonical()),
@@ -1593,14 +1622,15 @@ mod tests {
         let policy = PolicyConfig::paper_default();
         let d = dir();
         let plain = EngineOptions::sequential(EvalLimits::default_limits());
-        let (view_plain, _) = compute_view_engine(&doc, &ax, &[], &d, policy, &plain).unwrap();
+        let (view_plain, _) =
+            compute_view_engine(doc.clone(), &ax, &[], &d, policy, &plain).unwrap();
 
         let cache = DecisionCache::new();
         let cached = EngineOptions { decisions: Some(&cache), ..plain };
-        let (v1, _) = compute_view_engine(&doc, &ax, &[], &d, policy, &cached).unwrap();
+        let (v1, _) = compute_view_engine(doc.clone(), &ax, &[], &d, policy, &cached).unwrap();
         assert!(!cache.is_empty(), "engine must memoize decisions");
         let warm = cache.len();
-        let (v2, _) = compute_view_engine(&doc, &ax, &[], &d, policy, &cached).unwrap();
+        let (v2, _) = compute_view_engine(doc.clone(), &ax, &[], &d, policy, &cached).unwrap();
         assert_eq!(cache.len(), warm, "second run adds no new decisions");
         let want = serialize(&view_plain, &SerializeOptions::canonical());
         assert_eq!(serialize(&v1, &SerializeOptions::canonical()), want);
@@ -1623,14 +1653,15 @@ mod tests {
         let d = dir();
         let policy = PolicyConfig::paper_default();
         let plain = EngineOptions::sequential(EvalLimits::default_limits());
-        let (view, _) = compute_view_engine(&doc, &ax, &[], &d, policy, &plain).unwrap();
+        let (view, _) = compute_view_engine(doc.clone(), &ax, &[], &d, policy, &plain).unwrap();
         let want = serialize(&view, &SerializeOptions::canonical());
 
         let cache = DecisionCache::new();
         let cached = EngineOptions { decisions: Some(&cache), ..plain };
-        let (v1, _) = compute_view_engine(&doc, &ax, &[], &d, policy, &cached).unwrap();
+        let (v1, _) = compute_view_engine(doc.clone(), &ax, &[], &d, policy, &cached).unwrap();
         let warm = cache.len();
-        let (v2, _) = compute_view_engine(&doc, &reversed, &[], &d, policy, &cached).unwrap();
+        let (v2, _) =
+            compute_view_engine(doc.clone(), &reversed, &[], &d, policy, &cached).unwrap();
         assert_eq!(cache.len(), warm, "permuted presentation shares the warm entries");
         assert_eq!(serialize(&v1, &SerializeOptions::canonical()), want);
         assert_eq!(
@@ -1673,9 +1704,11 @@ mod tests {
         let cp = compiled_for(&[], &ad, policy);
         assert!(cp.fast_path, "{cp:?}");
         let plain = EngineOptions::sequential(EvalLimits::default_limits());
-        let (want, stats_want) = compute_view_engine(&doc, &[], &ad, &d, policy, &plain).unwrap();
+        let (want, stats_want) =
+            compute_view_engine(doc.clone(), &[], &ad, &d, policy, &plain).unwrap();
         let opts = EngineOptions { compiled: Some(&cp), ..plain };
-        let (got, stats_got) = compute_view_engine(&doc, &[], &ad, &d, policy, &opts).unwrap();
+        let (got, stats_got) =
+            compute_view_engine(doc.clone(), &[], &ad, &d, policy, &opts).unwrap();
         assert_eq!(
             serialize(&got, &SerializeOptions::canonical()),
             serialize(&want, &SerializeOptions::canonical()),
@@ -1687,7 +1720,7 @@ mod tests {
             limits: EvalLimits { max_node_visits: 1, ..EvalLimits::default_limits() },
             ..opts
         };
-        assert!(compute_view_engine(&doc, &[], &ad, &d, policy, &tiny).is_ok());
+        assert!(compute_view_engine(doc.clone(), &[], &ad, &d, policy, &tiny).is_ok());
     }
 
     #[test]
@@ -1702,9 +1735,11 @@ mod tests {
         let cp = compiled_for(&ax, &ad, policy);
         assert!(!cp.fast_path, "predicate must force mixed mode: {cp:?}");
         let plain = EngineOptions::sequential(EvalLimits::default_limits());
-        let (want, stats_want) = compute_view_engine(&doc, &ax, &ad, &d, policy, &plain).unwrap();
+        let (want, stats_want) =
+            compute_view_engine(doc.clone(), &ax, &ad, &d, policy, &plain).unwrap();
         let opts = EngineOptions { compiled: Some(&cp), ..plain };
-        let (got, stats_got) = compute_view_engine(&doc, &ax, &ad, &d, policy, &opts).unwrap();
+        let (got, stats_got) =
+            compute_view_engine(doc.clone(), &ax, &ad, &d, policy, &opts).unwrap();
         assert_eq!(
             serialize(&got, &SerializeOptions::canonical()),
             serialize(&want, &SerializeOptions::canonical()),
@@ -1725,9 +1760,9 @@ mod tests {
         let policy = PolicyConfig::paper_default();
         let stale = compiled_for(&[], &ot, policy);
         let plain = EngineOptions::sequential(EvalLimits::default_limits());
-        let (want, _) = compute_view_engine(&doc, &[], &ad, &d, policy, &plain).unwrap();
+        let (want, _) = compute_view_engine(doc.clone(), &[], &ad, &d, policy, &plain).unwrap();
         let opts = EngineOptions { compiled: Some(&stale), ..plain };
-        let (got, _) = compute_view_engine(&doc, &[], &ad, &d, policy, &opts).unwrap();
+        let (got, _) = compute_view_engine(doc.clone(), &[], &ad, &d, policy, &opts).unwrap();
         assert_eq!(
             serialize(&got, &SerializeOptions::canonical()),
             serialize(&want, &SerializeOptions::canonical()),
@@ -1746,9 +1781,11 @@ mod tests {
         let cp = compiled_for(&[], &ad, policy);
         assert!(cp.fast_path);
         let plain = EngineOptions::sequential(EvalLimits::default_limits());
-        let (want, stats_want) = compute_view_engine(&doc, &[], &ad, &d, policy, &plain).unwrap();
+        let (want, stats_want) =
+            compute_view_engine(doc.clone(), &[], &ad, &d, policy, &plain).unwrap();
         let opts = EngineOptions { compiled: Some(&cp), ..plain };
-        let (got, stats_got) = compute_view_engine(&doc, &[], &ad, &d, policy, &opts).unwrap();
+        let (got, stats_got) =
+            compute_view_engine(doc.clone(), &[], &ad, &d, policy, &opts).unwrap();
         assert_eq!(
             serialize(&got, &SerializeOptions::canonical()),
             serialize(&want, &SerializeOptions::canonical()),
@@ -1775,10 +1812,10 @@ mod tests {
         let d = dir();
         let policy = PolicyConfig::paper_default();
         let plain = EngineOptions::sequential(EvalLimits::default_limits());
-        let (want, _) = compute_view_engine(&doc, &ax, &[], &d, policy, &plain).unwrap();
+        let (want, _) = compute_view_engine(doc.clone(), &ax, &[], &d, policy, &plain).unwrap();
         let cache = DecisionCache::new();
         let cached = EngineOptions { decisions: Some(&cache), ..plain };
-        let (got, _) = compute_view_engine(&doc, &ax, &[], &d, policy, &cached).unwrap();
+        let (got, _) = compute_view_engine(doc.clone(), &ax, &[], &d, policy, &cached).unwrap();
         assert!(cache.is_empty(), "mask-capped runs must not populate the cache");
         assert_eq!(
             serialize(&got, &SerializeOptions::canonical()),

@@ -13,6 +13,8 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use xmlsec_core::PreparedSchema;
+use xmlsec_dtd::DtdError;
 use xmlsec_telemetry as telemetry;
 use xmlsec_xml::{Document, NodeData, NodeId};
 
@@ -61,13 +63,29 @@ pub struct StoredDocument {
     pub dtd_uri: Option<String>,
     /// FNV-1a hash of `xml`, computed when the document was stored.
     pub content_hash: u64,
+    /// Memoized validity of this revision against its DTD.
+    schema_valid: OnceLock<bool>,
 }
 
-/// A stored DTD text with its registration-time content hash.
+impl StoredDocument {
+    /// The memoized validity of this revision against its DTD, empty
+    /// until first checked. Readers fill it in (through the processor's
+    /// [`xmlsec_core::DocumentSource::schema_valid`]) as well as the
+    /// update pre-flight, so the document is validated at most once per
+    /// revision. [`Repository::put_document`], a [`Repository::put_dtd`]
+    /// of its DTD and [`Repository::commit_update`] reset it.
+    pub fn schema_valid(&self) -> &OnceLock<bool> {
+        &self.schema_valid
+    }
+}
+
+/// A stored DTD text with its registration-time content hash and its
+/// prepared form (or the error it failed to parse with).
 #[derive(Debug, Clone)]
 struct StoredDtd {
     text: String,
     content_hash: u64,
+    schema: Result<Arc<PreparedSchema>, DtdError>,
 }
 
 /// A document in parsed (and DTD-normalized) form, kept alongside the
@@ -86,10 +104,9 @@ pub struct ParsedDocument {
     /// Per arena slot: subtree hash of the node occupying it (stale for
     /// vacant slots; never read through them).
     hashes: Vec<u64>,
-    /// Memoized result of validating this revision against its DTD
-    /// (`None` = not checked yet). The update pre-flight trusts static
-    /// write verdicts only on valid documents; caching the check here
-    /// keeps it one validation per revision, not per request.
+    /// A validity flag for holders of a parsed form outside a
+    /// repository; the server keeps its memo on the stored revision
+    /// ([`StoredDocument::schema_valid`]).
     schema_valid: Option<bool>,
 }
 
@@ -108,13 +125,13 @@ impl ParsedDocument {
         &self.doc
     }
 
-    /// The memoized DTD-validity of this revision, if known.
+    /// The recorded DTD-validity of this parsed form, if any (cleared by
+    /// [`ParsedDocument::rehash_dirty`]).
     pub fn schema_valid(&self) -> Option<bool> {
         self.schema_valid
     }
 
-    /// Records the DTD-validity of this revision (set by the server
-    /// after validating, or after a commit whose post-validation passed).
+    /// Records the DTD-validity of this parsed form.
     pub fn set_schema_valid(&mut self, valid: bool) {
         self.schema_valid = Some(valid);
     }
@@ -240,22 +257,29 @@ impl Repository {
                 xml: xml.to_string(),
                 dtd_uri: dtd_uri.map(str::to_string),
                 content_hash: fnv1a64(xml.as_bytes()),
+                schema_valid: OnceLock::new(),
             },
         );
     }
 
-    /// Stores (or replaces) a DTD text, rehashing its content. Parsed
-    /// forms of every instance document are dropped: normalization
-    /// (attribute defaulting) bakes the DTD into the DOM, so they must
-    /// be rebuilt against the new schema.
+    /// Stores (or replaces) a DTD text, rehashing its content and
+    /// preparing it once for every request that will use it (see
+    /// [`Repository::schema`]). Parsed forms of every instance document
+    /// are dropped — normalization (attribute defaulting) bakes the DTD
+    /// into the DOM, so they must be rebuilt against the new schema —
+    /// and so are their validity memos.
     pub fn put_dtd(&mut self, uri: &str, dtd: &str) {
         dtd_rehashes().inc();
         for doc_uri in self.documents_with_dtd(uri) {
             self.parsed.remove(&doc_uri);
+            if let Some(d) = self.documents.get_mut(&doc_uri) {
+                d.schema_valid = OnceLock::new();
+            }
         }
+        let schema = PreparedSchema::parse(dtd).map(Arc::new);
         self.dtds.insert(
             uri.to_string(),
-            StoredDtd { text: dtd.to_string(), content_hash: fnv1a64(dtd.as_bytes()) },
+            StoredDtd { text: dtd.to_string(), content_hash: fnv1a64(dtd.as_bytes()), schema },
         );
     }
 
@@ -282,8 +306,9 @@ impl Repository {
     /// Commits an updated revision of `uri`'s parsed document: rehashes
     /// the dirty subtrees incrementally (bounding the hashing work by
     /// the batch's footprint), refreshes the served bytes from the new
-    /// DOM, and recomputes the content hash from those bytes so every
-    /// cache key for the old revision is structurally unreachable.
+    /// DOM, recomputes the content hash from those bytes so every cache
+    /// key for the old revision is structurally unreachable, and resets
+    /// the revision's validity memo.
     ///
     /// The content hash stays **byte-derived** — the same scheme
     /// [`Repository::put_document`] uses — so an updated document and a
@@ -312,6 +337,7 @@ impl Repository {
         let stored = self.documents.get_mut(uri).expect("checked above");
         stored.content_hash = fnv1a64(xml.as_bytes());
         stored.xml = xml;
+        stored.schema_valid = OnceLock::new();
         Some(rehashed)
     }
 
@@ -323,6 +349,12 @@ impl Repository {
     /// Fetches a DTD text.
     pub fn dtd(&self, uri: &str) -> Option<&str> {
         self.dtds.get(uri).map(|d| d.text.as_str())
+    }
+
+    /// The prepared form of a stored DTD, or the error its text failed
+    /// to parse with when it was stored.
+    pub fn schema(&self, uri: &str) -> Option<&Result<Arc<PreparedSchema>, DtdError>> {
+        self.dtds.get(uri).map(|d| &d.schema)
     }
 
     /// The registration-time content hash of a stored DTD.
@@ -538,9 +570,51 @@ mod tests {
         r.put_dtd("d.dtd", "<!ELEMENT doc (#PCDATA)>");
         assert!(r.parsed_document("a.xml").is_none());
         // commit_update without a parsed form is refused.
-        assert!(r
-            .commit_update("a.xml", xmlsec_xml::parse("<doc/>").unwrap(), &[])
-            .is_none());
+        assert!(r.commit_update("a.xml", xmlsec_xml::parse("<doc/>").unwrap(), &[]).is_none());
+    }
+
+    #[test]
+    fn validity_memo_resets_on_every_new_revision() {
+        let mut r = Repository::new();
+        r.put_dtd("d.dtd", "<!ELEMENT doc (#PCDATA)>");
+        r.put_document("a.xml", "<doc>x</doc>", Some("d.dtd"));
+        r.put_document("b.xml", "<doc>y</doc>", None);
+        let memo =
+            |r: &Repository, uri: &str| r.document(uri).unwrap().schema_valid().get().copied();
+        let fill = |r: &Repository| {
+            for uri in ["a.xml", "b.xml"] {
+                r.document(uri).unwrap().schema_valid().set(true).unwrap();
+            }
+        };
+        assert_eq!(memo(&r, "a.xml"), None, "a new revision starts unchecked");
+
+        fill(&r);
+        r.put_dtd("d.dtd", "<!ELEMENT doc EMPTY>");
+        assert_eq!(memo(&r, "a.xml"), None, "put_dtd resets its instance documents");
+        assert_eq!(memo(&r, "b.xml"), Some(true), "and no other document");
+
+        r.put_document("b.xml", "<doc>z</doc>", None);
+        assert_eq!(memo(&r, "b.xml"), None, "put_document starts a new revision");
+
+        fill(&r);
+        let doc = xmlsec_xml::parse("<doc>x</doc>").unwrap();
+        r.store_parsed("a.xml", ParsedDocument::new(doc.clone()));
+        assert_eq!(memo(&r, "a.xml"), Some(true), "caching a parsed form changes nothing");
+        r.commit_update("a.xml", doc, &[]).unwrap();
+        assert_eq!(memo(&r, "a.xml"), None, "a commit starts a new revision");
+    }
+
+    #[test]
+    fn dtds_are_prepared_once_when_stored() {
+        let mut r = Repository::new();
+        r.put_dtd("d.dtd", "<!ELEMENT doc (#PCDATA)>");
+        r.put_dtd("bad.dtd", "<!ELEMENT");
+        let good = r.schema("d.dtd").unwrap().as_ref().unwrap();
+        assert_eq!(good.dtd(), &xmlsec_dtd::parse_dtd("<!ELEMENT doc (#PCDATA)>").unwrap());
+        let err = r.schema("bad.dtd").unwrap().as_ref().unwrap_err();
+        assert_eq!(err, &xmlsec_dtd::parse_dtd("<!ELEMENT").unwrap_err());
+        assert_eq!(r.dtd("bad.dtd"), Some("<!ELEMENT"), "the text is kept as stored");
+        assert!(r.schema("missing.dtd").is_none());
     }
 
     #[test]

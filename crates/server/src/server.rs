@@ -28,9 +28,8 @@ use xmlsec_core::update::{apply_updates, UpdateError, UpdateOp, WriteContext};
 use xmlsec_core::view::{label_document_incremental, prune_document, EngineOptions, Labeling};
 use xmlsec_core::{
     AccessRequest, CancelReason, CancelToken, CompiledCache, DecisionCache, DocumentSource,
-    Parallelism, ResourceLimits, SecurityProcessor,
+    Parallelism, PreparedSchema, ResourceLimits, SecurityProcessor,
 };
-use xmlsec_dtd::parse_dtd;
 use xmlsec_subjects::{Directory, Requester};
 use xmlsec_telemetry as telemetry;
 
@@ -526,12 +525,13 @@ impl SecureServer {
 
         let mut findings = xmlsec_authz::lint_policy(&auths, &self.directory);
         if let Some(du) = &dtd_uri {
-            if let Some(dtd) = repo.dtd(du).and_then(|t| parse_dtd(t).ok()) {
+            if let Some(Ok(schema)) = repo.schema(du) {
+                let dtd = schema.dtd();
                 if let Some(root) = dtd.root_candidates().first().cloned() {
-                    findings.extend(xmlsec_core::coverage_findings(&dtd, root, &auths));
+                    findings.extend(xmlsec_core::coverage_findings(dtd, root, &auths));
                     let subjects = xmlsec_core::closure_subjects(&auths, &self.directory);
                     let report = xmlsec_core::analyze_policy(
-                        &dtd,
+                        dtd,
                         root,
                         du,
                         &auths,
@@ -541,7 +541,7 @@ impl SecureServer {
                     );
                     findings.extend(report.findings);
                     let writes = xmlsec_core::analyze_policy_writes(
-                        &dtd,
+                        dtd,
                         root,
                         du,
                         &auths,
@@ -574,21 +574,6 @@ impl SecureServer {
             },
         );
         findings
-    }
-
-    /// The memoized DTD-validity of `uri`'s current parsed revision,
-    /// validating (once) when unknown. The static write pre-flight only
-    /// trusts non-blanket batch verdicts on valid documents.
-    fn schema_valid_memo(&self, repo: &mut Repository, uri: &str, dtd: &xmlsec_dtd::Dtd) -> bool {
-        let Some(parsed) = repo.parsed_document(uri) else { return false };
-        if let Some(v) = parsed.schema_valid() {
-            return v;
-        }
-        let v = xmlsec_dtd::validate(dtd, parsed.doc()).is_empty();
-        if let Some(p) = repo.parsed_document_mut(uri) {
-            p.set_schema_valid(v);
-        }
-        v
     }
 
     /// Cache statistics `(hits, misses)`; zeros when caching is off.
@@ -820,10 +805,20 @@ impl SecureServer {
             decisions: Some(Arc::clone(&self.decisions)),
             compiled: self.compile.then(|| Arc::clone(&self.compiled)),
         };
+        // The DTD as prepared when it was stored, with this revision's
+        // validity memo. A DTD that failed to parse then goes in as text,
+        // so the processor reports the same parse error as it always has.
+        let dtd_uri = stored.dtd_uri.as_deref();
+        let schema = dtd_uri.and_then(|u| repo.schema(u));
         let source = DocumentSource {
             xml: &stored.xml,
-            dtd: stored.dtd_uri.as_deref().and_then(|u| repo.dtd(u)),
-            dtd_uri: stored.dtd_uri.as_deref(),
+            dtd: match schema {
+                Some(Err(_)) => dtd_uri.and_then(|u| repo.dtd(u)),
+                _ => None,
+            },
+            dtd_uri,
+            schema: schema.and_then(|s| s.as_deref().ok()),
+            schema_valid: Some(stored.schema_valid()),
         };
         let request = AccessRequest { requester: requester.clone(), uri: req.uri.clone() };
         let out = processor.process(&request, &source).map_err(|e| {
@@ -981,12 +976,12 @@ impl SecureServer {
             Some(s) => s.dtd_uri.clone(),
             None => return Err(ServerError::NotFound(req.uri.clone())),
         };
-        let dtd_parsed = dtd_uri
-            .as_deref()
-            .and_then(|u| repo.dtd(u))
-            .map(xmlsec_dtd::parse_dtd)
-            .transpose()
-            .map_err(|e| ServerError::Processing(e.to_string()))?;
+        let schema = match dtd_uri.as_deref().and_then(|u| repo.schema(u)) {
+            Some(Ok(s)) => Some(Arc::clone(s)),
+            Some(Err(e)) => return Err(ServerError::Processing(e.to_string())),
+            None => None,
+        };
+        let dtd_parsed = schema.as_deref().map(PreparedSchema::dtd);
 
         // Parse once per document lifetime: the repository keeps the
         // parsed, normalized form, so only the first update (or the
@@ -1041,17 +1036,19 @@ impl SecureServer {
                 .parsed_document(&req.uri)
                 .and_then(|p| p.doc().element_name(p.doc().root()))
                 .map(str::to_string);
-            if let (Some(dtd), Some(root)) = (&dtd_parsed, root) {
+            if let (Some(schema), Some(root)) = (schema.as_deref(), root) {
+                let (dir, policy) = (&self.directory, self.policy);
+                let fp = xmlsec_core::policy_fingerprint(&wxml, &wdtd, dir, policy);
                 let verdict = self
                     .compiled
-                    .get_or_compile(dtd, &root, &wxml, &wdtd, &self.directory, self.policy)
+                    .get_or_compile_prepared(schema, &root, fp, &wxml, &wdtd, dir, policy)
                     .ok()
                     .map(|cp| {
                         if cp.writes.blanket_allow {
                             // Holds on any tree; no validity gate needed.
                             xmlsec_core::BatchVerdict::Allow
-                        } else if self.schema_valid_memo(&mut repo, &req.uri, dtd) {
-                            xmlsec_core::classify_batch(dtd, &cp.writes, ops)
+                        } else if revision_valid(&repo, &req.uri, schema.dtd()) {
+                            xmlsec_core::classify_batch(schema.dtd(), &cp.writes, ops)
                         } else {
                             xmlsec_core::BatchVerdict::Dynamic
                         }
@@ -1098,7 +1095,7 @@ impl SecureServer {
             other => ServerError::UpdateDenied(other.to_string()),
         })?;
 
-        if let Some(dtd) = &dtd_parsed {
+        if let Some(dtd) = dtd_parsed {
             // Materialize DTD defaults on freshly inserted elements (the
             // base document is already normalized, so this only touches
             // nodes inside the dirty subtrees) and keep the stored
@@ -1120,9 +1117,9 @@ impl SecureServer {
         if dtd_parsed.is_some() {
             // Post-validation passed above, and commit_update installed
             // exactly the validated DOM: memoize validity for the next
-            // pre-flight instead of revalidating.
-            if let Some(p) = repo.parsed_document_mut(&req.uri) {
-                p.set_schema_valid(true);
+            // pre-flight and the next read instead of revalidating.
+            if let Some(stored) = repo.document(&req.uri) {
+                let _ = stored.schema_valid().set(true);
             }
         }
 
@@ -1131,7 +1128,7 @@ impl SecureServer {
         // content-addressed keys make the old entries unreachable either
         // way, so this is never a correctness hinge.
         if self.cache.is_some() {
-            self.patch_views(&repo, &req.uri, dtd_parsed.as_ref(), cancel);
+            self.patch_views(&repo, &req.uri, schema.as_deref(), cancel);
         }
         drop(repo);
         self.prune_patch_state();
@@ -1154,7 +1151,7 @@ impl SecureServer {
         &self,
         repo: &Repository,
         uri: &str,
-        dtd: Option<&xmlsec_dtd::Dtd>,
+        schema: Option<&PreparedSchema>,
         cancel: Option<&CancelToken>,
     ) {
         let Some(cache) = &self.cache else { return };
@@ -1172,9 +1169,9 @@ impl SecureServer {
         };
         let doc = parsed.doc();
         let dtd_uri = repo.document(uri).and_then(|s| s.dtd_uri.clone());
-        // Loosening is requester-independent: once per update, shared by
-        // every patched entry.
-        let loosened_text = dtd.map(|d| xmlsec_dtd::serialize_dtd(&xmlsec_dtd::loosen(d)));
+        // Loosening is requester-independent: prepared once per DTD and
+        // shared by every patched entry.
+        let loosened_text = schema.map(PreparedSchema::loosened_text);
 
         let m = patch_metrics();
         let mut state = self.lock_patch_state();
@@ -1187,7 +1184,7 @@ impl SecureServer {
                     &old_key,
                     entry,
                     new_content,
-                    loosened_text.as_deref(),
+                    loosened_text,
                     cancel,
                 )
             });
@@ -1273,6 +1270,19 @@ impl SecureServer {
             .filter(|a| requester.is_covered_by(&a.subject, &self.directory))
             .collect()
     }
+}
+
+/// Whether `uri`'s current revision is valid against `dtd`, from the
+/// revision's memo — the same one the read path fills in — or by
+/// validating its parsed form once. The static write pre-flight only
+/// trusts non-blanket batch verdicts on valid documents.
+fn revision_valid(repo: &Repository, uri: &str, dtd: &xmlsec_dtd::Dtd) -> bool {
+    let (Some(stored), Some(parsed)) = (repo.document(uri), repo.parsed_document(uri)) else {
+        return false;
+    };
+    *stored
+        .schema_valid()
+        .get_or_init(|| xmlsec_dtd::validate(dtd, parsed.doc()).is_empty())
 }
 
 /// Stable small tag distinguishing policies in cache keys.

@@ -398,6 +398,48 @@ impl Document {
         }
     }
 
+    // ------------------------------------------------------------------
+    // In-order construction (the parser's appenders)
+    // ------------------------------------------------------------------
+
+    /// A document holding only its root element `name`, with arena room
+    /// for `capacity` nodes. The caller has validated `name`.
+    pub(crate) fn with_root(name: String, capacity: usize) -> Document {
+        let mut slots = Vec::with_capacity(capacity.max(1));
+        let root = NodeData::Element { name, attrs: Vec::new(), children: Vec::new() };
+        slots.push(Slot { gen: 0, node: Some(Node { parent: None, data: root }) });
+        Document {
+            slots,
+            free: Vec::new(),
+            root: NodeId::new(0, 0),
+            doctype: None,
+            last_alloc: NodeId::new(0, 0),
+            ids_preordered: true,
+        }
+    }
+
+    /// Appends `data` as the last child of `parent` (or, for an
+    /// attribute, as the last attribute of element `parent`) in a fresh
+    /// slot. Sound only while the document is built in document order
+    /// (attributes right after their element, before its children) with
+    /// unique attribute names — which is how the parser calls it — so
+    /// arena ids stay a preorder without being checked and no
+    /// duplicate-attribute lookup is made.
+    pub(crate) fn push_in_order(&mut self, parent: NodeId, data: NodeData) -> NodeId {
+        let is_attr = matches!(data, NodeData::Attr { .. });
+        let idx = u32::try_from(self.slots.len()).expect("arena overflow");
+        let id = NodeId::new(idx, 0);
+        self.slots
+            .push(Slot { gen: 0, node: Some(Node { parent: Some(parent), data }) });
+        self.last_alloc = id;
+        match &mut self.node_mut(parent).data {
+            NodeData::Element { attrs, .. } if is_attr => attrs.push(id),
+            NodeData::Element { children, .. } => children.push(id),
+            other => panic!("cannot append to non-element node: {other:?}"),
+        }
+        id
+    }
+
     fn children_mut(&mut self, id: NodeId) -> &mut Vec<NodeId> {
         match &mut self.node_mut(id).data {
             NodeData::Element { children, .. } => children,

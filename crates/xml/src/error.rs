@@ -6,14 +6,18 @@
 use crate::limits::LimitKind;
 use std::fmt;
 
-/// A position in the source text, tracked by the tokenizer.
+/// A position in the source text.
 ///
 /// Lines and columns are 1-based; `offset` is the 0-based byte offset.
+/// The tokenizer tracks only offsets and derives the line and column
+/// with [`Pos::at`] when it builds an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pos {
     /// 1-based line number.
     pub line: u32,
-    /// 1-based column number (in bytes within the line).
+    /// 1-based column number, counted in characters (Unicode scalar
+    /// values, not bytes) from the start of the line: a line break is
+    /// a `\n`, and a `\r` counts as a character.
     pub col: u32,
     /// 0-based byte offset from the start of the input.
     pub offset: usize,
@@ -22,6 +26,20 @@ pub struct Pos {
 impl Pos {
     /// The start-of-input position.
     pub const START: Pos = Pos { line: 1, col: 1, offset: 0 };
+
+    /// The position of byte `offset` in `input`.
+    ///
+    /// # Panics
+    /// Panics if `offset` is past the end of `input`.
+    pub fn at(input: &str, offset: usize) -> Pos {
+        let before = &input.as_bytes()[..offset];
+        let line_start = before.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        // One character per byte that is not a UTF-8 continuation byte.
+        let col = 1 + before[line_start..].iter().filter(|&&b| b & 0xC0 != 0x80).count();
+        let saturate = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        Pos { line: saturate(line), col: saturate(col), offset }
+    }
 }
 
 impl fmt::Display for Pos {
@@ -157,6 +175,17 @@ mod tests {
         assert!(s.contains("2:5"), "{s}");
         assert!(s.contains("</a>"), "{s}");
         assert!(s.contains("</b>"), "{s}");
+    }
+
+    #[test]
+    fn pos_at_counts_lines_and_characters() {
+        let s = "ab\nxé日z";
+        assert_eq!(Pos::at(s, 0), Pos::START);
+        assert_eq!(Pos::at(s, 3), Pos { line: 2, col: 1, offset: 3 });
+        // "é" (2 bytes) and "日" (3 bytes) are one column each.
+        assert_eq!(Pos::at(s, 9), Pos { line: 2, col: 4, offset: 9 });
+        assert_eq!(Pos::at(s, s.len()), Pos { line: 2, col: 5, offset: 10 });
+        assert_eq!(Pos::at("a\r\nb", 3), Pos { line: 2, col: 1, offset: 3 });
     }
 
     #[test]

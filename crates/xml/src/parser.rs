@@ -6,9 +6,16 @@
 //! [`ParseOptions::keep_whitespace_text`] — the security processor drops it
 //! so that pruned documents serialize cleanly, tests that need exact
 //! round-trips keep it.
+//!
+//! The tree is built strictly in document order: every node goes into a
+//! fresh arena slot right after the nodes before it (see
+//! `Document::push_in_order`), with the slots reserved up front from a
+//! count of `<` and `=` bytes, so no per-node preorder or
+//! duplicate-attribute check is needed — the tokenizer has already
+//! rejected duplicate attributes.
 
 use crate::cancel::CancelToken;
-use crate::dom::{Document, NodeId};
+use crate::dom::{Document, NodeData, NodeId};
 use crate::error::{Pos, Result, XmlError, XmlErrorKind};
 use crate::limits::{LimitKind, Limits};
 use crate::tokenizer::{Token, Tokenizer};
@@ -113,17 +120,13 @@ pub fn parse_cancellable(
     result
 }
 
-/// Source position of any token (every variant carries one).
-fn tok_pos(t: &Token) -> Pos {
-    match t {
-        Token::XmlDecl { pos, .. }
-        | Token::Doctype { pos, .. }
-        | Token::StartTag { pos, .. }
-        | Token::EndTag { pos, .. }
-        | Token::Text { pos, .. }
-        | Token::Comment { pos, .. }
-        | Token::Pi { pos, .. } => *pos,
-    }
+/// Arena slots to reserve before parsing `input`: one per `<` (a start
+/// tag, or the end tag that follows a text child) and one per `=` (an
+/// attribute), capped by the node limit. Over-counts `=` in text and
+/// end tags of element-only content; never under-reserves by much.
+fn reserve_estimate(input: &str, limits: &Limits) -> usize {
+    let marks = input.bytes().filter(|&b| b == b'<' || b == b'=').count();
+    marks.min(limits.max_nodes.saturating_add(1))
 }
 
 fn parse_inner(
@@ -135,127 +138,119 @@ fn parse_inner(
     if input.len() > limits.max_input_bytes {
         return Err(XmlError::new(XmlErrorKind::LimitExceeded(LimitKind::InputBytes), Pos::START));
     }
+    let err = |kind: XmlErrorKind, at: usize| XmlError::new(kind, Pos::at(input, at));
+    let over_nodes = |d: &Document| d.arena_len() > limits.max_nodes;
     let mut tk = Tokenizer::with_limits(input, limits);
     let mut doc: Option<Document> = None;
     let mut doctype = None;
-    // Stack of open elements; empty both before the root opens and after
-    // it closes.
-    let mut stack: Vec<(NodeId, String, Pos)> = Vec::new();
-    let mut root_seen = false;
+    // Stack of open elements (id, name, offset of `<`); empty both before
+    // the root opens and after it closes.
+    let mut stack: Vec<(NodeId, &str, usize)> = Vec::new();
 
     while let Some(tok) = tk.next_token()? {
         if let Some(t) = cancel {
             if let Err(c) = t.poll() {
-                let pos = tok_pos(&tok);
-                return Err(XmlError::new(XmlErrorKind::Cancelled(c.reason), pos));
+                return Err(err(XmlErrorKind::Cancelled(c.reason), tok.offset()));
             }
         }
         match tok {
             Token::XmlDecl { .. } => {}
-            Token::Doctype { decl, pos } => {
-                if root_seen || doc.is_some() {
-                    return Err(XmlError::new(XmlErrorKind::MalformedDoctype, pos));
+            Token::Doctype { decl, at } => {
+                if doc.is_some() {
+                    return Err(err(XmlErrorKind::MalformedDoctype, at));
                 }
                 doctype = Some(decl);
             }
-            Token::StartTag { name, attrs, self_closing, pos } => {
-                let el = if let Some(d) = doc.as_mut() {
-                    match stack.last() {
-                        Some(&(parent, ..)) => d.append_element(parent, &name),
-                        None => return Err(XmlError::new(XmlErrorKind::MultipleRootElements, pos)),
+            Token::StartTag { name, attrs, self_closing, at } => {
+                let (d, el) = match (doc.as_mut(), stack.last()) {
+                    (Some(d), Some(&(parent, ..))) => {
+                        let data = NodeData::Element {
+                            name: name.to_string(),
+                            attrs: Vec::with_capacity(attrs.len()),
+                            children: Vec::new(),
+                        };
+                        let el = d.push_in_order(parent, data);
+                        (d, el)
                     }
-                } else {
-                    if root_seen {
-                        return Err(XmlError::new(XmlErrorKind::MultipleRootElements, pos));
+                    (Some(_), None) => return Err(err(XmlErrorKind::MultipleRootElements, at)),
+                    (None, _) => {
+                        let d = doc.insert(Document::with_root(
+                            name.to_string(),
+                            reserve_estimate(input, limits),
+                        ));
+                        let root = d.root();
+                        (d, root)
                     }
-                    root_seen = true;
-                    let d = Document::new(&name);
-                    let r = d.root();
-                    doc = Some(d);
-                    r
                 };
-                let d = doc.as_mut().expect("document exists after root open");
                 for (an, av) in attrs {
-                    d.set_attribute(el, &an, &av)?;
+                    let data = NodeData::Attr { name: an.to_string(), value: av.into_owned() };
+                    d.push_in_order(el, data);
                 }
-                if d.arena_len() > limits.max_nodes {
-                    return Err(XmlError::new(XmlErrorKind::LimitExceeded(LimitKind::Nodes), pos));
+                if over_nodes(d) {
+                    return Err(err(XmlErrorKind::LimitExceeded(LimitKind::Nodes), at));
                 }
                 if !self_closing {
                     if stack.len() >= limits.max_depth {
-                        return Err(XmlError::new(
-                            XmlErrorKind::LimitExceeded(LimitKind::Depth),
-                            pos,
-                        ));
+                        return Err(err(XmlErrorKind::LimitExceeded(LimitKind::Depth), at));
                     }
-                    stack.push((el, name, pos));
+                    stack.push((el, name, at));
                 }
             }
-            Token::EndTag { name, pos } => match stack.pop() {
+            Token::EndTag { name, at } => match stack.pop() {
                 Some((_, open_name, _)) if open_name == name => {}
                 Some((_, open_name, _)) => {
-                    return Err(XmlError::new(
-                        XmlErrorKind::MismatchedTag { expected: open_name, found: name },
-                        pos,
-                    ));
+                    let kind = XmlErrorKind::MismatchedTag {
+                        expected: open_name.to_string(),
+                        found: name.to_string(),
+                    };
+                    return Err(err(kind, at));
                 }
-                None => return Err(XmlError::new(XmlErrorKind::UnbalancedEndTag(name), pos)),
+                None => return Err(err(XmlErrorKind::UnbalancedEndTag(name.to_string()), at)),
             },
-            Token::Text { value, pos } => {
+            Token::Text { value, at } => {
                 let blank = value.chars().all(|c| c.is_whitespace());
-                match stack.last() {
-                    Some(&(parent, ..)) => {
+                match (doc.as_mut(), stack.last()) {
+                    (Some(d), Some(&(parent, ..))) => {
                         if !blank || opts.keep_whitespace_text {
-                            let d = doc.as_mut().expect("open element implies document");
-                            d.append_text(parent, &value);
-                            if d.arena_len() > limits.max_nodes {
-                                return Err(XmlError::new(
-                                    XmlErrorKind::LimitExceeded(LimitKind::Nodes),
-                                    pos,
-                                ));
+                            d.push_in_order(parent, NodeData::Text(value.into_owned()));
+                            if over_nodes(d) {
+                                return Err(err(XmlErrorKind::LimitExceeded(LimitKind::Nodes), at));
                             }
                         }
                     }
-                    None => {
+                    _ => {
                         if !blank {
-                            return Err(XmlError::new(XmlErrorKind::ContentOutsideRoot, pos));
+                            return Err(err(XmlErrorKind::ContentOutsideRoot, at));
                         }
                     }
                 }
             }
-            Token::Comment { value, pos } => {
-                if let Some(&(parent, ..)) = stack.last() {
-                    if opts.keep_comments {
-                        let d = doc.as_mut().expect("open element implies document");
-                        d.append_comment(parent, &value);
-                        if d.arena_len() > limits.max_nodes {
-                            return Err(XmlError::new(
-                                XmlErrorKind::LimitExceeded(LimitKind::Nodes),
-                                pos,
-                            ));
-                        }
-                    }
-                }
+            Token::Comment { value, at } => {
                 // Comments outside the root are legal and dropped.
-            }
-            Token::Pi { target, data, pos } => {
-                if let Some(&(parent, ..)) = stack.last() {
-                    let d = doc.as_mut().expect("open element implies document");
-                    d.append_pi(parent, &target, &data);
-                    if d.arena_len() > limits.max_nodes {
-                        return Err(XmlError::new(
-                            XmlErrorKind::LimitExceeded(LimitKind::Nodes),
-                            pos,
-                        ));
+                if let (Some(d), Some(&(parent, ..))) = (doc.as_mut(), stack.last()) {
+                    if opts.keep_comments {
+                        d.push_in_order(parent, NodeData::Comment(value.to_string()));
+                        if over_nodes(d) {
+                            return Err(err(XmlErrorKind::LimitExceeded(LimitKind::Nodes), at));
+                        }
                     }
                 }
+            }
+            Token::Pi { target, data, at } => {
                 // PIs outside the root are legal and dropped.
+                if let (Some(d), Some(&(parent, ..))) = (doc.as_mut(), stack.last()) {
+                    let pi = NodeData::Pi { target: target.to_string(), data: data.to_string() };
+                    d.push_in_order(parent, pi);
+                    if over_nodes(d) {
+                        return Err(err(XmlErrorKind::LimitExceeded(LimitKind::Nodes), at));
+                    }
+                }
             }
         }
     }
 
-    if let Some((_, name, pos)) = stack.pop() {
-        return Err(XmlError::new(XmlErrorKind::UnclosedElement(name), pos));
+    if let Some((_, name, at)) = stack.pop() {
+        return Err(err(XmlErrorKind::UnclosedElement(name.to_string()), at));
     }
     match doc {
         Some(mut d) => {
@@ -269,7 +264,6 @@ fn parse_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dom::NodeData;
 
     #[test]
     fn parse_nested() {

@@ -4,200 +4,125 @@
 //! character data with references resolved, comments, PIs, DOCTYPE) that
 //! the tree-building parser consumes. Entity references are resolved here
 //! so downstream code only ever sees plain text.
+//!
+//! The tokenizer is a byte cursor over the input. It tracks only the
+//! byte offset: every token carries the offset of its first byte, and a
+//! line/column [`Pos`] is computed from an offset only when an error is
+//! built ([`Pos::at`]). Names, comments, PI data and reference-free text
+//! and attribute values are borrowed slices of the input; a value is
+//! copied (as [`Cow::Owned`]) only when a character or entity reference
+//! in it is resolved, and then in bulk runs between the references.
 
 use crate::dom::Doctype;
 use crate::error::{Pos, Result, XmlError, XmlErrorKind};
 use crate::escape::resolve_reference;
 use crate::limits::{LimitKind, Limits};
-use crate::name::{is_name_char, is_name_start_char, is_xml_whitespace};
+use crate::name::{is_name_char, is_name_start_char};
+use std::borrow::Cow;
 
-/// One lexical event in the document.
+/// One lexical event in the document, borrowing from the input.
+///
+/// `at` is the byte offset of the token's first byte (the `<` of markup,
+/// the first character of text); turn it into a line/column with
+/// [`Pos::at`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// XML declaration `<?xml version=... ?>` (captured, not interpreted).
     XmlDecl {
         /// Raw content between `<?xml` and `?>`.
-        raw: String,
-        /// Position of `<`.
-        pos: Pos,
+        raw: &'a str,
+        /// Offset of `<`.
+        at: usize,
     },
     /// `<!DOCTYPE ...>`.
     Doctype {
         /// Parsed declaration.
         decl: Doctype,
-        /// Position of `<`.
-        pos: Pos,
+        /// Offset of `<`.
+        at: usize,
     },
     /// `<name a="v" ...>` or `<name ... />`.
     StartTag {
         /// Element name.
-        name: String,
-        /// Attributes, in source order, values unescaped.
-        attrs: Vec<(String, String)>,
+        name: &'a str,
+        /// Attributes, in source order, values unescaped. Names are
+        /// unique (a duplicate is a tokenizer error).
+        attrs: Vec<(&'a str, Cow<'a, str>)>,
         /// Whether the tag ended with `/>`.
         self_closing: bool,
-        /// Position of `<`.
-        pos: Pos,
+        /// Offset of `<`.
+        at: usize,
     },
     /// `</name>`.
     EndTag {
         /// Element name.
-        name: String,
-        /// Position of `<`.
-        pos: Pos,
+        name: &'a str,
+        /// Offset of `<`.
+        at: usize,
     },
     /// Character data (including CDATA sections), references resolved.
     Text {
         /// The text.
-        value: String,
-        /// Position of the first character.
-        pos: Pos,
+        value: Cow<'a, str>,
+        /// Offset of the first character (of `<` for CDATA).
+        at: usize,
     },
     /// `<!-- ... -->`.
     Comment {
         /// Comment body.
-        value: String,
-        /// Position of `<`.
-        pos: Pos,
+        value: &'a str,
+        /// Offset of `<`.
+        at: usize,
     },
     /// `<?target data?>`.
     Pi {
         /// PI target (not `xml`).
-        target: String,
+        target: &'a str,
         /// PI data, possibly empty.
-        data: String,
-        /// Position of `<`.
-        pos: Pos,
+        data: &'a str,
+        /// Offset of `<`.
+        at: usize,
     },
 }
 
-/// Character cursor with line/column tracking.
-struct Cursor<'a> {
-    input: &'a str,
-    /// Byte offset of the next char.
-    offset: usize,
-    line: u32,
-    col: u32,
-    /// Characters produced by reference resolution so far.
-    expanded: usize,
-    /// Cap on `expanded` (the billion-laughs guard).
-    max_expansion: usize,
+impl Token<'_> {
+    /// Byte offset of the token's first byte.
+    pub fn offset(&self) -> usize {
+        match self {
+            Token::XmlDecl { at, .. }
+            | Token::Doctype { at, .. }
+            | Token::StartTag { at, .. }
+            | Token::EndTag { at, .. }
+            | Token::Text { at, .. }
+            | Token::Comment { at, .. }
+            | Token::Pi { at, .. } => *at,
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(input: &'a str, max_expansion: usize) -> Self {
-        Cursor { input, offset: 0, line: 1, col: 1, expanded: 0, max_expansion }
-    }
+/// ASCII bytes that may start an XML Name (non-ASCII goes through
+/// [`is_name_start_char`]).
+#[inline]
+fn is_ascii_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b == b':'
+}
 
-    fn pos(&self) -> Pos {
-        Pos { line: self.line, col: self.col, offset: self.offset }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.input[self.offset..].chars().next()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.input[self.offset..].starts_with(s)
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.offset += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn bump_n(&mut self, n: usize) {
-        for _ in 0..n {
-            self.bump();
-        }
-    }
-
-    fn eat(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            self.bump_n(s.chars().count());
-            true
-        } else {
-            false
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if is_xml_whitespace(c)) {
-            self.bump();
-        }
-    }
-
-    fn at_eof(&self) -> bool {
-        self.offset >= self.input.len()
-    }
-
-    fn err(&self, kind: XmlErrorKind) -> XmlError {
-        XmlError::new(kind, self.pos())
-    }
-
-    fn read_name(&mut self) -> Result<String> {
-        let start = self.pos();
-        match self.peek() {
-            Some(c) if is_name_start_char(c) => {}
-            Some(c) => return Err(XmlError::new(XmlErrorKind::UnexpectedChar(c), start)),
-            None => return Err(XmlError::new(XmlErrorKind::UnexpectedEof, start)),
-        }
-        let begin = self.offset;
-        while matches!(self.peek(), Some(c) if is_name_char(c)) {
-            self.bump();
-        }
-        Ok(self.input[begin..self.offset].to_string())
-    }
-
-    /// Reads text until `stop`, resolving `&...;` references. `stop` chars
-    /// terminate without being consumed. When `forbid_lt` is set, a raw `<`
-    /// is a well-formedness error (attribute-value context).
-    fn read_text_until(&mut self, stop: char, forbid_lt: bool) -> Result<String> {
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Ok(out),
-                Some(c) if c == stop => return Ok(out),
-                Some('<') if forbid_lt => {
-                    return Err(self.err(XmlErrorKind::UnexpectedChar('<')));
-                }
-                Some('&') => {
-                    let pos = self.pos();
-                    self.bump();
-                    let mut body = String::new();
-                    loop {
-                        match self.bump() {
-                            Some(';') => break,
-                            Some(c) if body.len() < 16 => body.push(c),
-                            _ => return Err(XmlError::new(XmlErrorKind::UnknownEntity(body), pos)),
-                        }
-                    }
-                    let c = resolve_reference(&body, pos)?;
-                    self.expanded += 1;
-                    if self.expanded > self.max_expansion {
-                        return Err(XmlError::new(
-                            XmlErrorKind::LimitExceeded(LimitKind::EntityExpansion),
-                            pos,
-                        ));
-                    }
-                    out.push(c);
-                }
-                Some(_) => out.push(self.bump().unwrap()),
-            }
-        }
-    }
+/// ASCII bytes that may continue an XML Name.
+#[inline]
+fn is_ascii_name_byte(b: u8) -> bool {
+    is_ascii_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
 }
 
 /// The tokenizer: call [`Tokenizer::next_token`] until it returns `None`.
 pub struct Tokenizer<'a> {
-    cur: Cursor<'a>,
+    input: &'a str,
+    bytes: &'a [u8],
+    /// Byte offset of the next unread byte; always a char boundary.
+    at: usize,
+    /// Characters produced by reference resolution so far.
+    expanded: usize,
+    /// Cap on `expanded` (the billion-laughs guard).
+    max_expansion: usize,
 }
 
 impl<'a> Tokenizer<'a> {
@@ -210,25 +135,30 @@ impl<'a> Tokenizer<'a> {
     /// `limits` (the structural caps — depth, node count — live in the
     /// parser, which owns the tree).
     pub fn with_limits(input: &'a str, limits: &Limits) -> Self {
-        Tokenizer { cur: Cursor::new(input, limits.max_entity_expansion) }
+        Tokenizer {
+            input,
+            bytes: input.as_bytes(),
+            at: 0,
+            expanded: 0,
+            max_expansion: limits.max_entity_expansion,
+        }
     }
 
     /// Returns the next token, or `Ok(None)` at end of input.
-    pub fn next_token(&mut self) -> Result<Option<Token>> {
-        if self.cur.at_eof() {
-            return Ok(None);
-        }
-        if self.cur.peek() == Some('<') {
-            self.read_markup().map(Some)
-        } else {
-            let pos = self.cur.pos();
-            let value = self.cur.read_text_until('<', false)?;
-            Ok(Some(Token::Text { value, pos }))
+    pub fn next_token(&mut self) -> Result<Option<Token<'a>>> {
+        match self.bytes.get(self.at) {
+            None => Ok(None),
+            Some(b'<') => self.read_markup().map(Some),
+            Some(_) => {
+                let at = self.at;
+                let value = self.read_text_until(b'<', false)?;
+                Ok(Some(Token::Text { value, at }))
+            }
         }
     }
 
     /// Collects all tokens (convenience for tests and the DTD scanner).
-    pub fn tokenize_all(mut self) -> Result<Vec<Token>> {
+    pub fn tokenize_all(mut self) -> Result<Vec<Token<'a>>> {
         let mut out = Vec::new();
         while let Some(t) = self.next_token()? {
             out.push(t);
@@ -236,221 +166,325 @@ impl<'a> Tokenizer<'a> {
         Ok(out)
     }
 
-    fn read_markup(&mut self) -> Result<Token> {
-        let pos = self.cur.pos();
-        debug_assert_eq!(self.cur.peek(), Some('<'));
-        if self.cur.starts_with("<!--") {
-            return self.read_comment(pos);
+    #[cold]
+    #[inline(never)]
+    fn err(&self, kind: XmlErrorKind, at: usize) -> XmlError {
+        XmlError::new(kind, Pos::at(self.input, at))
+    }
+
+    /// The character at the cursor.
+    #[inline]
+    fn peek(&self) -> Option<char> {
+        match self.bytes.get(self.at) {
+            Some(&b) if b.is_ascii() => Some(b as char),
+            Some(_) => self.input[self.at..].chars().next(),
+            None => None,
         }
-        if self.cur.starts_with("<![CDATA[") {
-            return self.read_cdata(pos);
+    }
+
+    #[inline]
+    fn starts_with(&self, s: &[u8]) -> bool {
+        self.bytes[self.at..].starts_with(s)
+    }
+
+    /// Consumes `s` if the input continues with it.
+    #[inline]
+    fn eat(&mut self, s: &[u8]) -> bool {
+        let hit = self.starts_with(s);
+        if hit {
+            self.at += s.len();
         }
-        if self.cur.starts_with("<!DOCTYPE") {
-            return self.read_doctype(pos);
+        hit
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.at), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.at += 1;
         }
-        if self.cur.starts_with("<?") {
-            return self.read_pi(pos);
+    }
+
+    /// Offset of the first occurrence of `pat` at or after the cursor.
+    fn find(&self, pat: &str) -> Option<usize> {
+        self.input[self.at..].find(pat).map(|i| self.at + i)
+    }
+
+    fn read_name(&mut self) -> Result<&'a str> {
+        let begin = self.at;
+        match self.peek() {
+            Some(c) if is_name_start_char(c) => self.at += c.len_utf8(),
+            Some(c) => return Err(self.err(XmlErrorKind::UnexpectedChar(c), begin)),
+            None => return Err(self.err(XmlErrorKind::UnexpectedEof, begin)),
         }
-        if self.cur.starts_with("</") {
-            self.cur.bump_n(2);
-            let name = self.cur.read_name()?;
-            self.cur.skip_ws();
-            if !self.cur.eat(">") {
-                return Err(self.cur.err(XmlErrorKind::UnexpectedEof));
+        while let Some(&b) = self.bytes.get(self.at) {
+            if b.is_ascii() {
+                if !is_ascii_name_byte(b) {
+                    break;
+                }
+                self.at += 1;
+            } else {
+                match self.peek() {
+                    Some(c) if is_name_char(c) => self.at += c.len_utf8(),
+                    _ => break,
+                }
             }
-            return Ok(Token::EndTag { name, pos });
+        }
+        Ok(&self.input[begin..self.at])
+    }
+
+    /// Reads text until the ASCII byte `stop` (not consumed) or end of
+    /// input, resolving `&...;` references. When `forbid_lt` is set, a
+    /// raw `<` is a well-formedness error (attribute-value context).
+    /// Borrows the input unless a reference was resolved.
+    fn read_text_until(&mut self, stop: u8, forbid_lt: bool) -> Result<Cow<'a, str>> {
+        let begin = self.at;
+        // Resolved text so far, and the start of the run not yet copied.
+        let mut owned: Option<String> = None;
+        let mut run = begin;
+        loop {
+            let rest = &self.bytes[self.at..];
+            let Some(i) =
+                rest.iter().position(|&b| b == stop || b == b'&' || (forbid_lt && b == b'<'))
+            else {
+                self.at = self.bytes.len();
+                break;
+            };
+            self.at += i;
+            match self.bytes[self.at] {
+                b if b == stop => break,
+                b'<' => return Err(self.err(XmlErrorKind::UnexpectedChar('<'), self.at)),
+                _ => {
+                    let amp = self.at;
+                    let c = self.read_reference()?;
+                    let s = owned.get_or_insert_with(|| String::with_capacity(rest.len().min(64)));
+                    s.push_str(&self.input[run..amp]);
+                    s.push(c);
+                    run = self.at;
+                }
+            }
+        }
+        Ok(match owned {
+            None => Cow::Borrowed(&self.input[begin..self.at]),
+            Some(mut s) => {
+                s.push_str(&self.input[run..self.at]);
+                Cow::Owned(s)
+            }
+        })
+    }
+
+    /// Resolves the reference whose `&` is at the cursor and consumes it
+    /// through the `;`. The body may hold any character; a body still
+    /// unterminated after 16 bytes is an unknown entity.
+    fn read_reference(&mut self) -> Result<char> {
+        let amp = self.at;
+        let body_start = amp + 1;
+        self.at = body_start;
+        let body = loop {
+            match self.peek() {
+                Some(';') => {
+                    let body = &self.input[body_start..self.at];
+                    self.at += 1;
+                    break body;
+                }
+                Some(c) if self.at - body_start < 16 => self.at += c.len_utf8(),
+                _ => {
+                    let body = self.input[body_start..self.at].to_string();
+                    return Err(self.err(XmlErrorKind::UnknownEntity(body), amp));
+                }
+            }
+        };
+        let c = resolve_reference(body, Pos::START).map_err(|e| self.err(e.kind, amp))?;
+        self.expanded += 1;
+        if self.expanded > self.max_expansion {
+            return Err(self.err(XmlErrorKind::LimitExceeded(LimitKind::EntityExpansion), amp));
+        }
+        Ok(c)
+    }
+
+    fn read_markup(&mut self) -> Result<Token<'a>> {
+        let at = self.at;
+        debug_assert_eq!(self.bytes[at], b'<');
+        if self.starts_with(b"<!--") {
+            return self.read_comment(at);
+        }
+        if self.starts_with(b"<![CDATA[") {
+            return self.read_cdata(at);
+        }
+        if self.starts_with(b"<!DOCTYPE") {
+            return self.read_doctype(at);
+        }
+        if self.starts_with(b"<?") {
+            return self.read_pi(at);
+        }
+        if self.eat(b"</") {
+            let name = self.read_name()?;
+            self.skip_ws();
+            if !self.eat(b">") {
+                return Err(self.err(XmlErrorKind::UnexpectedEof, self.at));
+            }
+            return Ok(Token::EndTag { name, at });
         }
         // Start tag.
-        self.cur.bump(); // consume '<'
-        let name = self.cur.read_name()?;
-        let mut attrs = Vec::new();
+        self.at += 1; // consume '<'
+        let name = self.read_name()?;
+        let mut attrs: Vec<(&'a str, Cow<'a, str>)> = Vec::new();
         loop {
-            self.cur.skip_ws();
-            match self.cur.peek() {
+            self.skip_ws();
+            match self.peek() {
                 Some('>') => {
-                    self.cur.bump();
-                    return Ok(Token::StartTag { name, attrs, self_closing: false, pos });
+                    self.at += 1;
+                    return Ok(Token::StartTag { name, attrs, self_closing: false, at });
                 }
                 Some('/') => {
-                    self.cur.bump();
-                    if !self.cur.eat(">") {
-                        return Err(self.cur.err(XmlErrorKind::UnexpectedChar('/')));
+                    self.at += 1;
+                    if !self.eat(b">") {
+                        return Err(self.err(XmlErrorKind::UnexpectedChar('/'), self.at));
                     }
-                    return Ok(Token::StartTag { name, attrs, self_closing: true, pos });
+                    return Ok(Token::StartTag { name, attrs, self_closing: true, at });
                 }
                 Some(c) if is_name_start_char(c) => {
                     let (an, av) = self.read_attribute()?;
-                    if attrs.iter().any(|(n, _)| *n == an) {
-                        return Err(self.cur.err(XmlErrorKind::DuplicateAttribute(an)));
+                    if attrs.iter().any(|&(n, _)| n == an) {
+                        let kind = XmlErrorKind::DuplicateAttribute(an.to_string());
+                        return Err(self.err(kind, self.at));
                     }
                     attrs.push((an, av));
                 }
-                Some(c) => return Err(self.cur.err(XmlErrorKind::UnexpectedChar(c))),
-                None => return Err(self.cur.err(XmlErrorKind::UnexpectedEof)),
+                Some(c) => return Err(self.err(XmlErrorKind::UnexpectedChar(c), self.at)),
+                None => return Err(self.err(XmlErrorKind::UnexpectedEof, self.at)),
             }
         }
     }
 
-    fn read_attribute(&mut self) -> Result<(String, String)> {
-        let name = self.cur.read_name()?;
-        self.cur.skip_ws();
-        if !self.cur.eat("=") {
-            return Err(self.cur.err(XmlErrorKind::MalformedAttribute(name)));
+    fn read_attribute(&mut self) -> Result<(&'a str, Cow<'a, str>)> {
+        let name = self.read_name()?;
+        let malformed = |t: &Self| t.err(XmlErrorKind::MalformedAttribute(name.to_string()), t.at);
+        self.skip_ws();
+        if !self.eat(b"=") {
+            return Err(malformed(self));
         }
-        self.cur.skip_ws();
-        let quote = match self.cur.bump() {
-            Some(q @ ('"' | '\'')) => q,
-            _ => return Err(self.cur.err(XmlErrorKind::MalformedAttribute(name))),
+        self.skip_ws();
+        let quote = match self.peek() {
+            Some(q @ ('"' | '\'')) => q as u8,
+            Some(c) => {
+                // The offending character is consumed, so the error
+                // points just past it.
+                self.at += c.len_utf8();
+                return Err(malformed(self));
+            }
+            None => return Err(malformed(self)),
         };
-        let value = self.cur.read_text_until(quote, true)?;
-        if !self.cur.eat(&quote.to_string()) {
-            return Err(self.cur.err(XmlErrorKind::MalformedAttribute(name)));
+        self.at += 1;
+        let value = self.read_text_until(quote, true)?;
+        if !self.eat(&[quote]) {
+            return Err(malformed(self));
         }
         Ok((name, value))
     }
 
-    fn read_comment(&mut self, pos: Pos) -> Result<Token> {
-        self.cur.bump_n(4); // <!--
-        let begin = self.cur.offset;
-        loop {
-            if self.cur.at_eof() {
-                return Err(XmlError::new(XmlErrorKind::MalformedComment, pos));
-            }
-            if self.cur.starts_with("--") {
-                let value = self.cur.input[begin..self.cur.offset].to_string();
-                self.cur.bump_n(2);
-                if !self.cur.eat(">") {
-                    // '--' inside comment body is forbidden by XML 1.0.
-                    return Err(XmlError::new(XmlErrorKind::MalformedComment, pos));
-                }
-                return Ok(Token::Comment { value, pos });
-            }
-            self.cur.bump();
+    fn read_comment(&mut self, at: usize) -> Result<Token<'a>> {
+        self.at += 4; // <!--
+        let begin = self.at;
+        let Some(end) = self.find("--") else {
+            return Err(self.err(XmlErrorKind::MalformedComment, at));
+        };
+        self.at = end + 2;
+        if !self.eat(b">") {
+            // '--' inside comment body is forbidden by XML 1.0.
+            return Err(self.err(XmlErrorKind::MalformedComment, at));
         }
+        Ok(Token::Comment { value: &self.input[begin..end], at })
     }
 
-    fn read_cdata(&mut self, pos: Pos) -> Result<Token> {
-        self.cur.bump_n(9); // <![CDATA[
-        let begin = self.cur.offset;
-        loop {
-            if self.cur.at_eof() {
-                return Err(XmlError::new(XmlErrorKind::MalformedCdata, pos));
-            }
-            if self.cur.starts_with("]]>") {
-                let value = self.cur.input[begin..self.cur.offset].to_string();
-                self.cur.bump_n(3);
-                return Ok(Token::Text { value, pos });
-            }
-            self.cur.bump();
-        }
+    fn read_cdata(&mut self, at: usize) -> Result<Token<'a>> {
+        self.at += 9; // <![CDATA[
+        let begin = self.at;
+        let Some(end) = self.find("]]>") else {
+            return Err(self.err(XmlErrorKind::MalformedCdata, at));
+        };
+        self.at = end + 3;
+        Ok(Token::Text { value: Cow::Borrowed(&self.input[begin..end]), at })
     }
 
-    fn read_pi(&mut self, pos: Pos) -> Result<Token> {
-        self.cur.bump_n(2); // <?
-        let target = self.cur.read_name()?;
-        self.cur.skip_ws();
-        let begin = self.cur.offset;
-        loop {
-            if self.cur.at_eof() {
-                return Err(XmlError::new(XmlErrorKind::MalformedPi, pos));
+    fn read_pi(&mut self, at: usize) -> Result<Token<'a>> {
+        self.at += 2; // <?
+        let target = self.read_name()?;
+        self.skip_ws();
+        let begin = self.at;
+        let Some(end) = self.find("?>") else {
+            return Err(self.err(XmlErrorKind::MalformedPi, at));
+        };
+        let data = self.input[begin..end].trim_end();
+        self.at = end + 2;
+        if target.eq_ignore_ascii_case("xml") {
+            if target == "xml" {
+                return Ok(Token::XmlDecl { raw: data, at });
             }
-            if self.cur.starts_with("?>") {
-                let data = self.cur.input[begin..self.cur.offset].trim_end().to_string();
-                self.cur.bump_n(2);
-                if target.eq_ignore_ascii_case("xml") {
-                    if target == "xml" {
-                        return Ok(Token::XmlDecl { raw: data, pos });
-                    }
-                    return Err(XmlError::new(XmlErrorKind::MalformedPi, pos));
-                }
-                return Ok(Token::Pi { target, data, pos });
-            }
-            self.cur.bump();
+            return Err(self.err(XmlErrorKind::MalformedPi, at));
         }
+        Ok(Token::Pi { target, data, at })
     }
 
-    fn read_doctype(&mut self, pos: Pos) -> Result<Token> {
-        self.cur.bump_n(9); // <!DOCTYPE
-        self.cur.skip_ws();
-        let name = self.cur.read_name()?;
+    fn read_doctype(&mut self, at: usize) -> Result<Token<'a>> {
+        let malformed = |t: &Self| t.err(XmlErrorKind::MalformedDoctype, at);
+        self.at += 9; // <!DOCTYPE
+        self.skip_ws();
+        let name = self.read_name()?.to_string();
         let mut decl = Doctype { name, ..Doctype::default() };
-        self.cur.skip_ws();
-        if self.cur.eat("SYSTEM") {
-            self.cur.skip_ws();
-            decl.system_id = Some(self.read_quoted(pos)?);
-        } else if self.cur.eat("PUBLIC") {
-            self.cur.skip_ws();
-            decl.public_id = Some(self.read_quoted(pos)?);
-            self.cur.skip_ws();
-            decl.system_id = Some(self.read_quoted(pos)?);
+        self.skip_ws();
+        if self.eat(b"SYSTEM") {
+            self.skip_ws();
+            decl.system_id = Some(self.read_quoted().ok_or_else(|| malformed(self))?);
+        } else if self.eat(b"PUBLIC") {
+            self.skip_ws();
+            decl.public_id = Some(self.read_quoted().ok_or_else(|| malformed(self))?);
+            self.skip_ws();
+            decl.system_id = Some(self.read_quoted().ok_or_else(|| malformed(self))?);
         }
-        self.cur.skip_ws();
-        if self.cur.peek() == Some('[') {
-            self.cur.bump();
-            let begin = self.cur.offset;
+        self.skip_ws();
+        if self.eat(b"[") {
+            let begin = self.at;
             // The internal subset may contain quoted strings with ']'.
+            // Every delimiter is ASCII, so a byte scan cannot stop inside
+            // a multibyte character.
             let mut depth = 1usize;
             loop {
-                match self.cur.peek() {
-                    None => return Err(XmlError::new(XmlErrorKind::MalformedDoctype, pos)),
-                    Some('[') => {
-                        depth += 1;
-                        self.cur.bump();
-                    }
-                    Some(']') => {
+                match self.bytes.get(self.at) {
+                    None => return Err(malformed(self)),
+                    Some(b'[') => depth += 1,
+                    Some(b']') => {
                         depth -= 1;
                         if depth == 0 {
-                            decl.internal_subset =
-                                Some(self.cur.input[begin..self.cur.offset].to_string());
-                            self.cur.bump();
+                            decl.internal_subset = Some(self.input[begin..self.at].to_string());
+                            self.at += 1;
                             break;
                         }
-                        self.cur.bump();
                     }
-                    Some(q @ ('"' | '\'')) => {
-                        self.cur.bump();
-                        loop {
-                            match self.cur.bump() {
-                                None => {
-                                    return Err(XmlError::new(XmlErrorKind::MalformedDoctype, pos))
-                                }
-                                Some(c) if c == q => break,
-                                Some(_) => {}
-                            }
-                        }
+                    Some(&q @ (b'"' | b'\'')) => {
+                        let close = self.bytes[self.at + 1..].iter().position(|&b| b == q);
+                        let Some(i) = close else { return Err(malformed(self)) };
+                        self.at += 1 + i;
                     }
-                    Some(_) => {
-                        self.cur.bump();
-                    }
+                    Some(_) => {}
                 }
+                self.at += 1;
             }
         }
-        self.cur.skip_ws();
-        if !self.cur.eat(">") {
-            return Err(XmlError::new(XmlErrorKind::MalformedDoctype, pos));
+        self.skip_ws();
+        if !self.eat(b">") {
+            return Err(malformed(self));
         }
-        Ok(Token::Doctype { decl, pos })
+        Ok(Token::Doctype { decl, at })
     }
 
-    fn read_quoted(&mut self, pos: Pos) -> Result<String> {
-        let quote = match self.cur.bump() {
-            Some(q @ ('"' | '\'')) => q,
-            _ => return Err(XmlError::new(XmlErrorKind::MalformedDoctype, pos)),
-        };
-        let begin = self.cur.offset;
-        loop {
-            match self.cur.peek() {
-                None => return Err(XmlError::new(XmlErrorKind::MalformedDoctype, pos)),
-                Some(c) if c == quote => {
-                    let s = self.cur.input[begin..self.cur.offset].to_string();
-                    self.cur.bump();
-                    return Ok(s);
-                }
-                Some(_) => {
-                    self.cur.bump();
-                }
-            }
-        }
+    /// A quoted external identifier; `None` when it is unquoted or
+    /// unterminated.
+    fn read_quoted(&mut self) -> Option<String> {
+        let quote = *self.bytes.get(self.at).filter(|&&b| b == b'"' || b == b'\'')?;
+        let begin = self.at + 1;
+        let end = begin + self.bytes[begin..].iter().position(|&b| b == quote)?;
+        self.at = end + 1;
+        Some(self.input[begin..end].to_string())
     }
 }
 
@@ -458,7 +492,7 @@ impl<'a> Tokenizer<'a> {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<Token> {
+    fn toks(s: &str) -> Vec<Token<'_>> {
         Tokenizer::new(s).tokenize_all().unwrap()
     }
 
@@ -466,9 +500,9 @@ mod tests {
     fn simple_element() {
         let t = toks("<a>hi</a>");
         assert_eq!(t.len(), 3);
-        assert!(matches!(&t[0], Token::StartTag { name, self_closing: false, .. } if name == "a"));
+        assert!(matches!(&t[0], Token::StartTag { name: "a", self_closing: false, .. }));
         assert!(matches!(&t[1], Token::Text { value, .. } if value == "hi"));
-        assert!(matches!(&t[2], Token::EndTag { name, .. } if name == "a"));
+        assert!(matches!(&t[2], Token::EndTag { name: "a", .. }));
     }
 
     #[test]
@@ -476,10 +510,10 @@ mod tests {
         let t = toks(r#"<paper type="internal" n='5'/>"#);
         match &t[0] {
             Token::StartTag { name, attrs, self_closing, .. } => {
-                assert_eq!(name, "paper");
+                assert_eq!(*name, "paper");
                 assert!(*self_closing);
-                assert_eq!(attrs[0], ("type".to_string(), "internal".to_string()));
-                assert_eq!(attrs[1], ("n".to_string(), "5".to_string()));
+                assert_eq!(attrs[0], ("type", Cow::Borrowed("internal")));
+                assert_eq!(attrs[1], ("n", Cow::Borrowed("5")));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -492,6 +526,21 @@ mod tests {
             Token::StartTag { attrs, .. } => assert_eq!(attrs[0].1, "x & y !"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn values_are_borrowed_unless_a_reference_is_resolved() {
+        let t = toks(r#"<a x="plain" y="a&lt;b">text<![CDATA[raw]]>&amp;tail</a>"#);
+        match &t[0] {
+            Token::StartTag { attrs, .. } => {
+                assert!(matches!(attrs[0].1, Cow::Borrowed("plain")));
+                assert!(matches!(&attrs[1].1, Cow::Owned(v) if v == "a<b"));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(&t[1], Token::Text { value: Cow::Borrowed("text"), .. }));
+        assert!(matches!(&t[2], Token::Text { value: Cow::Borrowed("raw"), .. }));
+        assert!(matches!(&t[3], Token::Text { value: Cow::Owned(v), .. } if v == "&tail"));
     }
 
     #[test]
@@ -509,10 +558,8 @@ mod tests {
     #[test]
     fn comments_and_pis() {
         let t = toks("<a><!-- note --><?app do it?></a>");
-        assert!(matches!(&t[1], Token::Comment { value, .. } if value == " note "));
-        assert!(
-            matches!(&t[2], Token::Pi { target, data, .. } if target == "app" && data == "do it")
-        );
+        assert!(matches!(&t[1], Token::Comment { value: " note ", .. }));
+        assert!(matches!(&t[2], Token::Pi { target: "app", data: "do it", .. }));
     }
 
     #[test]
@@ -548,6 +595,17 @@ mod tests {
     }
 
     #[test]
+    fn doctype_subset_with_quoted_bracket() {
+        let t = toks(r#"<!DOCTYPE a [<!ATTLIST a x CDATA "]">]><a/>"#);
+        match &t[0] {
+            Token::Doctype { decl, .. } => {
+                assert_eq!(decl.internal_subset.as_deref(), Some(r#"<!ATTLIST a x CDATA "]">"#));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn doctype_public() {
         let t = toks(r#"<!DOCTYPE html PUBLIC "-//W3C//DTD" "http://x/dtd"><html/>"#);
         match &t[0] {
@@ -561,16 +619,26 @@ mod tests {
 
     #[test]
     fn position_tracking() {
-        let mut tk = Tokenizer::new("<a>\n  <b/>\n</a>");
+        let src = "<a>\n  <b/>\n</a>";
+        let mut tk = Tokenizer::new(src);
         tk.next_token().unwrap(); // <a>
         tk.next_token().unwrap(); // text
-        match tk.next_token().unwrap().unwrap() {
-            Token::StartTag { pos, .. } => {
-                assert_eq!(pos.line, 2);
-                assert_eq!(pos.col, 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let tok = tk.next_token().unwrap().unwrap();
+        assert!(matches!(tok, Token::StartTag { .. }));
+        let pos = Pos::at(src, tok.offset());
+        assert_eq!((pos.line, pos.col, pos.offset), (2, 3, 6));
+    }
+
+    #[test]
+    fn error_columns_count_characters_not_bytes() {
+        // "é" and "日" are 2 and 3 bytes; the column counts them as one
+        // character each, while the offset stays in bytes.
+        let e = Tokenizer::new("<a>\nxé日<</a>").tokenize_all().unwrap_err();
+        assert_eq!(e.kind, XmlErrorKind::UnexpectedChar('<'));
+        assert_eq!((e.pos.line, e.pos.col, e.pos.offset), (2, 5, 11));
+        let e = Tokenizer::new("<é x='1' x='2'/>").tokenize_all().unwrap_err();
+        assert!(matches!(e.kind, XmlErrorKind::DuplicateAttribute(_)));
+        assert_eq!((e.pos.line, e.pos.col, e.pos.offset), (1, 15, 15));
     }
 
     #[test]

@@ -47,7 +47,12 @@ fn main() {
     let out = processor
         .process(
             &AccessRequest { requester, uri: CSLAB_URI.to_string() },
-            &DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) },
+            &DocumentSource {
+                xml: CSLAB_XML,
+                dtd: Some(LAB_DTD),
+                dtd_uri: Some(LAB_DTD_URI),
+                ..Default::default()
+            },
         )
         .expect("pipeline");
 

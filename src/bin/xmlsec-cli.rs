@@ -236,7 +236,12 @@ fn cmd_view(o: &Opts) -> Result<(), String> {
     let out = processor
         .process(
             &AccessRequest { requester, uri: uri.to_string() },
-            &DocumentSource { xml: &xml, dtd: dtd_text.as_deref(), dtd_uri: o.opt("dtd-uri") },
+            &DocumentSource {
+                xml: &xml,
+                dtd: dtd_text.as_deref(),
+                dtd_uri: o.opt("dtd-uri"),
+                ..Default::default()
+            },
         )
         .map_err(|e| e.to_string())?;
     if o.flag("pretty") {
@@ -602,7 +607,12 @@ fn cmd_stats(o: &Opts) -> Result<(), String> {
         processor
             .process(
                 &AccessRequest { requester: requester.clone(), uri: uri.to_string() },
-                &DocumentSource { xml: &xml, dtd: dtd_text.as_deref(), dtd_uri: o.opt("dtd-uri") },
+                &DocumentSource {
+                    xml: &xml,
+                    dtd: dtd_text.as_deref(),
+                    dtd_uri: o.opt("dtd-uri"),
+                    ..Default::default()
+                },
             )
             .map_err(|e| e.to_string())?;
     }

@@ -28,6 +28,7 @@
 //!     xml: xmlsec::workload::laboratory::CSLAB_XML,
 //!     dtd: Some(xmlsec::workload::laboratory::LAB_DTD),
 //!     dtd_uri: Some(xmlsec::workload::laboratory::LAB_DTD_URI),
+//!     ..Default::default()
 //! };
 //! let out = processor.process(&request, &source).unwrap();
 //! assert!(out.xml.contains("Querying XML"));        // public paper: visible

@@ -291,9 +291,10 @@ fn check_compiled_case(dtd_text: &str, root: &str, xml: &str, auths: &[Authoriza
                 compiled: Some(&cp),
                 cancel: None,
             };
-            let (vi, si) = compute_view_engine(&doc, &axml, &adtd, &dir, policy, &interpreted)
-                .expect("default limits fit the generated instances");
-            let (vc, sc) = compute_view_engine(&doc, &axml, &adtd, &dir, policy, &compiled)
+            let (vi, si) =
+                compute_view_engine(doc.clone(), &axml, &adtd, &dir, policy, &interpreted)
+                    .expect("default limits fit the generated instances");
+            let (vc, sc) = compute_view_engine(doc.clone(), &axml, &adtd, &dir, policy, &compiled)
                 .expect("default limits fit the generated instances");
             assert_eq!(
                 serialize(&vi, &SerializeOptions::canonical()),
@@ -325,8 +326,8 @@ fn check_compiled_case(dtd_text: &str, root: &str, xml: &str, auths: &[Authoriza
                 compiled: Some(&cp),
                 cancel: None,
             };
-            let ti = compute_view_engine(&doc, &axml, &adtd, &dir, policy, &tight_interp);
-            let tc = compute_view_engine(&doc, &axml, &adtd, &dir, policy, &tight_comp);
+            let ti = compute_view_engine(doc.clone(), &axml, &adtd, &dir, policy, &tight_interp);
+            let tc = compute_view_engine(doc.clone(), &axml, &adtd, &dir, policy, &tight_comp);
             if cp.fast_path {
                 // The table answers without evaluating a single object
                 // expression, so no budget can trip it.

@@ -81,7 +81,7 @@ proptest! {
             p.options.parallelism =
                 Parallelism::threads(threads).with_seq_threshold(0).exact();
         }
-        let src = DocumentSource { xml: &xml, dtd: None, dtd_uri: None };
+        let src = DocumentSource { xml: &xml, dtd: None, dtd_uri: None, ..Default::default() };
         let want = p.process(&req, &src).expect("uncancelled baseline");
         let leased0 = cores_leased();
         let queued0 = queue_depth();

@@ -50,7 +50,12 @@ fn golden_toms_view_xml() {
     let out = processor
         .process(
             &AccessRequest { requester: tom(), uri: CSLAB_URI.to_string() },
-            &DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) },
+            &DocumentSource {
+                xml: CSLAB_XML,
+                dtd: Some(LAB_DTD),
+                dtd_uri: Some(LAB_DTD_URI),
+                ..Default::default()
+            },
         )
         .unwrap();
     assert_eq!(out.xml, TOM_VIEW_XML);

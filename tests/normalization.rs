@@ -31,7 +31,7 @@ fn internal_subset_serves_as_schema() {
                 requester: Requester::new("u", "1.2.3.4", "h.x.org").unwrap(),
                 uri: "memo.xml".to_string(),
             },
-            &DocumentSource { xml, dtd: None, dtd_uri: None },
+            &DocumentSource { xml, dtd: None, dtd_uri: None, ..Default::default() },
         )
         .unwrap();
 
@@ -70,7 +70,12 @@ fn conditions_on_defaulted_attributes_match_uniformly() {
                 requester: Requester::new("u", "1.2.3.4", "h.x.org").unwrap(),
                 uri: "lab.xml".to_string(),
             },
-            &DocumentSource { xml, dtd: Some(dtd_text), dtd_uri: Some("lab.dtd") },
+            &DocumentSource {
+                xml,
+                dtd: Some(dtd_text),
+                dtd_uri: Some("lab.dtd"),
+                ..Default::default()
+            },
         )
         .unwrap();
     assert!(out.xml.contains(">a<"), "{}", out.xml);
@@ -89,11 +94,19 @@ fn external_dtd_takes_precedence_over_internal_subset() {
         uri: "a.xml".to_string(),
     };
     let err = processor
-        .process(&req, &DocumentSource { xml, dtd: Some("<!ELEMENT a EMPTY>"), dtd_uri: None })
+        .process(
+            &req,
+            &DocumentSource {
+                xml,
+                dtd: Some("<!ELEMENT a EMPTY>"),
+                dtd_uri: None,
+                ..Default::default()
+            },
+        )
         .unwrap_err();
     assert!(matches!(err, xmlsec::core::ProcessError::Invalid(_)));
     // With only the internal subset, the document is fine.
     assert!(processor
-        .process(&req, &DocumentSource { xml, dtd: None, dtd_uri: None })
+        .process(&req, &DocumentSource { xml, dtd: None, dtd_uri: None, ..Default::default() })
         .is_ok());
 }

@@ -33,7 +33,12 @@ fn f1_laboratory_dtd_parses_and_has_figure_shape() {
 fn f3_toms_view_matches_expected_document() {
     let processor = SecurityProcessor::new(lab_directory(), lab_authorization_base());
     let request = AccessRequest { requester: tom(), uri: CSLAB_URI.to_string() };
-    let source = DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml: CSLAB_XML,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     let out = processor.process(&request, &source).expect("pipeline runs");
 
     let expected = parse(TOM_VIEW_XML).unwrap();
@@ -63,7 +68,12 @@ fn f3_toms_view_matches_expected_document() {
 fn f3_view_is_valid_against_loosened_dtd_only() {
     let processor = SecurityProcessor::new(lab_directory(), lab_authorization_base());
     let request = AccessRequest { requester: tom(), uri: CSLAB_URI.to_string() };
-    let source = DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml: CSLAB_XML,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     let out = processor.process(&request, &source).unwrap();
 
     let original = parse_dtd(LAB_DTD).unwrap();
@@ -83,7 +93,12 @@ fn f3_admin_from_authorized_host_sees_internal_projects() {
         requester: Requester::new("Alice", "130.89.56.8", "admin.lab.com").unwrap(),
         uri: CSLAB_URI.to_string(),
     };
-    let source = DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml: CSLAB_XML,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     let out = processor.process(&request, &source).unwrap();
     // Internal project fully visible (including its private paper: Alice
     // is not in Foreign, so the schema denial does not apply).

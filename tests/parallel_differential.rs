@@ -85,7 +85,7 @@ fn run(
 ) -> Result<(String, ViewStats), EvalError> {
     let ax: Vec<&Authorization> = s.axml.iter().collect();
     let ad: Vec<&Authorization> = s.adtd.iter().collect();
-    compute_view_engine(&s.doc, &ax, &ad, &s.dir, policy, &engine_opts(threads, limits))
+    compute_view_engine(s.doc.clone(), &ax, &ad, &s.dir, policy, &engine_opts(threads, limits))
         .map(|(view, stats)| (serialize(&view, &SerializeOptions::canonical()), stats))
 }
 

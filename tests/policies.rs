@@ -161,7 +161,7 @@ fn one_policy_per_document_but_many_per_server() {
         requester: Requester::new("kim", "1.2.3.4", "h.x.org").unwrap(),
         uri: "r.xml".to_string(),
     };
-    let src = DocumentSource { xml: DOC, dtd: None, dtd_uri: None };
+    let src = DocumentSource { xml: DOC, dtd: None, dtd_uri: None, ..Default::default() };
     assert_eq!(closed.process(&req, &src).unwrap().xml, "<report/>");
     assert!(permissive.process(&req, &src).unwrap().xml.contains("sum"));
 }

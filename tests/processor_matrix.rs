@@ -34,7 +34,12 @@ fn request() -> AccessRequest {
 #[test]
 fn all_option_combinations_agree_on_the_view() {
     use xmlsec::workload::laboratory::*;
-    let source = DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml: CSLAB_XML,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     let mut views = Vec::new();
     for validate_input in [false, true] {
         for verify_view in [false, true] {
@@ -52,7 +57,12 @@ fn validation_gates_only_when_enabled() {
     use xmlsec::workload::laboratory::*;
     // A document missing required attributes.
     let invalid = r#"<laboratory><project type="public"><manager><flname>X</flname></manager></project></laboratory>"#;
-    let source = DocumentSource { xml: invalid, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml: invalid,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     assert!(processor(true, false).process(&request(), &source).is_err());
     assert!(processor(false, false).process(&request(), &source).is_ok());
 }
@@ -63,7 +73,12 @@ fn stats_identities_on_the_laboratory_corpus() {
     for projects in [1usize, 5, 25] {
         let doc = laboratory_scaled(projects, 17);
         let xml = serialize(&doc, &SerializeOptions::canonical());
-        let source = DocumentSource { xml: &xml, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+        let source = DocumentSource {
+            xml: &xml,
+            dtd: Some(LAB_DTD),
+            dtd_uri: Some(LAB_DTD_URI),
+            ..Default::default()
+        };
         let out = processor(true, true).process(&request(), &source).unwrap();
         let s = out.stats;
         // labeled = every element + attribute of the source.
@@ -120,7 +135,12 @@ fn verify_view_accepts_every_policy() {
     use xmlsec::workload::laboratory::*;
     // verify_view re-validates the pruned view against the loosened DTD
     // (debug assertion); exercise it across the full policy matrix.
-    let source = DocumentSource { xml: CSLAB_XML, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) };
+    let source = DocumentSource {
+        xml: CSLAB_XML,
+        dtd: Some(LAB_DTD),
+        dtd_uri: Some(LAB_DTD_URI),
+        ..Default::default()
+    };
     for conflict in [
         ConflictResolution::MostSpecificThenDenials,
         ConflictResolution::MostSpecificThenPermissions,

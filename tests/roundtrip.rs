@@ -75,7 +75,7 @@ proptest! {
         let out = processor
             .process(
                 &AccessRequest { requester, uri: CSLAB_URI.to_string() },
-                &DocumentSource { xml: &xml, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI) },
+                &DocumentSource { xml: &xml, dtd: Some(LAB_DTD), dtd_uri: Some(LAB_DTD_URI), ..Default::default() },
             )
             .unwrap();
         let loosened = parse_dtd(out.loosened_dtd.as_deref().unwrap()).unwrap();
