@@ -2,36 +2,35 @@
 //!
 //! The blocking pool in [`crate::http`] pins one thread per in-flight
 //! connection, so slow clients cap concurrency at pool size. This module
-//! rebuilds the front end as a single-threaded event loop: nonblocking
-//! accept, incremental request framing and response writing with a
-//! per-connection state machine, and keep-alive / pipelined requests.
-//! Connection count and CPU budget scale independently — the loop holds
-//! thousands of idle or dribbling sockets for the cost of a buffer each,
-//! while *compute* (cache-miss view assembly, queries) is handed to the
-//! same bounded worker pool as before, whose pipeline stages lease cores
-//! from the global `par::lease` budget.
+//! is the other driver around the shared request core
+//! (`crate::request`): a single-threaded event loop with nonblocking
+//! accept, per-connection read and write buffers, and keep-alive /
+//! pipelined requests. Connection count and CPU budget scale
+//! independently — the loop holds thousands of idle or dribbling sockets
+//! for the cost of a buffer each, while *compute* (cache-miss view
+//! assembly, queries, updates) runs on the core's bounded worker pool,
+//! whose pipeline stages lease cores from the global `par::lease`
+//! budget.
 //!
-//! What the loop serves inline, without a worker:
+//! The loop owns only readiness, buffers and connection state. After
+//! every read it asks the core to route what is buffered; what the core
+//! answers without compute (`/metrics`, 400s, 411/413, 431s, and —
+//! through the cache-only probe — warm hits, 304 revalidations and the
+//! probe's typed errors) is queued on the connection at once. A job that
+//! needs compute goes on the worker queue (a full queue sheds 503
+//! inline); the worker runs the core's compute and posts the rendered
+//! reply back as a `Done` completion, waking the loop through an
+//! `eventfd`.
 //!
-//! - `/metrics`, 400s, 431s, 408s, and 503 sheds;
-//! - warm cache hits and `If-None-Match` → 304 revalidations, via
-//!   [`SecureServer::handle_cache_only`] (authentication included — a
-//!   probe is a few hash lookups, safe on the loop thread).
-//!
-//! Everything else (a *cold* view, any query) becomes a [`Job`] on the
-//! bounded queue; the worker applies the same CoDel admission control at
-//! dequeue, runs the cancellable pipeline, and posts the rendered bytes
-//! back as a [`Done`] completion, waking the loop through an `eventfd`.
-//!
-//! The robustness contract of the pool transport carries over bit for
-//! bit — both transports render through the same `render_*` functions in
-//! [`crate::http`], so a given (status, body, headers) triple is
-//! byte-identical; the only sanctioned difference is the `Connection:
-//! keep-alive` header on connections the loop keeps open. Client hangups
-//! are detected by *readiness* (`EPOLLRDHUP`/EOF) instead of the pool's
-//! per-request watchdog thread: the moment the peer closes, the loop
-//! trips the in-flight request's [`CancelToken`] with
-//! [`CancelReason::ClientGone`] and discards the completion.
+//! Because the core renders every byte, a given request is answered
+//! byte-identically on both transports; the only sanctioned differences
+//! are the `Connection: keep-alive` header on connections the loop keeps
+//! open, and hangup detection. Client hangups are detected by
+//! *readiness* (`EPOLLRDHUP`/EOF) instead of the pool's per-request
+//! watchdog thread: once the peer has finished sending, the loop answers
+//! what it had already buffered, trips the in-flight request's
+//! [`CancelToken`](xmlsec_core::CancelToken) with `ClientGone`, and
+//! discards the completion.
 //!
 //! Zero dependencies: the four syscalls used (`epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `eventfd`) are declared by hand against
@@ -134,32 +133,21 @@ pub use imp::EpollDemo;
 
 #[cfg(target_os = "linux")]
 mod imp {
-    use crate::http::{self, Admission, HttpConfig};
-    use crate::server::{ClientRequest, ConditionalOutcome, SecureServer, ServerError};
+    use crate::http::{render_timeout, HttpConfig, MAX_UPDATE_BODY};
+    use crate::request::{After, Core, Job, Pushed, Queue, Reply, Step, Workers};
+    use crate::server::SecureServer;
     use std::collections::HashMap;
     use std::fs::File;
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::os::raw::c_int;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
     use std::sync::{Arc, Mutex};
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
     use xmlsec_core::{CancelReason, CancelToken};
     use xmlsec_telemetry as telemetry;
-
-    #[cfg(feature = "faults")]
-    use crate::faults;
-    #[cfg(not(feature = "faults"))]
-    mod faults {
-        // No-op shim: release builds carry no injection hooks.
-        pub(crate) fn check(_point: &str) -> bool {
-            false
-        }
-    }
 
     /// Hand-declared bindings for the four syscalls the loop needs; the
     /// symbols live in the libc std already links, so this adds no
@@ -282,30 +270,10 @@ mod imp {
     const TOK_WAKE: u64 = 1;
     const TOK_FIRST_CONN: u64 = 2;
 
-    /// Compute handed to a worker: everything the loop could not answer
-    /// from already-computed state.
-    struct Job {
-        conn: u64,
-        client: ClientRequest,
-        query: Option<String>,
-        /// A parsed `POST /update` op batch; `None` for reads. Updates
-        /// are handed off exactly like cache-miss compute.
-        update: Option<Vec<xmlsec_core::update::UpdateOp>>,
-        /// 1-based source line of each op in `update`, so denials can
-        /// point back at the batch the client sent.
-        update_lines: Vec<u32>,
-        if_none_match: Option<String>,
-        cancel: CancelToken,
-        keep_alive: bool,
-        enqueued: Instant,
-    }
-
-    /// A worker's rendered completion. Empty `bytes` means "close
-    /// silently" (vanished client, injected disconnect).
+    /// A worker's rendered completion for the connection `conn`.
     struct Done {
         conn: u64,
-        bytes: Vec<u8>,
-        close: bool,
+        reply: Reply,
     }
 
     /// Per-connection state machine: inbound framing buffer, outbound
@@ -370,127 +338,14 @@ mod imp {
         }
     }
 
-    /// Outcome of scanning the inbound buffer for one complete request
-    /// head (request line + headers + blank line).
-    enum HeadScan {
-        Incomplete,
-        LineTooLong,
-        HeadersTooLong,
-        /// Byte length of the complete head, terminator included.
-        Complete(usize),
-    }
-
-    /// Incremental equivalent of the pool's bounded line reads: the
-    /// request line (terminator included) may not exceed `max_line`, the
-    /// cumulative header lines may not exceed `max_header`.
-    fn scan_head(buf: &[u8], max_line: usize, max_header: usize) -> HeadScan {
-        let line_end = match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                if i + 1 > max_line {
-                    return HeadScan::LineTooLong;
-                }
-                i + 1
-            }
-            None => {
-                if buf.len() > max_line {
-                    return HeadScan::LineTooLong;
-                }
-                return HeadScan::Incomplete;
-            }
-        };
-        let mut pos = line_end;
-        let mut header_bytes = 0usize;
-        loop {
-            let rest = &buf[pos..];
-            match rest.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    let line = &rest[..=i];
-                    if line == b"\n" || line == b"\r\n" {
-                        return HeadScan::Complete(pos + i + 1);
-                    }
-                    header_bytes += line.len();
-                    if header_bytes > max_header {
-                        return HeadScan::HeadersTooLong;
-                    }
-                    pos += i + 1;
-                }
-                None => {
-                    if header_bytes + rest.len() > max_header {
-                        return HeadScan::HeadersTooLong;
-                    }
-                    return HeadScan::Incomplete;
-                }
-            }
-        }
-    }
-
-    /// The parsed head: the request line plus the three headers the demo
-    /// honours, and the keep-alive decision (explicit `Connection`
-    /// header wins; otherwise HTTP/1.1 defaults to keep-alive, HTTP/1.0
-    /// to close).
-    struct Head {
-        line: String,
-        if_none_match: Option<String>,
-        deadline_ms: Option<u64>,
-        content_length: Option<usize>,
-        keep_alive: bool,
-    }
-
-    fn parse_head(head: &str) -> Head {
-        let mut it = head.lines();
-        let line = it.next().unwrap_or("").to_string();
-        let http11 = line
-            .split_whitespace()
-            .nth(2)
-            .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.1"));
-        let mut if_none_match = None;
-        let mut deadline_ms = None;
-        let mut content_length = None;
-        let mut ka_header: Option<bool> = None;
-        for h in it {
-            if h.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = h.split_once(':') {
-                let name = name.trim();
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("if-none-match") {
-                    if_none_match = Some(value.to_string());
-                } else if name.eq_ignore_ascii_case("x-request-deadline") {
-                    // Advisory header; unparsable values are ignored.
-                    deadline_ms = value.parse().ok();
-                } else if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse().ok();
-                } else if name.eq_ignore_ascii_case("connection") {
-                    let v = value.to_ascii_lowercase();
-                    if v.contains("keep-alive") {
-                        ka_header = Some(true);
-                    } else if v.contains("close") {
-                        ka_header = Some(false);
-                    }
-                }
-            }
-        }
-        Head {
-            line,
-            if_none_match,
-            deadline_ms,
-            content_length,
-            keep_alive: ka_header.unwrap_or(http11),
-        }
-    }
-
     struct EventLoop {
         ep: Epoll,
         listener: TcpListener,
-        server: Arc<SecureServer>,
-        cfg: HttpConfig,
-        admission: Arc<Admission>,
-        depth: Arc<telemetry::Gauge>,
+        core: Arc<Core>,
         open: Arc<telemetry::Gauge>,
         conns: HashMap<u64, Conn>,
         next_token: u64,
-        tx: SyncSender<Job>,
+        queue: Queue<(u64, Job)>,
         completions: Arc<Mutex<Vec<Done>>>,
         wake: Arc<File>,
         stop: Arc<AtomicBool>,
@@ -516,7 +371,7 @@ mod imp {
                             self.drop_conn(conn);
                         }
                     }
-                    draining = Some(Instant::now() + self.cfg.drain_timeout);
+                    draining = Some(Instant::now() + self.core.cfg.drain_timeout);
                 }
                 if let Some(deadline) = draining {
                     let busy = self.conns.values().any(|c| c.computing || !c.out_drained());
@@ -569,7 +424,7 @@ mod imp {
                             continue;
                         }
                         self.open.add(1);
-                        let deadline = Instant::now() + self.cfg.read_timeout;
+                        let deadline = Instant::now() + self.core.cfg.read_timeout;
                         self.conns.insert(tok, Conn::new(sock, peer.ip().to_string(), deadline));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -594,43 +449,55 @@ mod imp {
             }
         }
 
-        /// Drains the socket into the framing buffer and advances the
-        /// state machine. Returns true when the connection should close.
+        /// Drains the socket into the framing buffer, routes every
+        /// complete request it holds, and only then applies the hangup
+        /// rule if the peer has finished sending: requests that arrive
+        /// together with the client's half-close are answered like any
+        /// other. Returns true when the connection should close.
         fn readable(&mut self, tok: u64, conn: &mut Conn) -> bool {
-            let cap = self.cfg.max_request_line + self.cfg.max_header_bytes + 1024;
+            // Room for one request of every framing budget; a pipelined
+            // backlog beyond that drops the connection outright.
+            let cfg = &self.core.cfg;
+            let cap = cfg.max_request_line + cfg.max_header_bytes + MAX_UPDATE_BODY;
             let mut scratch = [0u8; 16 * 1024];
+            let mut eof = false;
             loop {
                 match conn.sock.read(&mut scratch) {
-                    Ok(0) => return self.peer_closed(conn),
+                    Ok(0) => {
+                        eof = true;
+                        break;
+                    }
                     Ok(n) => {
                         if conn.lingering.is_some() || conn.gone {
                             continue; // discard: rejected or abandoned
                         }
                         if conn.buf.len() + n > cap {
-                            // Pipelined backlog beyond every framing
-                            // budget: drop the connection outright.
                             return true;
                         }
                         conn.buf.extend_from_slice(&scratch[..n]);
-                        conn.read_deadline = Instant::now() + self.cfg.read_timeout;
+                        conn.read_deadline = Instant::now() + self.core.cfg.read_timeout;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return self.peer_closed(conn),
+                    Err(_) => {
+                        eof = true;
+                        break;
+                    }
                 }
             }
-            if !conn.computing && conn.lingering.is_none() && self.advance(tok, conn) {
+            if self.advance(tok, conn) || self.flush(tok, conn) {
                 return true;
             }
-            self.flush(tok, conn)
+            eof && self.peer_closed(tok, conn)
         }
 
-        /// EOF/reset from the peer. A connection with compute in flight
-        /// is kept (marked `gone`) so the completion can be discarded
-        /// and the gauges settle; its token is cancelled `ClientGone` —
-        /// the readiness-based replacement for the pool's per-request
-        /// watchdog thread.
-        fn peer_closed(&mut self, conn: &mut Conn) -> bool {
+        /// The peer has finished sending (EOF or reset). Compute in
+        /// flight is cancelled `ClientGone` — the readiness-based
+        /// replacement for the pool's per-request watchdog thread — and
+        /// the connection is kept (marked `gone`) only until the
+        /// completion arrives to be discarded. Unflushed answers are
+        /// still written before the close. Returns true to close now.
+        fn peer_closed(&mut self, tok: u64, conn: &mut Conn) -> bool {
             if conn.computing {
                 conn.gone = true;
                 if let Some(cancel) = &conn.cancel {
@@ -645,286 +512,61 @@ mod imp {
                 }
                 return false;
             }
-            true
+            if conn.out_drained() {
+                return true;
+            }
+            // Wait for writability only: EOF stays readable forever.
+            conn.close_after_write = true;
+            conn.lingering = None;
+            conn.want_out = self
+                .ep
+                .ctl(sys::EPOLL_CTL_MOD, conn.sock.as_raw_fd(), sys::EPOLLOUT, tok)
+                .is_ok();
+            false
         }
 
-        /// Parses as many complete requests out of the buffer as the
-        /// serial-per-connection discipline allows. Returns true when
-        /// the connection should close.
+        /// Routes as many complete requests out of the buffer as the
+        /// serial-per-connection discipline allows: answers from the
+        /// core and from the cache-only probe are queued inline, compute
+        /// goes to the workers. Returns true when the connection should
+        /// close.
         fn advance(&mut self, tok: u64, conn: &mut Conn) -> bool {
-            loop {
-                if conn.computing || conn.close_after_write || conn.lingering.is_some() {
-                    return false;
-                }
-                match scan_head(&conn.buf, self.cfg.max_request_line, self.cfg.max_header_bytes) {
-                    HeadScan::Incomplete => return false,
-                    HeadScan::LineTooLong => {
-                        xmlsec_xml::limit_rejected("request_line");
-                        conn.push_out(&http::render_response(
-                            431,
-                            "Request Header Fields Too Large",
-                            "text/plain",
-                            "request line too long\n",
-                            &[],
-                            false,
-                        ));
-                        conn.served += 1;
-                        conn.close_after_write = true;
-                        conn.lingering = Some(Instant::now() + LINGER);
-                        conn.buf.clear();
-                        return false;
+            while !conn.computing && !conn.close_after_write && conn.lingering.is_none() {
+                let job = match self.core.route(&conn.buf, &conn.peer_ip) {
+                    Step::Incomplete => return false,
+                    Step::Reply { consumed, reply } => {
+                        conn.buf.drain(..consumed);
+                        answer(conn, reply);
+                        continue;
                     }
-                    HeadScan::HeadersTooLong => {
-                        xmlsec_xml::limit_rejected("header_bytes");
-                        conn.push_out(&http::render_response(
-                            431,
-                            "Request Header Fields Too Large",
-                            "text/plain",
-                            "header block too large\n",
-                            &[],
-                            false,
-                        ));
-                        conn.served += 1;
-                        conn.close_after_write = true;
-                        conn.lingering = Some(Instant::now() + LINGER);
-                        conn.buf.clear();
-                        return false;
+                    Step::Job { consumed, job } => {
+                        conn.buf.drain(..consumed);
+                        job
                     }
-                    HeadScan::Complete(len) => {
-                        let head = parse_head(&String::from_utf8_lossy(&conn.buf[..len]));
-                        // POST bodies are Content-Length framed: reject
-                        // oversized declarations without waiting for the
-                        // bytes, and wait for complete bodies before
-                        // routing (the head stays buffered meanwhile).
-                        let is_post = head.line.starts_with("POST ");
-                        let body_len = if is_post {
-                            match head.content_length {
-                                Some(l) if l > http::MAX_UPDATE_BODY => {
-                                    xmlsec_xml::limit_rejected("update_body");
-                                    conn.push_out(&http::render_response(
-                                        413,
-                                        "Content Too Large",
-                                        "text/plain",
-                                        "update body too large\n",
-                                        &[],
-                                        false,
-                                    ));
-                                    conn.served += 1;
-                                    conn.close_after_write = true;
-                                    conn.lingering = Some(Instant::now() + LINGER);
-                                    conn.buf.clear();
-                                    return false;
-                                }
-                                Some(l) => l,
-                                None => 0,
+                };
+                // Warm hits, 304s and the probe's errors never leave the
+                // loop thread.
+                match self.core.cached(&job) {
+                    Ok(Some(reply)) | Err(reply) => answer(conn, reply),
+                    Ok(None) => {
+                        let cancel = job.cancel.clone();
+                        match self.queue.push((tok, job)) {
+                            Pushed::Queued => {
+                                conn.computing = true;
+                                conn.cancel = Some(cancel);
                             }
-                        } else {
-                            0
-                        };
-                        if conn.buf.len() < len + body_len {
-                            return false; // body incomplete: keep reading
-                        }
-                        conn.buf.drain(..len);
-                        let body: Vec<u8> = conn.buf.drain(..body_len).collect();
-                        if self.route(tok, conn, head, body) {
-                            return true;
-                        }
-                        if conn.close_after_write {
-                            conn.buf.clear();
+                            Pushed::Shed(_, busy) => {
+                                answer(conn, Reply { bytes: busy, after: After::Close })
+                            }
+                            Pushed::Closed => return true,
                         }
                     }
                 }
             }
-        }
-
-        /// Answers one parsed request: inline when the bytes are already
-        /// computed (metrics, 400s, cache hits, 304s, sheds), otherwise
-        /// dispatched to the worker pool. Returns true to close now.
-        fn route(&mut self, tok: u64, conn: &mut Conn, head: Head, body: Vec<u8>) -> bool {
-            let ka = head.keep_alive;
-            let target = head.line.split_whitespace().nth(1).unwrap_or("");
-            if target == "/metrics" || target.starts_with("/metrics?") {
-                let body = telemetry::global().render_prometheus();
-                conn.push_out(&http::render_response(
-                    200,
-                    "OK",
-                    "text/plain; version=0.0.4",
-                    &body,
-                    &[],
-                    ka,
-                ));
-                conn.served += 1;
-                conn.close_after_write = !ka;
-                return false;
+            if conn.close_after_write {
+                conn.buf.clear(); // pipelined leftovers are never answered
             }
-            if head.line.starts_with("POST ") {
-                return self.route_update(tok, conn, &head, &body);
-            }
-            let Some((client, query)) = http::parse_request_line(&head.line, &conn.peer_ip) else {
-                conn.push_out(&http::render_response(
-                    400,
-                    "Bad Request",
-                    "text/plain",
-                    "malformed request line\n",
-                    &[],
-                    ka,
-                ));
-                conn.served += 1;
-                conn.close_after_write = !ka;
-                return false;
-            };
-
-            if query.is_none() {
-                // Probe for already-computed state: warm hits and 304
-                // revalidations never leave the loop thread.
-                match self.server.handle_cache_only(&client, head.if_none_match.as_deref()) {
-                    Ok(Some(ConditionalOutcome::NotModified { etag })) => {
-                        http::not_modified_total().inc();
-                        conn.push_out(&http::render_not_modified(&etag, ka));
-                        conn.served += 1;
-                        conn.close_after_write = !ka;
-                        return false;
-                    }
-                    Ok(Some(ConditionalOutcome::Full(resp))) => {
-                        conn.push_out(&http::render_view(resp, ka));
-                        conn.served += 1;
-                        conn.close_after_write = !ka;
-                        return false;
-                    }
-                    Ok(None) => {} // cold: fall through to dispatch
-                    Err(e) => {
-                        conn.push_out(&http::render_err(&e, ka));
-                        conn.served += 1;
-                        conn.close_after_write = !ka;
-                        return false;
-                    }
-                }
-            }
-
-            // Cache-miss compute: same deadline policy as the pool (the
-            // tighter of server ceiling and client budget).
-            let deadline =
-                match (self.cfg.request_deadline, head.deadline_ms.map(Duration::from_millis)) {
-                    (Some(server_d), Some(client_d)) => Some(server_d.min(client_d)),
-                    (server_d, client_d) => server_d.or(client_d),
-                };
-            let token = match deadline {
-                Some(d) => CancelToken::with_timeout(d),
-                None => CancelToken::never(),
-            };
-            self.depth.add(1);
-            let job = Job {
-                conn: tok,
-                client,
-                query,
-                update: None,
-                update_lines: Vec::new(),
-                if_none_match: head.if_none_match,
-                cancel: token.clone(),
-                keep_alive: ka,
-                enqueued: Instant::now(),
-            };
-            self.dispatch(tok, conn, job)
-        }
-
-        /// Routes one `POST /update?doc=…` request: parse the op batch
-        /// from the already-buffered body, then hand it to the worker
-        /// pool exactly like cache-miss compute. Errors close the
-        /// connection (no keep-alive reuse after a refused write).
-        fn route_update(&mut self, tok: u64, conn: &mut Conn, head: &Head, body: &[u8]) -> bool {
-            let Some(client) = http::parse_update_request_line(&head.line, &conn.peer_ip) else {
-                conn.push_out(&http::render_response(
-                    400,
-                    "Bad Request",
-                    "text/plain",
-                    "malformed update request\n",
-                    &[],
-                    false,
-                ));
-                conn.served += 1;
-                conn.close_after_write = true;
-                return false;
-            };
-            if head.content_length.is_none() {
-                conn.push_out(&http::render_response(
-                    411,
-                    "Length Required",
-                    "text/plain",
-                    "Content-Length required\n",
-                    &[],
-                    false,
-                ));
-                conn.served += 1;
-                conn.close_after_write = true;
-                return false;
-            }
-            let (lines, ops): (Vec<u32>, Vec<_>) =
-                match http::parse_update_ops_with_lines(&String::from_utf8_lossy(body)) {
-                    Ok(ops) => ops.into_iter().unzip(),
-                    Err(e) => {
-                        conn.push_out(&http::render_response(
-                            400,
-                            "Bad Request",
-                            "text/plain",
-                            &format!("{e}\n"),
-                            &[],
-                            false,
-                        ));
-                        conn.served += 1;
-                        conn.close_after_write = true;
-                        return false;
-                    }
-                };
-            let deadline =
-                match (self.cfg.request_deadline, head.deadline_ms.map(Duration::from_millis)) {
-                    (Some(server_d), Some(client_d)) => Some(server_d.min(client_d)),
-                    (server_d, client_d) => server_d.or(client_d),
-                };
-            let token = match deadline {
-                Some(d) => CancelToken::with_timeout(d),
-                None => CancelToken::never(),
-            };
-            self.depth.add(1);
-            let job = Job {
-                conn: tok,
-                client,
-                query: None,
-                update: Some(ops),
-                update_lines: lines,
-                if_none_match: None,
-                cancel: token.clone(),
-                keep_alive: head.keep_alive,
-                enqueued: Instant::now(),
-            };
-            self.dispatch(tok, conn, job)
-        }
-
-        /// Enqueues a job on the worker pool, shedding with 503 when the
-        /// backlog is full. Returns true to close the connection now.
-        fn dispatch(&mut self, _tok: u64, conn: &mut Conn, job: Job) -> bool {
-            let token = job.cancel.clone();
-            match self.tx.try_send(job) {
-                Ok(()) => {
-                    conn.computing = true;
-                    conn.cancel = Some(token);
-                    false
-                }
-                Err(TrySendError::Full(_)) => {
-                    // Backlog full: shed exactly like the pool's accept
-                    // loop (503 + computed Retry-After, then close).
-                    self.depth.add(-1);
-                    http::shed_total().inc();
-                    let retry = self.admission.retry_after_secs(self.depth.get());
-                    conn.push_out(&http::render_busy(retry));
-                    conn.served += 1;
-                    conn.close_after_write = true;
-                    false
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.depth.add(-1);
-                    true
-                }
-            }
+            false
         }
 
         /// Writes as much buffered response as the socket accepts.
@@ -935,7 +577,7 @@ mod imp {
                     Ok(0) => return true,
                     Ok(n) => {
                         conn.out_pos += n;
-                        conn.write_deadline = Some(Instant::now() + self.cfg.write_timeout);
+                        conn.write_deadline = Some(Instant::now() + self.core.cfg.write_timeout);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         if !conn.want_out
@@ -953,7 +595,8 @@ mod imp {
                             conn.want_out = true;
                         }
                         if conn.write_deadline.is_none() {
-                            conn.write_deadline = Some(Instant::now() + self.cfg.write_timeout);
+                            conn.write_deadline =
+                                Some(Instant::now() + self.core.cfg.write_timeout);
                         }
                         return false;
                     }
@@ -984,7 +627,7 @@ mod imp {
                 return conn.lingering.is_none();
             }
             // Keep-alive: rearm the idle clock for the next request.
-            conn.read_deadline = Instant::now() + self.cfg.read_timeout;
+            conn.read_deadline = Instant::now() + self.core.cfg.read_timeout;
             false
         }
 
@@ -1000,23 +643,12 @@ mod imp {
                 let Some(mut conn) = self.conns.remove(&d.conn) else { continue };
                 conn.computing = false;
                 conn.cancel = None;
-                if conn.gone || d.bytes.is_empty() {
+                if conn.gone || d.reply.bytes.is_empty() {
                     self.drop_conn(conn);
                     continue;
                 }
-                conn.push_out(&d.bytes);
-                conn.served += 1;
-                if d.close {
-                    conn.close_after_write = true;
-                }
-                let mut close = false;
-                if !conn.close_after_write {
-                    close = self.advance(d.conn, &mut conn);
-                }
-                if !close {
-                    close = self.flush(d.conn, &mut conn);
-                }
-                if close {
+                answer(&mut conn, d.reply);
+                if self.advance(d.conn, &mut conn) || self.flush(d.conn, &mut conn) {
                     self.drop_conn(conn);
                 } else {
                     self.conns.insert(d.conn, conn);
@@ -1041,14 +673,7 @@ mod imp {
                     if !conn.buf.is_empty() || conn.served == 0 {
                         // Slow loris: a request was started but never
                         // completed. Best-effort 408, then close.
-                        conn.push_out(&http::render_response(
-                            408,
-                            "Request Timeout",
-                            "text/plain",
-                            "request timeout\n",
-                            &[],
-                            false,
-                        ));
+                        conn.push_out(&render_timeout());
                         conn.close_after_write = true;
                         close = self.flush(tok, &mut conn);
                     } else {
@@ -1071,212 +696,19 @@ mod imp {
         }
     }
 
-    /// Worker side: dequeue, CoDel admission on queue sojourn, run the
-    /// cancellable pipeline, post the rendered completion, wake the loop.
-    fn worker_loop(
-        rx: &Mutex<Receiver<Job>>,
-        server: &SecureServer,
-        admission: &Admission,
-        depth: &telemetry::Gauge,
-        completions: &Mutex<Vec<Done>>,
-        wake: &File,
-    ) {
-        loop {
-            let job = match rx.lock() {
-                Ok(guard) => guard.recv(),
-                Err(_) => break,
-            };
-            let Ok(job) = job else { break };
-            depth.add(-1);
-            let now = Instant::now();
-            let sojourn = now.duration_since(job.enqueued);
-            http::sojourn_seconds().observe_duration(sojourn);
-            let admitted = admission.admit(sojourn, now);
-            if !admitted {
-                http::adaptive_shed_total().inc();
-            }
-            let started = Instant::now();
-            // Panic backstop, mirroring the pool's worker loop: one bad
-            // request must not take the worker down.
-            let done =
-                match catch_unwind(AssertUnwindSafe(|| run_job(server, &job, admitted, admission)))
-                {
-                    Ok(done) => done,
-                    Err(_) => {
-                        http::panics_caught_total().inc();
-                        Done {
-                            conn: job.conn,
-                            bytes: http::render_err(
-                                &ServerError::Processing(
-                                    "panic during request processing".to_string(),
-                                ),
-                                job.keep_alive,
-                            ),
-                            close: !job.keep_alive,
-                        }
-                    }
-                };
-            if admitted {
-                admission.record_service(started.elapsed());
-            }
-            if let Ok(mut guard) = completions.lock() {
-                guard.push(done);
-            }
-            let _ = (&*wake).write_all(&1u64.to_ne_bytes());
-        }
-    }
-
-    /// One request's compute, rendered to bytes. The status mapping and
-    /// fault points mirror the pool's `handle_connection` exactly.
-    fn run_job(server: &SecureServer, job: &Job, admitted: bool, admission: &Admission) -> Done {
-        let ka = job.keep_alive;
-        let silent = Done { conn: job.conn, bytes: Vec::new(), close: true };
-        if faults::check("handle.start") {
-            return silent; // injected disconnect: drop without responding
-        }
-        if !admitted {
-            // Degraded mode: serve only already-computed state; queries
-            // and updates always compute, so they are always refused.
-            if job.query.is_some() || job.update.is_some() {
-                return respond(job, http::render_overloaded(admission, ka), ka);
-            }
-            return match server.handle_cache_only(&job.client, job.if_none_match.as_deref()) {
-                Ok(Some(ConditionalOutcome::NotModified { etag })) => {
-                    http::not_modified_total().inc();
-                    http::degraded_hits_total().inc();
-                    respond(job, http::render_not_modified(&etag, ka), ka)
-                }
-                Ok(Some(ConditionalOutcome::Full(resp))) => {
-                    http::degraded_hits_total().inc();
-                    respond(job, http::render_view(resp, ka), ka)
-                }
-                Ok(None) => respond(job, http::render_overloaded(admission, ka), ka),
-                Err(e) => respond(job, http::render_err(&e, ka), ka),
-            };
-        }
-        if let Some(ops) = &job.update {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _ = faults::check("process.request");
-                server.update_cancellable(&job.client, ops, Some(&job.cancel))
-            }));
-            return match outcome {
-                Ok(Ok(touched)) => {
-                    if faults::check("respond.write") {
-                        return silent;
-                    }
-                    respond(
-                        job,
-                        http::render_response(
-                            200,
-                            "OK",
-                            "text/plain",
-                            &format!("updated {touched}\n"),
-                            &[],
-                            ka,
-                        ),
-                        ka,
-                    )
-                }
-                // A static denial points back at the op's source line in
-                // the batch the client actually sent.
-                Ok(Err(ServerError::UpdateDeniedStatic { op, reason })) => {
-                    let line = job.update_lines.get(op).copied().unwrap_or(0);
-                    respond(
-                        job,
-                        http::render_response(
-                            403,
-                            "Forbidden",
-                            "text/plain",
-                            &format!("update denied: line {line}: {reason}\n"),
-                            &[],
-                            ka,
-                        ),
-                        ka,
-                    )
-                }
-                Ok(Err(e)) => respond_err_cancellable(job, &e, admission, ka),
-                Err(_) => {
-                    http::panics_caught_total().inc();
-                    let e = ServerError::Processing("panic during update processing".to_string());
-                    respond(job, http::render_err(&e, ka), ka)
-                }
-            };
-        }
-        if let Some(path) = &job.query {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _ = faults::check("process.request");
-                server.query_cancellable(&job.client, path, Some(&job.cancel))
-            }));
-            return match outcome {
-                Ok(Ok(resp)) => {
-                    let mut body = String::new();
-                    for m in &resp.matches {
-                        body.push_str(m);
-                        body.push('\n');
-                    }
-                    if faults::check("respond.write") {
-                        return silent;
-                    }
-                    respond(job, http::render_response(200, "OK", "text/xml", &body, &[], ka), ka)
-                }
-                Ok(Err(e)) => respond_err_cancellable(job, &e, admission, ka),
-                Err(_) => {
-                    http::panics_caught_total().inc();
-                    let e = ServerError::Processing("panic during query processing".to_string());
-                    respond(job, http::render_err(&e, ka), ka)
-                }
-            };
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _ = faults::check("process.request");
-            server.handle_cancellable(&job.client, job.if_none_match.as_deref(), Some(&job.cancel))
-        }));
-        match outcome {
-            Ok(Ok(ConditionalOutcome::NotModified { etag })) => {
-                http::not_modified_total().inc();
-                if faults::check("respond.write") {
-                    return silent;
-                }
-                respond(job, http::render_not_modified(&etag, ka), ka)
-            }
-            Ok(Ok(ConditionalOutcome::Full(resp))) => {
-                if faults::check("respond.write") {
-                    return silent;
-                }
-                respond(job, http::render_view(resp, ka), ka)
-            }
-            Ok(Err(e)) => respond_err_cancellable(job, &e, admission, ka),
-            Err(_) => {
-                http::panics_caught_total().inc();
-                let e = ServerError::Processing("panic during request processing".to_string());
-                respond(job, http::render_err(&e, ka), ka)
+    /// Queues a reply on the connection and sets what follows it.
+    fn answer(conn: &mut Conn, reply: Reply) {
+        conn.push_out(&reply.bytes);
+        conn.served += 1;
+        match reply.after {
+            After::KeepAlive => {}
+            After::Close => conn.close_after_write = true,
+            After::Linger => {
+                conn.close_after_write = true;
+                conn.lingering = Some(Instant::now() + LINGER);
+                conn.buf.clear();
             }
         }
-    }
-
-    fn respond(job: &Job, bytes: Vec<u8>, keep_alive: bool) -> Done {
-        Done { conn: job.conn, bytes, close: !keep_alive }
-    }
-
-    /// The pool's `respond_err_cancellable`, rendered: a vanished client
-    /// gets no bytes at all, deadline/explicit cancellations answer 503
-    /// with a computed `Retry-After`.
-    fn respond_err_cancellable(
-        job: &Job,
-        e: &ServerError,
-        admission: &Admission,
-        keep_alive: bool,
-    ) -> Done {
-        if let ServerError::Cancelled(reason) = e {
-            http::cancelled_total(reason.as_str()).inc();
-            return match reason {
-                CancelReason::ClientGone => Done { conn: job.conn, bytes: Vec::new(), close: true },
-                CancelReason::DeadlineExceeded | CancelReason::Explicit => {
-                    respond(job, http::render_overloaded(admission, keep_alive), keep_alive)
-                }
-            };
-        }
-        respond(job, http::render_err(e, keep_alive), keep_alive)
     }
 
     /// Handle to a running event-loop demo server.
@@ -1285,8 +717,7 @@ mod imp {
         stop: Arc<AtomicBool>,
         wake: Arc<File>,
         handle: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-        drain_timeout: Duration,
+        workers: Workers,
     }
 
     impl EpollDemo {
@@ -1315,50 +746,35 @@ mod imp {
             ep.ctl(sys::EPOLL_CTL_ADD, wake.as_raw_fd(), sys::EPOLLIN, TOK_WAKE)?;
 
             let stop = Arc::new(AtomicBool::new(false));
-            let (tx, rx) = sync_channel::<Job>(cfg.backlog.max(1));
-            let rx = Arc::new(Mutex::new(rx));
             let completions = Arc::new(Mutex::new(Vec::new()));
-            let server = Arc::new(server);
-            let admission = Arc::new(Admission::new(&cfg));
-            let depth = http::queue_depth();
-
-            let mut workers = Vec::with_capacity(cfg.workers.max(1));
-            for _ in 0..cfg.workers.max(1) {
-                let rx = Arc::clone(&rx);
-                let server = Arc::clone(&server);
-                let admission = Arc::clone(&admission);
-                let depth = Arc::clone(&depth);
-                let completions = Arc::clone(&completions);
-                let wake = Arc::clone(&wake);
-                workers.push(std::thread::spawn(move || {
-                    worker_loop(&rx, &server, &admission, &depth, &completions, &wake);
-                }));
-            }
+            let core = Arc::new(Core::new(server, cfg, true));
+            // Workers compute, post the rendered completion, and wake
+            // the loop through the eventfd.
+            let (queue, workers) = {
+                let (completions, wake) = (Arc::clone(&completions), Arc::clone(&wake));
+                Workers::start(&core, move |core: &Core, (conn, job): (u64, Job), admitted| {
+                    let reply = core.compute(&job, admitted);
+                    if let Ok(mut guard) = completions.lock() {
+                        guard.push(Done { conn, reply });
+                    }
+                    let _ = (&*wake).write_all(&1u64.to_ne_bytes());
+                })
+            };
 
             let el = EventLoop {
                 ep,
                 listener,
-                server,
-                cfg,
-                admission,
-                depth,
+                core,
                 open: open_connections(),
                 conns: HashMap::new(),
                 next_token: TOK_FIRST_CONN,
-                tx,
+                queue,
                 completions,
                 wake: Arc::clone(&wake),
                 stop: Arc::clone(&stop),
             };
             let handle = std::thread::spawn(move || el.run());
-            Ok(EpollDemo {
-                addr: local,
-                stop,
-                wake,
-                handle: Some(handle),
-                workers,
-                drain_timeout: cfg.drain_timeout,
-            })
+            Ok(EpollDemo { addr: local, stop, wake, handle: Some(handle), workers })
         }
 
         /// Where the demo is listening.
@@ -1376,19 +792,9 @@ mod imp {
             if let Some(h) = self.handle.take() {
                 let _ = h.join();
             }
-            // The loop thread has exited and dropped the job sender, so
-            // each worker finishes its backlog and returns. Join with a
-            // deadline: a wedged request must not hang shutdown.
-            let deadline = Instant::now() + self.drain_timeout;
-            for h in std::mem::take(&mut self.workers) {
-                while !h.is_finished() && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                if h.is_finished() {
-                    let _ = h.join();
-                }
-                // else: detached by drop.
-            }
+            // The loop thread has exited and dropped the queue, so each
+            // worker finishes its backlog and returns.
+            self.workers.join();
         }
     }
 

@@ -6,12 +6,12 @@
 //! request path calls [`check`] at those points and suffers the armed
 //! fault. Points currently wired:
 //!
-//! - `"handle.start"` — start of per-connection handling (before the
-//!   request line is read);
-//! - `"process.request"` — immediately before the security processor is
-//!   invoked for a view or query request;
+//! - `"handle.start"` — start of the request core's compute for a routed
+//!   view, query or update, on the worker that runs it;
+//! - `"process.request"` — immediately before the server is invoked for
+//!   that request;
 //! - `"respond.write"` — immediately before the success response is
-//!   written back.
+//!   rendered.
 //!
 //! Two arming modes:
 //!
@@ -23,8 +23,9 @@
 //!   exactly.
 //!
 //! Arming is process-global, so tests that use it must not run
-//! concurrently with each other (keep all fault scenarios in one `#[test]`
-//! or serialize them explicitly).
+//! concurrently with each other or with anything else that sends
+//! requests: keep all fault scenarios in one `#[test]` in a test binary
+//! of its own (`tests/server_faults.rs`, `tests/chaos_storm.rs`).
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

@@ -25,6 +25,7 @@ pub mod epoll;
 pub mod faults;
 pub mod http;
 pub mod repo;
+mod request;
 pub mod server;
 pub mod site;
 
