@@ -65,11 +65,11 @@ use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+use xmlsec_authz::{Action, AuthType, Authorization, ObjectSpec, Sign};
 use xmlsec_bench::{
     financial_compiled_scenario, hospital_compiled_scenario, hospital_scenario, lab_scenario,
     run_label_compiled, run_label_interpreted, run_view, run_view_parallel,
 };
-use xmlsec_authz::{Action, AuthType, Authorization, ObjectSpec, Sign};
 use xmlsec_core::par::available_cores;
 use xmlsec_core::update::UpdateOp;
 use xmlsec_core::{
@@ -80,10 +80,10 @@ use xmlsec_dtd::parse_dtd;
 use xmlsec_server::{
     AnyDemo, ClientRequest, ConditionalOutcome, HttpConfig, SecureServer, ServerError, Transport,
 };
+use xmlsec_subjects::Subject;
 use xmlsec_workload::laboratory::{
     lab_authorization_base, lab_directory, tom, CSLAB_URI, LAB_DTD, LAB_DTD_URI,
 };
-use xmlsec_subjects::Subject;
 use xmlsec_workload::{run_open_loop, OpenLoopConfig};
 use xmlsec_xml::{serialize, SerializeOptions};
 
@@ -142,14 +142,23 @@ fn pipeline_processor(limits: ResourceLimits) -> SecurityProcessor {
     p
 }
 
-fn run_pipeline(processor: &SecurityProcessor, xml: &str, request: &AccessRequest) -> usize {
+fn run_pipeline(
+    processor: &SecurityProcessor,
+    xml: &str,
+    request: &AccessRequest,
+    cancel: Option<&CancelToken>,
+) -> usize {
     let source = DocumentSource {
         xml,
         dtd: Some(LAB_DTD),
         dtd_uri: Some(LAB_DTD_URI),
         ..Default::default()
     };
-    processor.process(request, &source).expect("pipeline").xml.len()
+    processor
+        .process_cancellable(request, &source, cancel)
+        .expect("pipeline")
+        .xml
+        .len()
 }
 
 /// A fresh lab-corpus server for the B17 serving-tier measurements
@@ -454,14 +463,14 @@ fn main() {
     let request = AccessRequest { requester: tom(), uri: CSLAB_URI.to_string() };
     let unlimited = pipeline_processor(ResourceLimits::unlimited());
     let b10_pipeline_ms = time_ms(&cfg, || {
-        black_box(run_pipeline(&unlimited, &xml, &request));
+        black_box(run_pipeline(&unlimited, &xml, &request, None));
     });
     eprintln!("  b10_pipeline_ms = {b10_pipeline_ms:.3}");
 
     // B11 — the same pipeline with every default resource cap enforced.
     let limited = pipeline_processor(ResourceLimits::default_limits());
     let b11_limits_ms = time_ms(&cfg, || {
-        black_box(run_pipeline(&limited, &xml, &request));
+        black_box(run_pipeline(&limited, &xml, &request, None));
     });
     eprintln!("  b11_limits_ms = {b11_limits_ms:.3}");
 
@@ -589,9 +598,9 @@ fn main() {
     let cancel_delay = Duration::from_secs_f64((b10_pipeline_ms * 0.4 / 1e3).max(2e-4));
     let mut cancel_latencies: Vec<Duration> = Vec::with_capacity(b16_samples);
     for _ in 0..b16_samples {
-        let mut p = pipeline_processor(ResourceLimits::unlimited());
+        let p = pipeline_processor(ResourceLimits::unlimited());
         let token = CancelToken::never();
-        p.options.cancel = token.clone();
+        let token_ref = &token;
         let (xml_ref, request_ref) = (&xml, &request);
         std::thread::scope(|scope| {
             let worker = scope.spawn(move || {
@@ -601,7 +610,8 @@ fn main() {
                     dtd_uri: Some(LAB_DTD_URI),
                     ..Default::default()
                 };
-                matches!(p.process(request_ref, &source), Err(e) if e.is_cancelled())
+                let out = p.process_cancellable(request_ref, &source, Some(token_ref));
+                matches!(out, Err(e) if e.is_cancelled())
             });
             std::thread::sleep(cancel_delay);
             let t = Instant::now();
@@ -623,10 +633,10 @@ fn main() {
     // Overhead of an armed-but-unmet deadline on the hot path: the same
     // pipeline as B10, but every request mints a real wall-clock token
     // (the production server pattern).
-    let mut deadline_proc = pipeline_processor(ResourceLimits::unlimited());
+    let deadline_proc = pipeline_processor(ResourceLimits::unlimited());
     let b16_deadline_pipeline_ms = time_ms(&cfg, || {
-        deadline_proc.options.cancel = CancelToken::with_timeout(Duration::from_secs(300));
-        black_box(run_pipeline(&deadline_proc, &xml, &request));
+        let token = CancelToken::with_timeout(Duration::from_secs(300));
+        black_box(run_pipeline(&deadline_proc, &xml, &request, Some(&token)));
     });
     let b16_overhead_pct = (b16_deadline_pipeline_ms / b10_pipeline_ms.max(1e-9) - 1.0) * 100.0;
     eprintln!(

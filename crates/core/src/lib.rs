@@ -77,9 +77,8 @@ pub use update::{
     UpdateError, UpdateOp, UpdateOutcome, WriteContext,
 };
 pub use view::{
-    compute_view, compute_view_engine, compute_view_limited, label_document, label_document_engine,
-    label_document_incremental, label_document_limited, prune_document, render_labeled,
-    EngineOptions, Labeling, ViewStats,
+    compute_view, compute_view_engine, label_document, label_document_engine,
+    label_document_incremental, prune_document, render_labeled, EngineOptions, Labeling, ViewStats,
 };
 pub use xmlsec_xml::cancel::{CancelReason, CancelToken, Cancelled};
 

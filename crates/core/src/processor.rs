@@ -22,7 +22,7 @@ use crate::stages;
 use crate::view::{compute_view_fingerprinted, EngineOptions, ViewStats};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-use xmlsec_authz::{AuthorizationBase, PolicyConfig};
+use xmlsec_authz::{Action, Authorization, AuthorizationBase, PolicyConfig};
 use xmlsec_dtd::{loosen, normalize, Validator, ValidityError};
 use xmlsec_subjects::{Directory, Requester};
 use xmlsec_telemetry as telemetry;
@@ -125,10 +125,7 @@ impl From<xmlsec_dtd::DtdError> for ProcessError {
 }
 
 /// Processor configuration.
-///
-/// No longer `Copy` (the cancellation token is shared state); clone it
-/// to build per-request variants.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProcessorOptions {
     /// The per-document access-control policy.
     pub policy: PolicyConfig,
@@ -146,20 +143,19 @@ pub struct ProcessorOptions {
     /// Extra threads are leased from the process-wide core budget, so
     /// this composes with the server's worker pool.
     pub parallelism: Parallelism,
-    /// Compile the applicable policy against the DTD and serve
-    /// guaranteed verdict-table cells (or, when every cell is
-    /// guaranteed, the whole labeling) from the table (see
-    /// [`mod@crate::compile`]). Needs a [`SecurityProcessor::compiled`]
-    /// cache attached and a document that validates against its DTD —
-    /// otherwise the request silently takes the interpreted path.
-    pub compile: bool,
-    /// Request-scoped deadline/cancellation token, checked at every
-    /// stage boundary and polled cooperatively inside the parser's node
-    /// loop, the evaluator's budget checkpoints, and the labeling
-    /// walks. The default ([`CancelToken::never`]) never trips; servers
-    /// mint one per request ([`CancelToken::with_deadline`]) and clones
-    /// of it cancel the in-flight compute when the client disconnects.
-    pub cancel: CancelToken,
+}
+
+impl ProcessorOptions {
+    /// The engine options of one labeling run under these options: the
+    /// path-evaluation limits, the thread knob and the request's
+    /// cancellation token, with no memo or compiled policy attached.
+    pub fn engine<'a>(&self, cancel: Option<&'a CancelToken>) -> EngineOptions<'a> {
+        EngineOptions {
+            parallelism: self.parallelism,
+            cancel,
+            ..EngineOptions::sequential(self.limits.xpath)
+        }
+    }
 }
 
 /// A request: who wants which document.
@@ -226,11 +222,15 @@ pub struct SecurityProcessor {
     pub authorizations: AuthorizationBase,
     /// Pipeline options.
     pub options: ProcessorOptions,
-    /// Optional cross-request label-decision memo (shared via `Arc` so a
-    /// server can hand the same cache to every per-request processor).
+    /// Optional cross-request label-decision memo (shared via `Arc`, so
+    /// several processors can use the same memo).
     pub decisions: Option<Arc<DecisionCache>>,
-    /// Optional cross-request compiled-policy cache, consulted when
-    /// [`ProcessorOptions::compile`] is on.
+    /// Optional cross-request compiled-policy cache. While one is
+    /// attached, a request compiles the applicable policy against the
+    /// DTD and serves guaranteed verdict-table cells (or, when every
+    /// cell is guaranteed, the whole labeling) from the table (see
+    /// [`mod@crate::compile`]); a document that does not validate
+    /// against its DTD silently takes the interpreted path.
     pub compiled: Option<Arc<CompiledCache>>,
 }
 
@@ -253,19 +253,26 @@ impl SecurityProcessor {
         self
     }
 
-    /// Attaches a shared compiled-policy cache and turns
-    /// [`ProcessorOptions::compile`] on (see [`mod@crate::compile`]).
+    /// Attaches a shared compiled-policy cache, which turns policy
+    /// compilation on (see [`mod@crate::compile`]).
     pub fn with_compiled_cache(mut self, cache: Arc<CompiledCache>) -> Self {
         self.compiled = Some(cache);
-        self.options.compile = true;
         self
     }
 
-    /// A stage-boundary cancellation checkpoint: always consults the
-    /// wall clock, so a blown deadline is observed between stages even
-    /// when no hot loop ran long enough to poll.
-    fn checkpoint(&self) -> Result<(), ProcessError> {
-        self.options.cancel.check().map_err(|c| ProcessError::Cancelled(c.reason))
+    /// The applicable authorization sets for `action` (steps 1–2 of
+    /// compute-view): instance level on `uri`, schema level on `dtd_uri`.
+    pub fn applicable_sets(
+        &self,
+        uri: &str,
+        dtd_uri: Option<&str>,
+        requester: &Requester,
+        action: Action,
+    ) -> (Vec<&Authorization>, Vec<&Authorization>) {
+        let resolve = |u: &str| {
+            self.authorizations.applicable_for_action(u, requester, &self.directory, action)
+        };
+        (resolve(uri), dtd_uri.map(resolve).unwrap_or_default())
     }
 
     /// Runs the four-step execution cycle for one request against one
@@ -275,9 +282,31 @@ impl SecurityProcessor {
         request: &AccessRequest,
         source: &DocumentSource<'_>,
     ) -> Result<ProcessOutput, ProcessError> {
+        self.process_cancellable(request, source, None)
+    }
+
+    /// [`SecurityProcessor::process`] with a request-scoped deadline or
+    /// cancellation token. It is checked at every stage boundary and
+    /// polled cooperatively inside the parser's node loop, the
+    /// evaluator's budget checkpoints and the labeling walks; clones of
+    /// it cancel the in-flight compute, e.g. when the client disconnects.
+    /// A `None` token never cancels.
+    pub fn process_cancellable(
+        &self,
+        request: &AccessRequest,
+        source: &DocumentSource<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ProcessOutput, ProcessError> {
         let _process_span = telemetry::trace::span("processor.process");
         pipeline_runs().inc();
-        self.checkpoint()?;
+        // A stage-boundary checkpoint always consults the wall clock, so
+        // a blown deadline is observed between stages even when no hot
+        // loop ran long enough to poll.
+        let checkpoint = || match cancel {
+            Some(t) => t.check().map_err(|c| ProcessError::Cancelled(c.reason)),
+            None => Ok(()),
+        };
+        checkpoint()?;
 
         // Step 1: parsing (document, then DTD). When no external DTD is
         // supplied, a DOCTYPE internal subset in the document serves as
@@ -288,7 +317,7 @@ impl SecurityProcessor {
                 source.xml,
                 ParseOptions::default(),
                 &self.options.limits.xml,
-                Some(&self.options.cancel),
+                cancel,
             )?
         };
         let parsed_here: Option<PreparedSchema>;
@@ -296,7 +325,7 @@ impl SecurityProcessor {
             Some(s) => Some(s),
             None => {
                 let _s = stages::dtd_parse();
-                self.checkpoint()?;
+                checkpoint()?;
                 let text = source
                     .dtd
                     .or_else(|| doc.doctype.as_ref().and_then(|dt| dt.internal_subset.as_deref()));
@@ -310,7 +339,7 @@ impl SecurityProcessor {
         // a memo.
         let mut valid: Option<bool> = source.schema_valid.and_then(|m| m.get().copied());
         if let Some(d) = dtd {
-            self.checkpoint()?;
+            checkpoint()?;
             // Normalize first so authorizations conditioned on defaulted
             // attributes behave uniformly; then (optionally) validate.
             {
@@ -329,23 +358,10 @@ impl SecurityProcessor {
 
         // Steps 1–2 of compute-view: the applicable *read* authorization
         // sets (write authorizations drive `update`, not views).
-        self.checkpoint()?;
+        checkpoint()?;
         let _authz_span = stages::authz();
-        let axml = self.authorizations.applicable_for_action(
-            &request.uri,
-            &request.requester,
-            &self.directory,
-            xmlsec_authz::Action::Read,
-        );
-        let adtd = match source.dtd_uri {
-            Some(u) => self.authorizations.applicable_for_action(
-                u,
-                &request.requester,
-                &self.directory,
-                xmlsec_authz::Action::Read,
-            ),
-            None => Vec::new(),
-        };
+        let (axml, adtd) =
+            self.applicable_sets(&request.uri, source.dtd_uri, &request.requester, Action::Read);
         drop(_authz_span);
 
         // Policy compilation: guaranteed verdict-table cells — or, when
@@ -360,24 +376,22 @@ impl SecurityProcessor {
         // once.
         let mut compiled: Option<Arc<CompiledPolicy>> = None;
         let mut fingerprint = None;
-        if self.options.compile {
-            if let (Some(cache), Some(s)) = (&self.compiled, schema) {
-                self.checkpoint()?;
-                if valid.is_none() {
-                    let _s = stages::validate();
-                    let ok = Validator::new(s.dtd()).validate(&doc).is_empty();
-                    valid = remember_validity(source, ok);
-                }
-                let root = doc.element_name(doc.root()).filter(|_| valid == Some(true));
-                if let Some(root) = root {
-                    let _s = stages::compile();
-                    let policy = self.options.policy;
-                    let fp = policy_fingerprint(&axml, &adtd, &self.directory, policy);
-                    fingerprint = Some(fp);
-                    compiled = cache
-                        .get_or_compile_prepared(s, root, fp, &axml, &adtd, &self.directory, policy)
-                        .ok();
-                }
+        if let (Some(cache), Some(s)) = (&self.compiled, schema) {
+            checkpoint()?;
+            if valid.is_none() {
+                let _s = stages::validate();
+                let ok = Validator::new(s.dtd()).validate(&doc).is_empty();
+                valid = remember_validity(source, ok);
+            }
+            let root = doc.element_name(doc.root()).filter(|_| valid == Some(true));
+            if let Some(root) = root {
+                let _s = stages::compile();
+                let policy = self.options.policy;
+                let fp = policy_fingerprint(&axml, &adtd, &self.directory, policy);
+                fingerprint = Some(fp);
+                compiled = cache
+                    .get_or_compile_prepared(s, root, fp, &axml, &adtd, &self.directory, policy)
+                    .ok();
             }
         }
 
@@ -385,11 +399,9 @@ impl SecurityProcessor {
         // compute_view, where the two halves are distinguishable). The
         // freshly parsed document is pruned in place.
         let engine = EngineOptions {
-            limits: self.options.limits.xpath,
-            parallelism: self.options.parallelism,
             decisions: self.decisions.as_deref(),
             compiled: compiled.as_deref(),
-            cancel: Some(&self.options.cancel),
+            ..self.options.engine(cancel)
         };
         let (view, stats) = compute_view_fingerprinted(
             doc,
@@ -403,7 +415,7 @@ impl SecurityProcessor {
 
         // Loosening, so the view stays valid without revealing what was
         // hidden.
-        self.checkpoint()?;
+        checkpoint()?;
         let loosened_dtd = {
             let _s = stages::loosen();
             schema.map(|s| s.loosened_text().to_string())
@@ -421,7 +433,7 @@ impl SecurityProcessor {
 
         // Step 4: unparsing. The last checkpoint before bytes are
         // rendered: past this point the response is cheap to finish.
-        self.checkpoint()?;
+        checkpoint()?;
         let xml = {
             let _s = stages::serialize();
             serialize(&view, &SerializeOptions::canonical())
@@ -694,21 +706,11 @@ mod tests {
     }
 
     #[test]
-    fn compile_flag_without_cache_is_inert() {
-        let want = processor().process(&request("Tom"), &source()).unwrap();
-        let mut p = processor();
-        p.options.compile = true; // no cache attached
-        let out = p.process(&request("Tom"), &source()).unwrap();
-        assert_eq!(out.xml, want.xml);
-        assert_eq!(out.stats, want.stats);
-    }
-
-    #[test]
     fn pre_cancelled_request_unwinds_before_any_stage() {
-        let mut p = processor();
-        p.options.cancel = CancelToken::never();
-        p.options.cancel.cancel_with(CancelReason::ClientGone);
-        let err = p.process(&request("Tom"), &source()).unwrap_err();
+        let token = CancelToken::never();
+        token.cancel_with(CancelReason::ClientGone);
+        let err = processor().process_cancellable(&request("Tom"), &source(), Some(&token));
+        let err = err.unwrap_err();
         assert_eq!(err, ProcessError::Cancelled(CancelReason::ClientGone));
         assert!(err.is_cancelled());
         assert!(!err.is_resource_limit(), "cancellation is not a limit rejection");
@@ -716,9 +718,9 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_a_typed_cancellation() {
-        let mut p = processor();
-        p.options.cancel = CancelToken::with_timeout(std::time::Duration::ZERO);
-        let err = p.process(&request("Tom"), &source()).unwrap_err();
+        let token = CancelToken::with_timeout(std::time::Duration::ZERO);
+        let err = processor().process_cancellable(&request("Tom"), &source(), Some(&token));
+        let err = err.unwrap_err();
         assert_eq!(err, ProcessError::Cancelled(CancelReason::DeadlineExceeded));
     }
 
@@ -729,14 +731,13 @@ mod tests {
         // view — no poisoned shared state survives a cancelled run.
         let want = processor().process(&request("Tom"), &source()).unwrap();
         for k in [0u64, 1, 3, 10, 50] {
-            let mut p = processor();
-            p.options.cancel = CancelToken::cancel_after_polls(k);
-            match p.process(&request("Tom"), &source()) {
+            let p = processor();
+            let token = CancelToken::cancel_after_polls(k);
+            match p.process_cancellable(&request("Tom"), &source(), Some(&token)) {
                 Err(ProcessError::Cancelled(CancelReason::Explicit)) => {}
                 Ok(out) => assert_eq!(out.xml, want.xml, "poll budget {k} outlived the run"),
                 other => panic!("expected Cancelled or a full view at poll {k}, got {other:?}"),
             }
-            p.options.cancel = CancelToken::never();
             let again = p.process(&request("Tom"), &source()).unwrap();
             assert_eq!(again.xml, want.xml);
         }

@@ -205,7 +205,10 @@ pub(crate) fn write_table(
         .iter()
         .map(|&e| {
             let own = el_nodes[e] == Verdict::Allow
-                && dtd.attributes(e).iter().all(|d| at_nodes[&(e, d.name.as_str())] == Verdict::Allow);
+                && dtd
+                    .attributes(e)
+                    .iter()
+                    .all(|d| at_nodes[&(e, d.name.as_str())] == Verdict::Allow);
             (e, own)
         })
         .collect();
@@ -393,12 +396,7 @@ pub fn classify_batch(dtd: &Dtd, table: &WriteTable, ops: &[UpdateOp]) -> BatchV
 
 /// Classifies one op. Returns the verdict and whether a *successful*
 /// run of the op is guaranteed to preserve the conformance invariants.
-fn op_verdict(
-    g: &SchemaGraph<'_>,
-    dtd: &Dtd,
-    table: &WriteTable,
-    op: &UpdateOp,
-) -> (OpV, bool) {
+fn op_verdict(g: &SchemaGraph<'_>, dtd: &Dtd, table: &WriteTable, op: &UpdateOp) -> (OpV, bool) {
     let path = match op {
         UpdateOp::SetText { target, .. }
         | UpdateOp::SetAttribute { target, .. }
@@ -414,7 +412,9 @@ fn op_verdict(
     if sel.is_dead() {
         // No conforming instance has such a node: guaranteed NoSuchNode.
         return (
-            OpV::Deny(format!("path {path:?} selects no node of any document valid against the DTD")),
+            OpV::Deny(format!(
+                "path {path:?} selects no node of any document valid against the DTD"
+            )),
             true,
         );
     }
@@ -517,7 +517,9 @@ fn finish(fold: Fold, wrong_kind_only: bool) -> OpV {
     }
     if fold.all_deny {
         let at = fold.deny_at.unwrap_or_default();
-        OpV::Deny(format!("every node the path can select is guaranteed write-denied (e.g. at <{at}>)"))
+        OpV::Deny(format!(
+            "every node the path can select is guaranteed write-denied (e.g. at <{at}>)"
+        ))
     } else if fold.all_allow {
         OpV::Allow
     } else {
@@ -655,10 +657,7 @@ pub fn analyze_policy_writes(
                     node,
                     signs: c.signs.to_string(),
                     write: c.node.clone(),
-                    ops: vec![
-                        ("setattr", c.set_attribute.clone()),
-                        ("delete", c.node.clone()),
-                    ],
+                    ops: vec![("setattr", c.set_attribute.clone()), ("delete", c.node.clone())],
                 },
             );
         }
@@ -911,7 +910,8 @@ mod tests {
         ];
         assert_eq!(classify_batch(&d, &t, &ops), BatchVerdict::Dynamic);
         // ...but the de-conforming op itself still folds.
-        let one = vec![UpdateOp::InsertSubtree { parent: "/doc/sec".into(), xml: "<weird/>".into() }];
+        let one =
+            vec![UpdateOp::InsertSubtree { parent: "/doc/sec".into(), xml: "<weird/>".into() }];
         assert_eq!(classify_batch(&d, &t, &one), BatchVerdict::Allow);
     }
 
@@ -922,7 +922,11 @@ mod tests {
         t.blanket_allow = false;
         let d = dtd(DTD);
         let ops = vec![
-            UpdateOp::SetAttribute { target: "/doc/meta".into(), name: "nope".into(), value: "v".into() },
+            UpdateOp::SetAttribute {
+                target: "/doc/meta".into(),
+                name: "nope".into(),
+                value: "v".into(),
+            },
             UpdateOp::SetText { target: "/doc/meta".into(), text: "x".into() },
         ];
         // First op is allow (element cell +), but the follow-up cannot

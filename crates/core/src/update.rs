@@ -888,8 +888,7 @@ mod tests {
         for k in 0..400 {
             let mut doc = parse(DOC).unwrap();
             let token = CancelToken::cancel_after_polls(k);
-            let opts =
-                EngineOptions::sequential(EvalLimits::default_limits()).with_cancel(&token);
+            let opts = EngineOptions::sequential(EvalLimits::default_limits()).with_cancel(&token);
             match apply_with_opts(&mut doc, &auths, &ops, opts) {
                 Ok(out) => {
                     assert_eq!(out.touched, 3);

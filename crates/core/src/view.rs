@@ -162,8 +162,8 @@ pub struct EngineOptions<'a> {
 }
 
 impl<'a> EngineOptions<'a> {
-    /// Sequential evaluation with `limits`, no cross-request memo —
-    /// the behavior of the plain `*_limited` entry points.
+    /// Sequential evaluation with `limits`, no cross-request memo, no
+    /// compiled policy and no cancellation.
     pub fn sequential(limits: EvalLimits) -> EngineOptions<'static> {
         EngineOptions {
             limits,
@@ -243,23 +243,9 @@ pub fn label_document(
     dir: &Directory,
     policy: PolicyConfig,
 ) -> Labeling {
-    label_document_limited(doc, axml, adtd, dir, policy, &EvalLimits::unlimited())
+    let opts = EngineOptions::sequential(EvalLimits::unlimited());
+    label_document_engine(doc, axml, adtd, dir, policy, &opts)
         .expect("unlimited evaluation cannot exhaust a budget")
-}
-
-/// Like [`label_document`], but bounds the path evaluations of the
-/// authorization objects: a pathological object expression yields a typed
-/// [`EvalError`] instead of pinning the server. The node-visit budget is
-/// one request-wide pool shared by all object evaluations.
-pub fn label_document_limited(
-    doc: &Document,
-    axml: &[&Authorization],
-    adtd: &[&Authorization],
-    dir: &Directory,
-    policy: PolicyConfig,
-    limits: &EvalLimits,
-) -> Result<Labeling, EvalError> {
-    label_document_engine(doc, axml, adtd, dir, policy, &EngineOptions::sequential(*limits))
 }
 
 /// A per-run (per-worker, under parallel labeling) memo of resolved
@@ -277,8 +263,12 @@ struct Memo {
     cell_dep: u64,
 }
 
-/// The full engine entry point for labeling. `label_document_limited`
-/// is this with [`EngineOptions::sequential`].
+/// The full engine entry point for labeling. Path limits bound the
+/// evaluations of the authorization objects: a pathological object
+/// expression yields a typed [`EvalError`] instead of pinning the
+/// server, and the node-visit budget is one request-wide pool shared by
+/// all object evaluations. [`label_document`] is this with unlimited
+/// [`EngineOptions::sequential`].
 pub fn label_document_engine(
     doc: &Document,
     axml: &[&Authorization],
@@ -900,15 +890,15 @@ fn record_relabel(reused: u64, resolved: u64) {
 /// the resolution machinery.
 ///
 /// Soundness: a node's label is a pure function of `(its match mask,
-/// its parent's label)` — [`LabelCtx::label_element`] /
-/// [`LabelCtx::label_attribute`] read nothing else — and a compiled
-/// verdict cell is keyed by the node's type alone, which cannot change
-/// while the slot generation is unchanged. Authorization objects are
-/// re-evaluated globally every call (an XPath predicate may read content
-/// anywhere in the document), so changed masks are always observed; the
-/// walk then descends only where `(generation, mask, parent label)`
-/// differs from the previous run, which makes the result identical — not
-/// just equivalent — to a cold [`label_document_engine`] run.
+/// its parent's label)` — the element and attribute label rules read
+/// nothing else — and a compiled verdict cell is keyed by the node's
+/// type alone, which cannot change while the slot generation is
+/// unchanged. Authorization objects are re-evaluated globally every call
+/// (an XPath predicate may read content anywhere in the document), so
+/// changed masks are always observed; the walk then descends only where
+/// `(generation, mask, parent label)` differs from the previous run,
+/// which makes the result identical — not just equivalent — to a cold
+/// [`label_document_engine`] run.
 ///
 /// `prev` is ignored (full relabel, state still captured) when it has no
 /// reuse state or was computed under a different policy fingerprint.
@@ -973,9 +963,9 @@ pub fn label_document_incremental(
     }
     let gens: Vec<u32> = (0..len).map(|i| doc.slot_generation(i).unwrap_or(0)).collect();
 
-    let reusable = prev.and_then(|p| p.incremental.as_ref()).filter(|s| {
-        s.fingerprint == fingerprint
-    });
+    let reusable = prev
+        .and_then(|p| p.incremental.as_ref())
+        .filter(|s| s.fingerprint == fingerprint);
 
     // `clean[i]`: slot i held the same node (generation) with the same
     // match mask last run — its previous label can be reused as long as
@@ -1220,28 +1210,16 @@ pub fn compute_view(
     dir: &Directory,
     policy: PolicyConfig,
 ) -> (Document, ViewStats) {
-    compute_view_limited(doc, axml, adtd, dir, policy, &EvalLimits::unlimited())
+    let opts = EngineOptions::sequential(EvalLimits::unlimited());
+    compute_view_engine(doc.clone(), axml, adtd, dir, policy, &opts)
         .expect("unlimited evaluation cannot exhaust a budget")
-}
-
-/// Like [`compute_view`], but bounds the authorization path evaluations
-/// with `limits` (see [`label_document_limited`]).
-pub fn compute_view_limited(
-    doc: &Document,
-    axml: &[&Authorization],
-    adtd: &[&Authorization],
-    dir: &Directory,
-    policy: PolicyConfig,
-    limits: &EvalLimits,
-) -> Result<(Document, ViewStats), EvalError> {
-    compute_view_engine(doc.clone(), axml, adtd, dir, policy, &EngineOptions::sequential(*limits))
 }
 
 /// The full engine entry point: [`label_document_engine`] on `doc`, then
 /// pruning of `doc` itself, in place — the caller hands over a document
-/// it no longer needs (clone first to keep the original). Sequential
-/// callers get exactly the historical [`compute_view_limited`] behavior;
-/// parallel callers get the same bytes (differential-tested) faster.
+/// it no longer needs (clone first to keep the original). Parallel
+/// callers get the same bytes as sequential ones (differential-tested),
+/// faster.
 pub fn compute_view_engine(
     doc: Document,
     axml: &[&Authorization],
@@ -1837,7 +1815,8 @@ mod tests {
         let run = |auths: &[Authorization], budget: u64| {
             let ax: Vec<&Authorization> = auths.iter().collect();
             let limits = EvalLimits { max_node_visits: budget, ..EvalLimits::default_limits() };
-            label_document_limited(&doc, &ax, &[], &d, policy, &limits).map(|_| ())
+            let opts = EngineOptions::sequential(limits);
+            label_document_engine(&doc, &ax, &[], &d, policy, &opts).map(|_| ())
         };
         // Smallest budget that covers one object evaluation...
         let mut cost = None;

@@ -332,8 +332,7 @@ impl Repository {
         let parsed = self.parsed.get_mut(uri)?;
         let rehashed = parsed.rehash_dirty(doc, dirty);
         incremental_rehashes().add(rehashed as u64);
-        let xml =
-            xmlsec_xml::serialize(&parsed.doc, &xmlsec_xml::SerializeOptions::canonical());
+        let xml = xmlsec_xml::serialize(&parsed.doc, &xmlsec_xml::SerializeOptions::canonical());
         let stored = self.documents.get_mut(uri).expect("checked above");
         stored.content_hash = fnv1a64(xml.as_bytes());
         stored.xml = xml;

@@ -21,11 +21,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use xmlsec_authz::{
-    Authorization, AuthorizationBase, CompletenessPolicy, ConflictResolution, Finding,
+    Action, Authorization, AuthorizationBase, CompletenessPolicy, ConflictResolution, Finding,
     PolicyConfig, Severity,
 };
 use xmlsec_core::update::{apply_updates, UpdateError, UpdateOp, WriteContext};
-use xmlsec_core::view::{label_document_incremental, prune_document, EngineOptions, Labeling};
+use xmlsec_core::view::{label_document_incremental, prune_document, Labeling};
 use xmlsec_core::{
     AccessRequest, CancelReason, CancelToken, CompiledCache, DecisionCache, DocumentSource,
     Parallelism, PreparedSchema, ResourceLimits, SecurityProcessor,
@@ -285,8 +285,12 @@ struct PatchEntry {
 
 /// The secure server.
 pub struct SecureServer {
-    directory: Directory,
-    authorizations: AuthorizationBase,
+    /// The one security processor (paper §7): directory, authorization
+    /// base, policy, limits, parallelism, and the shared label-decision
+    /// memo. Fingerprinted memo keys make stale hits impossible; grant
+    /// and revoke clear the memo anyway to reclaim the space. The
+    /// compiled-policy cache is attached while reads compile.
+    processor: SecurityProcessor,
     /// Writers (update batches) take the write side; every read-path
     /// stage holds the read side, so readers share and an update drains
     /// in-flight computes before mutating the parsed document.
@@ -295,19 +299,11 @@ pub struct SecureServer {
     /// cache after every update so it cannot outgrow it.
     patch_state: Mutex<HashMap<ViewKey, PatchEntry>>,
     credentials: HashMap<String, String>,
-    policy: PolicyConfig,
-    limits: ResourceLimits,
-    parallelism: Parallelism,
     cache: Option<ViewCache>,
-    /// Cross-request label-decision memo, shared with every per-request
-    /// processor. Fingerprinted keys make stale hits impossible; grant
-    /// and revoke clear it anyway to reclaim the space.
-    decisions: Arc<DecisionCache>,
     /// Cross-request compiled-policy cache (see [`mod@xmlsec_core::compile`]),
-    /// invalidated together with `decisions` on grant/revoke.
+    /// invalidated together with the decision memo on grant/revoke. The
+    /// write pre-flight uses it whether or not reads compile.
     compiled: Arc<CompiledCache>,
-    /// Whether requests consult compiled policies (default: on).
-    compile: bool,
     /// Whether `POST /update` consults the compiled write-verdict table
     /// before labeling (default: on; off for the ablation bench).
     static_preflight: bool,
@@ -319,19 +315,17 @@ impl SecureServer {
     /// Builds a server with the paper's default policy, default resource
     /// limits, and caching on.
     pub fn new(directory: Directory, authorizations: AuthorizationBase) -> Self {
+        let compiled = Arc::new(CompiledCache::new());
+        let processor = SecurityProcessor::new(directory, authorizations)
+            .with_decision_cache(Arc::new(DecisionCache::new()))
+            .with_compiled_cache(Arc::clone(&compiled));
         SecureServer {
-            directory,
-            authorizations,
+            processor,
             repository: RwLock::new(Repository::new()),
             patch_state: Mutex::new(HashMap::new()),
             credentials: HashMap::new(),
-            policy: PolicyConfig::paper_default(),
-            limits: ResourceLimits::default(),
-            parallelism: Parallelism::sequential(),
             cache: Some(ViewCache::new()),
-            decisions: Arc::new(DecisionCache::new()),
-            compiled: Arc::new(CompiledCache::new()),
-            compile: true,
+            compiled,
             static_preflight: true,
             audit: AuditLog::new(),
         }
@@ -360,20 +354,20 @@ impl SecureServer {
     /// Sets the per-server policy (one policy per document holds — the
     /// server applies this to all the documents it stores).
     pub fn with_policy(mut self, policy: PolicyConfig) -> Self {
-        self.policy = policy;
+        self.processor.options.policy = policy;
         self
     }
 
     /// Sets the resource limits applied to parsing and path evaluation
     /// for every request.
     pub fn with_limits(mut self, limits: ResourceLimits) -> Self {
-        self.limits = limits;
+        self.processor.options.limits = limits;
         self
     }
 
     /// The server's configured resource limits.
     pub fn limits(&self) -> ResourceLimits {
-        self.limits
+        self.processor.options.limits
     }
 
     /// Sets the per-request compute-view parallelism. Extra threads are
@@ -381,24 +375,29 @@ impl SecureServer {
     /// on the HTTP worker pool degrade gracefully to sequential instead
     /// of oversubscribing the machine.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+        self.processor.options.parallelism = parallelism;
         self
     }
 
     /// The configured compute-view parallelism.
     pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
+        self.processor.options.parallelism
     }
 
     /// The shared label-decision cache (for stats and tests).
     pub fn decision_cache(&self) -> &DecisionCache {
-        &self.decisions
+        self.processor
+            .decisions
+            .as_deref()
+            .expect("the server attaches a decision cache")
     }
 
-    /// Turns policy compilation on or off (on by default; see
-    /// [`mod@xmlsec_core::compile`]).
+    /// Turns policy compilation of reads on or off (on by default; see
+    /// [`mod@xmlsec_core::compile`]) by attaching the server's compiled
+    /// cache to its processor or detaching it. The write pre-flight
+    /// keeps using the cache either way.
     pub fn with_compile(mut self, on: bool) -> Self {
-        self.compile = on;
+        self.processor.compiled = on.then(|| Arc::clone(&self.compiled));
         self
     }
 
@@ -448,7 +447,7 @@ impl SecureServer {
 
     /// Read access to the directory.
     pub fn directory(&self) -> &Directory {
-        &self.directory
+        &self.processor.directory
     }
 
     /// Drops cached views affected by a policy change on `uri`. When
@@ -477,10 +476,10 @@ impl SecureServer {
     /// findings are advisory).
     pub fn grant(&mut self, auth: Authorization) -> Vec<Finding> {
         self.invalidate_for_object_uri(&auth.object.uri);
-        self.decisions.clear();
+        self.decision_cache().clear();
         self.compiled.clear();
         let uri = auth.object.uri.clone();
-        self.authorizations.add(auth);
+        self.processor.authorizations.add(auth);
         self.policy_preflight("grant", &uri)
     }
 
@@ -489,10 +488,10 @@ impl SecureServer {
     /// removed, the policy pre-flight analyzer runs over the remaining
     /// base (its findings go to the audit log and `/metrics`).
     pub fn revoke(&mut self, auth: &Authorization) -> usize {
-        let removed = self.authorizations.remove(auth);
+        let removed = self.processor.authorizations.remove(auth);
         if removed > 0 {
             self.invalidate_for_object_uri(&auth.object.uri);
-            self.decisions.clear();
+            self.decision_cache().clear();
             self.compiled.clear();
             self.policy_preflight("revoke", &auth.object.uri);
         }
@@ -520,34 +519,23 @@ impl SecureServer {
             scope.insert(du.clone());
             scope.extend(repo.documents_with_dtd(du));
         }
+        let SecurityProcessor { directory: dir, authorizations, options, .. } = &self.processor;
         let auths: Vec<Authorization> =
-            scope.iter().flat_map(|u| self.authorizations.for_uri(u)).cloned().collect();
+            scope.iter().flat_map(|u| authorizations.for_uri(u)).cloned().collect();
 
-        let mut findings = xmlsec_authz::lint_policy(&auths, &self.directory);
+        let mut findings = xmlsec_authz::lint_policy(&auths, dir);
         if let Some(du) = &dtd_uri {
             if let Some(Ok(schema)) = repo.schema(du) {
                 let dtd = schema.dtd();
                 if let Some(root) = dtd.root_candidates().first().cloned() {
                     findings.extend(xmlsec_core::coverage_findings(dtd, root, &auths));
-                    let subjects = xmlsec_core::closure_subjects(&auths, &self.directory);
-                    let report = xmlsec_core::analyze_policy(
-                        dtd,
-                        root,
-                        du,
-                        &auths,
-                        &self.directory,
-                        self.policy,
-                        &subjects,
-                    );
+                    let subjects = xmlsec_core::closure_subjects(&auths, dir);
+                    let policy = options.policy;
+                    let report =
+                        xmlsec_core::analyze_policy(dtd, root, du, &auths, dir, policy, &subjects);
                     findings.extend(report.findings);
                     let writes = xmlsec_core::analyze_policy_writes(
-                        dtd,
-                        root,
-                        du,
-                        &auths,
-                        &self.directory,
-                        self.policy,
-                        &subjects,
+                        dtd, root, du, &auths, dir, policy, &subjects,
                     );
                     findings.extend(writes.findings);
                 }
@@ -739,15 +727,16 @@ impl SecureServer {
 
         // Applicable authorizations, for the content-based cache
         // fingerprint.
-        let instance = self.applicable_auths(&req.uri, &requester);
+        let SecurityProcessor { directory: dir, authorizations, options, .. } = &self.processor;
+        let instance = authorizations.applicable(&req.uri, &requester, dir);
         let schema = stored
             .dtd_uri
             .as_deref()
-            .map(|u| self.applicable_auths(u, &requester))
+            .map(|u| authorizations.applicable(u, &requester, dir))
             .unwrap_or_default();
         let key = ViewKey {
             uri: req.uri.clone(),
-            fingerprint: fingerprint(&instance, &schema, policy_tag(self.policy)),
+            fingerprint: fingerprint(&instance, &schema, policy_tag(options.policy)),
             // Registration-time hashes combined — no document bytes are
             // rehashed on the request path.
             content: repo.content_hash(&req.uri).unwrap_or(0),
@@ -777,8 +766,7 @@ impl SecureServer {
     }
 
     /// The full processor pipeline, run when the probe found no cached
-    /// view. The cancellation token (if any) rides inside the
-    /// per-request [`xmlsec_core::ProcessorOptions`].
+    /// view, under the request's cancellation token (if any).
     fn compute_view_for(
         &self,
         req: &ClientRequest,
@@ -790,20 +778,6 @@ impl SecureServer {
         let repo = self.read_repo();
         let Some(stored) = repo.document(&req.uri) else {
             return Err(ServerError::NotFound(req.uri.clone()));
-        };
-        let processor = SecurityProcessor {
-            directory: self.directory.clone(),
-            authorizations: self.authorizations.clone(),
-            options: xmlsec_core::ProcessorOptions {
-                policy: self.policy,
-                limits: self.limits,
-                parallelism: self.parallelism,
-                compile: self.compile,
-                cancel: cancel.cloned().unwrap_or_default(),
-                ..Default::default()
-            },
-            decisions: Some(Arc::clone(&self.decisions)),
-            compiled: self.compile.then(|| Arc::clone(&self.compiled)),
         };
         // The DTD as prepared when it was stored, with this revision's
         // validity memo. A DTD that failed to parse then goes in as text,
@@ -821,7 +795,7 @@ impl SecureServer {
             schema_valid: Some(stored.schema_valid()),
         };
         let request = AccessRequest { requester: requester.clone(), uri: req.uri.clone() };
-        let out = processor.process(&request, &source).map_err(|e| {
+        let out = self.processor.process_cancellable(&request, &source, cancel).map_err(|e| {
             self.audit.record(
                 &requester_str,
                 &req.uri,
@@ -904,7 +878,7 @@ impl SecureServer {
         let view = xmlsec_xml::parse_cancellable(
             &resp.xml,
             xmlsec_xml::ParseOptions::default(),
-            &self.limits.xml,
+            &self.limits().xml,
             cancel,
         )
         .map_err(|e| match e.kind {
@@ -914,19 +888,16 @@ impl SecureServer {
         // The query path is requester-supplied: budget its evaluation so a
         // hostile expression cannot pin the worker; the token rides in the
         // shared budget, so every draw is also a cancellation checkpoint.
+        let limits = self.limits().xpath;
         let pool = match cancel {
-            Some(t) => xmlsec_xpath::SharedBudget::with_cancel(
-                self.limits.xpath.max_node_visits,
-                t.clone(),
-            ),
-            None => xmlsec_xpath::SharedBudget::new(self.limits.xpath.max_node_visits),
+            Some(t) => xmlsec_xpath::SharedBudget::with_cancel(limits.max_node_visits, t.clone()),
+            None => xmlsec_xpath::SharedBudget::new(limits.max_node_visits),
         };
-        let hits = xmlsec_xpath::select_shared(&view, &parsed, &self.limits.xpath, &pool).map_err(
-            |e| match e {
+        let hits =
+            xmlsec_xpath::select_shared(&view, &parsed, &limits, &pool).map_err(|e| match e {
                 xmlsec_xpath::EvalError::Cancelled(r) => ServerError::Cancelled(r),
                 other => ServerError::LimitExceeded(other.to_string()),
-            },
-        )?;
+            })?;
         let matches = hits
             .iter()
             .map(|&n| {
@@ -991,7 +962,7 @@ impl SecureServer {
             let mut doc = xmlsec_xml::parse_cancellable(
                 &xml_text,
                 xmlsec_xml::ParseOptions::default(),
-                &self.limits.xml,
+                &self.limits().xml,
                 cancel,
             )
             .map_err(|e| match e.kind {
@@ -1005,23 +976,10 @@ impl SecureServer {
             }
             repo.store_parsed(&req.uri, ParsedDocument::new(doc));
         }
-        let wxml = self.authorizations.applicable_for_action(
-            &req.uri,
-            &requester,
-            &self.directory,
-            xmlsec_authz::Action::Write,
-        );
-        let wdtd = dtd_uri
-            .as_deref()
-            .map(|u| {
-                self.authorizations.applicable_for_action(
-                    u,
-                    &requester,
-                    &self.directory,
-                    xmlsec_authz::Action::Write,
-                )
-            })
-            .unwrap_or_default();
+        let p = &self.processor;
+        let (wxml, wdtd) =
+            p.applicable_sets(&req.uri, dtd_uri.as_deref(), &requester, Action::Write);
+        let (dir, policy) = (&p.directory, p.options.policy);
         // Static pre-flight: classify the batch against the compiled
         // write-verdict table. Guaranteed-deny batches bounce here in
         // O(ops) — before the working copy of the document is even
@@ -1034,10 +992,9 @@ impl SecureServer {
         if self.static_preflight {
             let root = repo
                 .parsed_document(&req.uri)
-                .and_then(|p| p.doc().element_name(p.doc().root()))
+                .and_then(|parsed| parsed.doc().element_name(parsed.doc().root()))
                 .map(str::to_string);
             if let (Some(schema), Some(root)) = (schema.as_deref(), root) {
-                let (dir, policy) = (&self.directory, self.policy);
                 let fp = xmlsec_core::policy_fingerprint(&wxml, &wdtd, dir, policy);
                 let verdict = self
                     .compiled
@@ -1072,18 +1029,8 @@ impl SecureServer {
             None => return Err(ServerError::Processing("parsed form missing".into())),
         };
 
-        let mut opts = EngineOptions::sequential(self.limits.xpath);
-        opts.parallelism = self.parallelism;
-        if let Some(t) = cancel {
-            opts = opts.with_cancel(t);
-        }
-        let ctx = WriteContext {
-            axml: &wxml,
-            adtd: &wdtd,
-            dir: &self.directory,
-            policy: self.policy,
-            opts,
-        };
+        let ctx =
+            WriteContext { axml: &wxml, adtd: &wdtd, dir, policy, opts: p.options.engine(cancel) };
         let applied = if preauthorized {
             xmlsec_core::apply_updates_preauthorized(&mut doc, ops, cancel)
         } else {
@@ -1156,8 +1103,11 @@ impl SecureServer {
     ) {
         let Some(cache) = &self.cache else { return };
         let new_content = repo.content_hash(uri).unwrap_or(0);
-        let old_keys: Vec<ViewKey> =
-            cache.keys_for_uri(uri).into_iter().filter(|k| k.content != new_content).collect();
+        let old_keys: Vec<ViewKey> = cache
+            .keys_for_uri(uri)
+            .into_iter()
+            .filter(|k| k.content != new_content)
+            .collect();
         if old_keys.is_empty() {
             return;
         }
@@ -1219,56 +1169,26 @@ impl SecureServer {
         cancel: Option<&CancelToken>,
     ) -> Option<(ViewKey, CachedView, PatchEntry)> {
         let PatchEntry { requester, prev } = entry;
-        let axml = self.authorizations.applicable_for_action(
-            uri,
-            &requester,
-            &self.directory,
-            xmlsec_authz::Action::Read,
-        );
-        let adtd = dtd_uri
-            .map(|u| {
-                self.authorizations.applicable_for_action(
-                    u,
-                    &requester,
-                    &self.directory,
-                    xmlsec_authz::Action::Read,
-                )
-            })
-            .unwrap_or_default();
-        let mut opts = EngineOptions::sequential(self.limits.xpath);
-        opts.parallelism = self.parallelism;
-        if let Some(t) = cancel {
-            opts = opts.with_cancel(t);
-        }
-        let labeling = label_document_incremental(
-            doc,
-            &axml,
-            &adtd,
-            &self.directory,
-            self.policy,
-            &opts,
-            prev.as_deref(),
-        )
-        .ok()?;
+        let p = &self.processor;
+        let (axml, adtd) = p.applicable_sets(uri, dtd_uri, &requester, Action::Read);
+        let (dir, policy, opts) = (&p.directory, p.options.policy, p.options.engine(cancel));
+        let labeling =
+            label_document_incremental(doc, &axml, &adtd, dir, policy, &opts, prev.as_deref())
+                .ok()?;
         let mut view = doc.clone();
-        prune_document(&mut view, &labeling, self.policy);
+        prune_document(&mut view, &labeling, policy);
         let xml = xmlsec_xml::serialize(&view, &xmlsec_xml::SerializeOptions::canonical());
-        let new_key =
-            ViewKey { uri: uri.to_string(), fingerprint: old_key.fingerprint, content: new_content };
+        let new_key = ViewKey {
+            uri: uri.to_string(),
+            fingerprint: old_key.fingerprint,
+            content: new_content,
+        };
         let etag = etag_for(&new_key, &xml, loosened_text);
         Some((
             new_key,
             CachedView { xml, loosened_dtd: loosened_text.map(str::to_string), etag },
             PatchEntry { requester, prev: Some(Arc::new(labeling)) },
         ))
-    }
-
-    fn applicable_auths(&self, uri: &str, requester: &Requester) -> Vec<&Authorization> {
-        self.authorizations
-            .for_uri(uri)
-            .iter()
-            .filter(|a| requester.is_covered_by(&a.subject, &self.directory))
-            .collect()
     }
 }
 
@@ -1545,9 +1465,11 @@ mod tests {
         // different fingerprint.
         let s = server();
         let requester = |u: &str| Requester::new(u, "150.100.30.8", "tweety.lab.com").unwrap();
-        let tom_inst = s.applicable_auths("lab.xml", &requester("Tom"));
-        let anon_inst = s.applicable_auths("lab.xml", &requester("anonymous"));
-        let sam_inst = s.applicable_auths("lab.xml", &requester("Sam"));
+        let applicable = |u: &str| {
+            s.processor.authorizations.applicable("lab.xml", &requester(u), s.directory())
+        };
+        let (tom_inst, anon_inst, sam_inst) =
+            (applicable("Tom"), applicable("anonymous"), applicable("Sam"));
         assert_eq!(
             fingerprint(&tom_inst, &[], 0),
             fingerprint(&anon_inst, &[], 0),
@@ -1632,6 +1554,25 @@ mod tests {
         assert_eq!(on.compiled_cache().len(), 1, "the next request recompiles");
         assert_eq!(on.revoke(&extra), 1);
         assert!(on.compiled_cache().is_empty(), "revoke must drop compiled policies");
+    }
+
+    #[test]
+    fn compile_off_reads_never_compile_but_the_write_preflight_still_denies() {
+        let mut s = server().with_compile(false);
+        s.repository_mut()
+            .put_dtd("lab.dtd", "<!ELEMENT lab (news)><!ELEMENT news (#PCDATA)>");
+        s.repository_mut()
+            .put_document("typed.xml", "<lab><news>hi</news></lab>", Some("lab.dtd"));
+        let tom = req(Some(("Tom", "tom-secret")), "typed.xml");
+        s.handle(&tom).unwrap();
+        s.handle(&req(Some(("Sam", "sam-secret")), "typed.xml")).unwrap();
+        assert!(s.compiled_cache().is_empty(), "reads must not compile with compile off");
+        // Tom holds no write authorization, so the pre-flight's compiled
+        // write table refuses the batch before any labeling.
+        let op = UpdateOp::SetText { target: "/lab/news".into(), text: "x".into() };
+        let e = s.update(&tom, &[op]).unwrap_err();
+        assert!(matches!(e, ServerError::UpdateDeniedStatic { op: 0, .. }), "{e:?}");
+        assert_eq!(s.compiled_cache().len(), 1, "the pre-flight compiles into the server's cache");
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub struct EvalLimits {
     /// Maximum nodes the evaluator may examine across all steps,
     /// predicates, and inner paths of one evaluation.
     ///
-    /// Note: the core engine's `label_document_limited` /
-    /// `compute_view_limited` entry points treat this as one
+    /// Note: the core engine's `label_document_engine` /
+    /// `compute_view_engine` entry points treat this as one
     /// **request-wide [`SharedBudget`] pool** shared by every
     /// authorization-object evaluation of the run — the effective budget
     /// is the total across all N objects, not per object. Callers that

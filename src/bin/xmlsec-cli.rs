@@ -586,12 +586,7 @@ fn cmd_stats(o: &Opts) -> Result<(), String> {
     let processor = xmlsec::core::SecurityProcessor {
         directory: dir,
         authorizations: base,
-        options: xmlsec::core::ProcessorOptions {
-            policy,
-            parallelism: par,
-            compile: true,
-            ..Default::default()
-        },
+        options: xmlsec::core::ProcessorOptions { policy, parallelism: par, ..Default::default() },
         decisions: Some(std::sync::Arc::new(xmlsec::core::DecisionCache::new())),
         compiled: Some(std::sync::Arc::new(xmlsec::core::CompiledCache::new())),
     };

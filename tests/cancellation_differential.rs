@@ -88,8 +88,8 @@ proptest! {
 
         // Cancel after a random number of cooperative polls: the run
         // either dies with the typed error or finishes byte-identical.
-        p.options.cancel = CancelToken::cancel_after_polls(polls);
-        match p.process(&req, &src) {
+        let token = CancelToken::cancel_after_polls(polls);
+        match p.process_cancellable(&req, &src, Some(&token)) {
             Err(ProcessError::Cancelled(CancelReason::Explicit)) => {}
             Ok(out) => prop_assert_eq!(
                 &out.xml, &want.xml,
@@ -105,8 +105,9 @@ proptest! {
 
         // Nothing poisoned: a fresh token on the same processor (and
         // the same shared caches) recomputes the identical full view.
-        p.options.cancel = CancelToken::never();
-        let again = p.process(&req, &src).expect("restart after cancellation");
+        let fresh = CancelToken::never();
+        let again =
+            p.process_cancellable(&req, &src, Some(&fresh)).expect("restart after cancellation");
         prop_assert_eq!(&again.xml, &want.xml);
         prop_assert_eq!(&again.stats, &want.stats);
     }

@@ -63,7 +63,9 @@ fn random_ops(doc: &Document, seed: u64) -> Vec<UpdateOp> {
             let node = elements[rng.gen_range(0..elements.len())];
             let path = concrete_path(doc, node);
             match rng.gen_range(0u32..6) {
-                0 => UpdateOp::SetText { target: path, text: format!("t{}", rng.gen_range(0..100)) },
+                0 => {
+                    UpdateOp::SetText { target: path, text: format!("t{}", rng.gen_range(0..100)) }
+                }
                 1 => UpdateOp::SetAttribute {
                     target: path,
                     name: format!("a{}", rng.gen_range(0..3)),
@@ -74,17 +76,19 @@ fn random_ops(doc: &Document, seed: u64) -> Vec<UpdateOp> {
                     // conforms whenever the content model is starred.
                     let child = doc.child_elements(node).next();
                     match child {
-                        Some(c) => UpdateOp::InsertSubtree {
-                            parent: path,
-                            xml: serialize_node(doc, c),
-                        },
+                        Some(c) => {
+                            UpdateOp::InsertSubtree { parent: path, xml: serialize_node(doc, c) }
+                        }
                         None => UpdateOp::SetText { target: path, text: "leaf".into() },
                     }
                 }
                 3 => {
                     // Replace a subtree with its own serialization: a
                     // structurally identical, always-conforming rewrite.
-                    UpdateOp::ReplaceSubtree { target: path.clone(), xml: serialize_node(doc, node) }
+                    UpdateOp::ReplaceSubtree {
+                        target: path.clone(),
+                        xml: serialize_node(doc, node),
+                    }
                 }
                 4 => UpdateOp::InsertElement {
                     parent: path,

@@ -40,7 +40,8 @@ fn server() -> SecureServer {
     s.register_credentials("tom", "pw");
     s.register_credentials("ed", "pw");
     s.repository_mut().put_dtd("d.dtd", DTD);
-    s.repository_mut().put_document("doc.xml", "<d><pub>hello</pub></d>", Some("d.dtd"));
+    s.repository_mut()
+        .put_document("doc.xml", "<d><pub>hello</pub></d>", Some("d.dtd"));
     s
 }
 

@@ -314,8 +314,7 @@ fn deterministic_guaranteed_verdicts() {
     let dtd = parse_dtd(DOC_DTD).expect("test DTD parses");
     let dir = directory();
     let policy = PolicyConfig::paper_default();
-    let ops =
-        [UpdateOp::SetText { target: "/doc/meta".to_string(), text: "w".to_string() }];
+    let ops = [UpdateOp::SetText { target: "/doc/meta".to_string(), text: "w".to_string() }];
 
     // No write authorization at all: the table is unwritable, every
     // batch is guaranteed-denied.
