@@ -100,6 +100,29 @@ impl<'d> SchemaGraph<'d> {
         }
         out
     }
+
+    /// `true` when `target` is reachable from the graph root walking child
+    /// edges while avoiding the vertices in `avoid` (the root itself
+    /// included: if the root is avoided and is not the target, nothing is
+    /// reachable).
+    pub(crate) fn reachable_avoiding(&self, target: &str, avoid: &BTreeSet<&str>) -> bool {
+        if avoid.contains(self.root) {
+            return self.root == target;
+        }
+        let mut seen: BTreeSet<&str> = [self.root].into();
+        let mut stack = vec![self.root];
+        while let Some(x) = stack.pop() {
+            if x == target {
+                return true;
+            }
+            for k in self.kids(x) {
+                if !avoid.contains(k) && seen.insert(k) {
+                    stack.push(k);
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Context of schema evaluation: the virtual root or an element type.

@@ -725,7 +725,7 @@ pub fn analyze_policy(
             };
             let mut avoid = deny_els.clone();
             avoid.remove(e.as_str());
-            if !select_reachable(&g, e, &avoid) {
+            if !g.reachable_avoiding(e, &avoid) {
                 report.findings.push(
                     Finding::new(
                         Severity::Warning,
@@ -833,27 +833,6 @@ fn effective_coverage<'d>(g: &SchemaGraph<'d>, info: &AuthInfo<'_>) -> BTreeSet<
         }
     }
     out
-}
-
-/// Reachability from the schema root avoiding `avoid` vertices (used by
-/// the context-stripped check).
-fn select_reachable(g: &SchemaGraph<'_>, target: &str, avoid: &BTreeSet<&str>) -> bool {
-    if avoid.contains(g.root) {
-        return g.root == target;
-    }
-    let mut seen: BTreeSet<&str> = [g.root].into();
-    let mut stack = vec![g.root];
-    while let Some(x) = stack.pop() {
-        if x == target {
-            return true;
-        }
-        for k in g.kids(x) {
-            if !avoid.contains(k) && seen.insert(k) {
-                stack.push(k);
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]

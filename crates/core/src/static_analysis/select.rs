@@ -99,29 +99,6 @@ impl<'d> CtxSet<'d> {
     }
 }
 
-/// `true` when `target` is reachable from the graph root walking child
-/// edges while avoiding the vertices in `avoid` (the root itself
-/// included: if the root is avoided and is not the target, nothing is
-/// reachable).
-fn reachable_avoiding(g: &SchemaGraph<'_>, target: &str, avoid: &BTreeSet<&str>) -> bool {
-    if avoid.contains(g.root) {
-        return g.root == target;
-    }
-    let mut seen: BTreeSet<&str> = [g.root].into();
-    let mut stack = vec![g.root];
-    while let Some(x) = stack.pop() {
-        if x == target {
-            return true;
-        }
-        for k in g.kids(x) {
-            if !avoid.contains(k) && seen.insert(k) {
-                stack.push(k);
-            }
-        }
-    }
-    false
-}
-
 /// Must-selection for a `descendant::` step: every `d`-node is a proper
 /// descendant of a must-selected node iff every schema path from the
 /// root to `d` passes through one of `must_sources` strictly before
@@ -129,7 +106,7 @@ fn reachable_avoiding(g: &SchemaGraph<'_>, target: &str, avoid: &BTreeSet<&str>)
 fn descendant_must(g: &SchemaGraph<'_>, d: &str, must_sources: &BTreeSet<&str>) -> bool {
     let mut avoid = must_sources.clone();
     avoid.remove(d);
-    !reachable_avoiding(g, d, &avoid)
+    !g.reachable_avoiding(d, &avoid)
 }
 
 /// Evaluates `path` (or the whole-document object when `None`) over the

@@ -810,7 +810,7 @@ mod tests {
             <!ELEMENT meta (#PCDATA)>
             <!ELEMENT orphan (meta)>
         "#;
-        let auths = vec![auth("tom", "d.xml", None, Sign::Plus, AuthType::Recursive)];
+        let auths = [auth("tom", "d.xml", None, Sign::Plus, AuthType::Recursive)];
         let d = dtd(ORPHAN_DTD);
         let dir = Directory::default();
         let pairs: Vec<(&Authorization, bool)> = auths.iter().map(|a| (a, false)).collect();
@@ -832,7 +832,7 @@ mod tests {
     #[test]
     fn subtree_grant_allows_inside_denies_outside() {
         // Writes granted recursively under sec; nothing else.
-        let auths = vec![auth("tom", "d.xml", Some("/doc/sec"), Sign::Plus, AuthType::Recursive)];
+        let auths = [auth("tom", "d.xml", Some("/doc/sec"), Sign::Plus, AuthType::Recursive)];
         let d = dtd(FLAT_DTD);
         let dir = Directory::default();
         let pairs: Vec<(&Authorization, bool)> = auths.iter().map(|a| (a, false)).collect();

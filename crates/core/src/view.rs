@@ -249,11 +249,18 @@ pub fn label_document(
 }
 
 /// A per-run (per-worker, under parallel labeling) memo of resolved
-/// initial labels, keyed by `(is_attribute, match mask)`. Hit/miss
-/// counts are aggregated here and flushed to telemetry once per run.
+/// initial labels, keyed by `(is_attribute, match mask)`, with the run's
+/// counters.
 #[derive(Default)]
 struct Memo {
     local: HashMap<(bool, u128), Label>,
+    counts: Counts,
+}
+
+/// Per-run counters, aggregated in the memo and flushed to telemetry once
+/// per run.
+#[derive(Default, Clone, Copy)]
+struct Counts {
     hits: u64,
     misses: u64,
     /// Compiled-table traffic (mixed mode): nodes served from an exact
@@ -261,6 +268,22 @@ struct Memo {
     cell_allow: u64,
     cell_deny: u64,
     cell_dep: u64,
+    /// Nodes that kept their previous label vs. were labeled afresh
+    /// (reported by incremental runs only).
+    reused: u64,
+    resolved: u64,
+}
+
+impl Counts {
+    fn add(&mut self, o: Counts) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.cell_allow += o.cell_allow;
+        self.cell_deny += o.cell_deny;
+        self.cell_dep += o.cell_dep;
+        self.reused += o.reused;
+        self.resolved += o.resolved;
+    }
 }
 
 /// The full engine entry point for labeling. Path limits bound the
@@ -277,30 +300,61 @@ pub fn label_document_engine(
     policy: PolicyConfig,
     opts: &EngineOptions<'_>,
 ) -> Result<Labeling, EvalError> {
-    label_document_fingerprinted(doc, axml, adtd, dir, policy, opts, None)
+    label_run(doc, axml, adtd, dir, policy, opts, Run::Plain { fingerprint: None })
 }
 
-/// [`label_document_engine`], reusing the [`policy_fingerprint`] of the
-/// inputs when the caller already computed it.
-pub(crate) fn label_document_fingerprinted(
+/// The kind of run [`label_run`] makes.
+#[derive(Clone, Copy)]
+enum Run<'p> {
+    /// A plain engine run, reusing the [`policy_fingerprint`] of the
+    /// inputs when the caller already computed it.
+    Plain { fingerprint: Option<u64> },
+    /// A [`label_document_incremental`] run: captures reuse state and
+    /// keeps `prev`'s labels where its state allows.
+    Incremental { prev: Option<&'p Labeling> },
+}
+
+/// Sorts an applicable set by rendered form. Mask bit `i` stands for the
+/// `i`-th applicable authorization while [`policy_fingerprint`] is
+/// order-independent, so wherever a mask outlives its run (decision-cache
+/// keys, captured reuse state) the same set presented in a different
+/// order must map bits identically. The rendered form covers every field
+/// the resolution reads (subject, object, action, sign, type), so equal
+/// renderings resolve equally.
+fn canonical<'x>(set: &[&'x Authorization]) -> Vec<&'x Authorization> {
+    let mut v = set.to_vec();
+    v.sort_by_cached_key(|a| a.to_string());
+    v
+}
+
+/// The labeling driver behind every entry point: plain, parallel,
+/// compiled and incremental runs share its prologue, its walk and its
+/// statistics.
+fn label_run(
     doc: &Document,
     axml: &[&Authorization],
     adtd: &[&Authorization],
     dir: &Directory,
     policy: PolicyConfig,
     opts: &EngineOptions<'_>,
-    fingerprint: Option<u64>,
+    run: Run<'_>,
 ) -> Result<Labeling, EvalError> {
+    // Reuse state records every node's match mask, so past the 128-bit
+    // cap an incremental run is a plain one and captures nothing.
+    let incremental = matches!(run, Run::Incremental { .. }) && axml.len() + adtd.len() <= 128;
+
     // Fingerprint of the applicable sets: keys the cross-request decision
-    // cache and guards the compiled table — a compiled policy built for
-    // different applicable sets (stale, or misrouted by the caller) is
-    // ignored, degrading to the interpreted path instead of corrupting
-    // the view. Order-independent, so computing it before the canonical
-    // reordering below is fine.
-    let fingerprint = if opts.decisions.is_some() || opts.compiled.is_some() {
-        fingerprint.unwrap_or_else(|| policy_fingerprint(axml, adtd, dir, policy))
-    } else {
-        0
+    // cache, tags captured reuse state, and guards the compiled table — a
+    // compiled policy built for different applicable sets (stale, or
+    // misrouted by the caller) is ignored, degrading to the interpreted
+    // path instead of corrupting the view. Order-independent, so
+    // computing it before the canonical reordering below is fine.
+    let fingerprint = match run {
+        Run::Plain { fingerprint: Some(fp) } => fp,
+        _ if incremental || opts.decisions.is_some() || opts.compiled.is_some() => {
+            policy_fingerprint(axml, adtd, dir, policy)
+        }
+        _ => 0,
     };
     let compiled = opts.compiled.filter(|cp| cp.fingerprint == fingerprint);
 
@@ -318,54 +372,46 @@ pub(crate) fn label_document_fingerprinted(
     // path on any element/attribute type absent from the table (a
     // document that does not conform to the compiled schema); a tripped
     // token is a typed error, never a silent fallback to the slow path.
-    if let Some(cp) = compiled {
-        if cp.fast_path {
-            if let Some(labeling) =
-                label_fast_path(doc, cp, axml.len(), adtd.len(), policy, opts.cancel)
-                    .map_err(|c| EvalError::Cancelled(c.reason))?
-            {
-                return Ok(labeling);
-            }
+    // Incremental runs skip it: it records no match masks.
+    if let Some(cp) = compiled.filter(|cp| cp.fast_path && !incremental) {
+        if let Some(labels) = label_fast_path(doc, cp, policy, opts.cancel)
+            .map_err(|c| EvalError::Cancelled(c.reason))?
+        {
+            let stats = view_stats(doc, &labels, axml.len(), adtd.len());
+            return Ok(Labeling { labels, stats, incremental: None });
         }
     }
 
     // Resolve the thread count once: a lease from the global core budget
-    // (held for the whole run), skipped entirely for sequential knobs and
-    // small documents. An `oversubscribe` knob runs exactly the asked-for
-    // worker count — the lease is still taken so the gauge stays honest.
+    // (held for the whole run), skipped entirely for sequential knobs,
+    // small documents and incremental runs. An `oversubscribe` knob runs
+    // exactly the asked-for worker count — the lease is still taken so
+    // the gauge stays honest.
     let mut _lease = None;
-    let threads =
-        if !opts.parallelism.is_sequential() && doc.arena_len() >= opts.parallelism.seq_threshold {
-            let want = opts.parallelism.want_threads();
-            let lease = par::lease(want);
-            let t = if opts.parallelism.oversubscribe { want.max(1) } else { lease.threads() };
-            _lease = Some(lease);
-            t
-        } else {
-            1
-        };
-
-    // When a cross-request cache is attached, canonicalize the slice
-    // order first: [`DecisionKey::mask`] assigns bit `i` to the `i`-th
-    // applicable authorization while [`policy_fingerprint`] is
-    // order-independent, so the same set presented in a different order
-    // must map bits identically or a hit would resolve under a permuted
-    // bit-to-authorization mapping. Sorting by the rendered form works
-    // because it covers every field the resolution reads (subject,
-    // object, action, sign, type) — equal renderings resolve equally.
-    fn canonical<'x>(set: &[&'x Authorization]) -> Vec<&'x Authorization> {
-        let mut v = set.to_vec();
-        v.sort_by_cached_key(|a| a.to_string());
-        v
-    }
-    let (axml_canon, adtd_canon);
-    let (axml, adtd): (&[&Authorization], &[&Authorization]) = if opts.decisions.is_some() {
-        axml_canon = canonical(axml);
-        adtd_canon = canonical(adtd);
-        (&axml_canon, &adtd_canon)
+    let threads = if !incremental
+        && !opts.parallelism.is_sequential()
+        && doc.arena_len() >= opts.parallelism.seq_threshold
+    {
+        let want = opts.parallelism.want_threads();
+        let lease = par::lease(want);
+        let t = if opts.parallelism.oversubscribe { want.max(1) } else { lease.threads() };
+        _lease = Some(lease);
+        t
     } else {
-        (axml, adtd)
+        1
     };
+
+    // Canonical order wherever mask bits outlive the run (see
+    // [`canonical`]); sorted after the fast path, which reads no mask.
+    let (axml_canon, adtd_canon);
+    let (axml, adtd): (&[&Authorization], &[&Authorization]) =
+        if incremental || opts.decisions.is_some() {
+            axml_canon = canonical(axml);
+            adtd_canon = canonical(adtd);
+            (&axml_canon, &adtd_canon)
+        } else {
+            (axml, adtd)
+        };
 
     // Past the mask cap every initial label is resolved from scratch:
     // surface the silent degradation (counter + one-time warning).
@@ -374,7 +420,9 @@ pub(crate) fn label_document_fingerprinted(
     }
 
     // With a token attached, every budget draw in every evaluation —
-    // on any thread — doubles as a cancellation checkpoint.
+    // on any thread — doubles as a cancellation checkpoint. Objects are
+    // evaluated over the whole document on incremental runs too: a
+    // predicate may read mutated content anywhere.
     let pool = match opts.cancel {
         Some(t) => SharedBudget::with_cancel(opts.limits.max_node_visits, t.clone()),
         None => SharedBudget::new(opts.limits.max_node_visits),
@@ -382,7 +430,7 @@ pub(crate) fn label_document_fingerprinted(
     let xml_matched = evaluate_auths(doc, axml, &opts.limits, &pool, threads)?;
     let dtd_matched = evaluate_auths(doc, adtd, &opts.limits, &pool, threads)?;
 
-    let ctx = LabelCtx {
+    let mut ctx = LabelCtx {
         doc,
         xml: &xml_matched,
         dtd: &dtd_matched,
@@ -392,28 +440,38 @@ pub(crate) fn label_document_fingerprinted(
         decisions: opts.decisions,
         compiled,
         cancel: opts.cancel,
+        reuse: None,
     };
+
+    let captured = incremental.then(|| {
+        let mut masks = vec![0u128; doc.arena_len()];
+        for n in doc.preorder(doc.root()) {
+            masks[n.index()] = ctx.mask_of(n);
+        }
+        let gens = (0..masks.len()).map(|i| doc.slot_generation(i).unwrap_or(0)).collect();
+        IncrementalState { masks, gens, fingerprint }
+    });
+    if let (Some(now), Run::Incremental { prev: Some(prev) }) = (&captured, run) {
+        if let Some(then) = prev.incremental.as_ref().filter(|s| s.fingerprint == fingerprint) {
+            let clean = (0..now.masks.len())
+                .map(|i| {
+                    i < then.masks.len()
+                        && then.gens[i] == now.gens[i]
+                        && then.masks[i] == now.masks[i]
+                })
+                .collect();
+            ctx.reuse = Some(Reuse { clean, prev: &prev.labels });
+        }
+    }
 
     let mut labels = vec![Label::default(); doc.arena_len()];
     let mut memo = Memo::default();
 
-    // Root: initial label, final sign straight from its own components
-    // (propagating against the virtual all-ε parent is the identity, so
-    // a compiled exact cell applies to the root as-is).
-    let root = doc.root();
-    let root_label = ctx.compiled_element(root, &mut memo).unwrap_or_else(|| {
-        let mut lab = ctx.initial_label(root, false, &mut memo);
-        lab.final_sign = lab.collapse();
-        lab
-    });
-    labels[root.index()] = root_label;
-    for &a in doc.attributes(root) {
-        labels[a.index()] = ctx.label_attribute(a, root, &root_label, &mut memo);
-    }
-
-    // Frontier: unlabeled elements whose parent's label is known.
-    let mut frontier: Vec<(NodeId, Label)> =
-        doc.child_elements(root).map(|c| (c, root_label)).collect();
+    // Frontier: unlabeled elements with their parent's label and whether
+    // that label is unchanged since the previous run. The document
+    // element starts it under a virtual all-ε parent, against which
+    // propagation is the identity and which never changes.
+    let mut frontier = vec![(doc.root(), Label::default(), true)];
 
     if threads > 1 {
         // Widen the frontier sequentially until there is enough fan-out
@@ -424,13 +482,10 @@ pub(crate) fn label_document_fingerprinted(
                 t.check().map_err(|c| EvalError::Cancelled(c.reason))?;
             }
             let mut next = Vec::new();
-            for (n, parent) in frontier.drain(..) {
-                let lab = ctx.label_element(n, &parent, &mut memo);
-                labels[n.index()] = lab;
-                for &a in doc.attributes(n) {
-                    labels[a.index()] = ctx.label_attribute(a, n, &lab, &mut memo);
-                }
-                next.extend(doc.child_elements(n).map(|c| (c, lab)));
+            for (n, parent, parent_same) in frontier.drain(..) {
+                let mut emit = |i: usize, lab: Label| labels[i] = lab;
+                let (lab, same) = ctx.label_step(n, &parent, parent_same, &mut memo, &mut emit);
+                next.extend(doc.child_elements(n).map(|c| (c, lab, same)));
             }
             frontier = next;
         }
@@ -438,80 +493,76 @@ pub(crate) fn label_document_fingerprinted(
 
     if threads > 1 && frontier.len() > 1 {
         // Fan the remaining subtrees out; each worker keeps one memo for
-        // all the subtrees it labels (per task it reports the hit/miss
-        // delta) and returns its slot writes, merged here — no shared
-        // mutable label state. Cancellation is observed both between
-        // tasks (the pool's handoff check) and inside each subtree walk
-        // (`label_subtree` polls); a tripped run discards every partial
-        // buffer on the normal drop path.
+        // all the subtrees it labels (per task it hands over the counts
+        // since its last task) and returns its slot writes, merged here —
+        // no shared mutable label state. Cancellation is observed both
+        // between tasks (the pool's handoff check) and inside each
+        // subtree walk (`walk` polls); a tripped run discards every
+        // partial buffer on the normal drop path.
         let results = par::run_tasks_cancellable(
             threads,
             frontier,
             ctx.cancel,
             Memo::default,
-            |memo, &(n, parent)| {
-                let (h0, m0) = (memo.hits, memo.misses);
-                let (a0, d0, p0) = (memo.cell_allow, memo.cell_deny, memo.cell_dep);
+            |memo, &(n, parent, parent_same)| {
                 let mut out: Vec<(usize, Label)> = Vec::new();
-                let walked = label_subtree(&ctx, n, parent, memo, &mut |i, lab| out.push((i, lab)));
-                walked.map(|()| {
-                    (
-                        out,
-                        [
-                            memo.hits - h0,
-                            memo.misses - m0,
-                            memo.cell_allow - a0,
-                            memo.cell_deny - d0,
-                            memo.cell_dep - p0,
-                        ],
-                    )
-                })
+                let walked =
+                    walk(&ctx, n, &parent, parent_same, memo, &mut |i, lab| out.push((i, lab)));
+                walked.map(|()| (out, std::mem::take(&mut memo.counts)))
             },
         )
         .map_err(|c| EvalError::Cancelled(c.reason))?;
         for task in results {
-            let (out, [h, m, ca, cd, cp]) = task.map_err(|c| EvalError::Cancelled(c.reason))?;
-            memo.hits += h;
-            memo.misses += m;
-            memo.cell_allow += ca;
-            memo.cell_deny += cd;
-            memo.cell_dep += cp;
+            let (out, counts) = task.map_err(|c| EvalError::Cancelled(c.reason))?;
+            memo.counts.add(counts);
             for (i, lab) in out {
                 labels[i] = lab;
             }
         }
     } else {
-        for (n, parent) in frontier {
-            let slots = &mut labels;
-            let mut emit = |i: usize, lab: Label| slots[i] = lab;
-            label_subtree(&ctx, n, parent, &mut memo, &mut emit)
+        for (n, parent, parent_same) in frontier {
+            let mut emit = |i: usize, lab: Label| labels[i] = lab;
+            walk(&ctx, n, &parent, parent_same, &mut memo, &mut emit)
                 .map_err(|c| EvalError::Cancelled(c.reason))?;
         }
     }
-    record_traffic(memo.hits, memo.misses);
-    record_cell_hits(memo.cell_allow, memo.cell_deny, memo.cell_dep);
+    let c = memo.counts;
+    record_traffic(c.hits, c.misses);
+    record_cell_hits(c.cell_allow, c.cell_deny, c.cell_dep);
+    if incremental {
+        record_relabel(c.reused, c.resolved);
+    }
 
-    // Statistics.
-    let mut labeling = Labeling {
-        labels,
-        stats: ViewStats {
-            instance_auths: axml.len(),
-            schema_auths: adtd.len(),
-            ..Default::default()
-        },
-        incremental: None,
-    };
-    let mut labeled = 0usize;
-    let mut granted = 0usize;
+    let stats = view_stats(doc, &labels, axml.len(), adtd.len());
+    Ok(Labeling { labels, stats, incremental: captured })
+}
+
+/// The statistics of a labeling: every element and attribute of `doc`
+/// is labeled, and those with a positive final sign are granted.
+fn view_stats(
+    doc: &Document,
+    labels: &[Label],
+    instance_auths: usize,
+    schema_auths: usize,
+) -> ViewStats {
+    let mut stats = ViewStats { instance_auths, schema_auths, ..Default::default() };
     for n in doc.preorder(doc.root()) {
-        labeled += 1;
-        if labeling.labels[n.index()].final_sign == Sign3::Plus {
-            granted += 1;
+        stats.labeled_nodes += 1;
+        if labels[n.index()].final_sign == Sign3::Plus {
+            stats.granted_nodes += 1;
         }
     }
-    labeling.stats.labeled_nodes = labeled;
-    labeling.stats.granted_nodes = granted;
-    Ok(labeling)
+    stats
+}
+
+/// What an incremental run may keep from the previous one.
+struct Reuse<'a> {
+    /// `clean[i]`: slot `i` holds the same node (generation) with the
+    /// same match mask as in the previous run, so its previous label
+    /// holds as long as its parent's label is unchanged too.
+    clean: Vec<bool>,
+    /// The previous run's labels.
+    prev: &'a [Label],
 }
 
 struct LabelCtx<'a> {
@@ -528,6 +579,8 @@ struct LabelCtx<'a> {
     compiled: Option<&'a CompiledPolicy>,
     /// Request-scoped cancellation, polled in the subtree walks.
     cancel: Option<&'a CancelToken>,
+    /// Set on incremental runs with a compatible previous labeling.
+    reuse: Option<Reuse<'a>>,
 }
 
 impl LabelCtx<'_> {
@@ -553,14 +606,14 @@ impl LabelCtx<'_> {
         match exact {
             Some(lab) => {
                 if self.is_allowed(lab.final_sign) {
-                    memo.cell_allow += 1;
+                    memo.counts.cell_allow += 1;
                 } else {
-                    memo.cell_deny += 1;
+                    memo.counts.cell_deny += 1;
                 }
                 Some(lab)
             }
             None => {
-                memo.cell_dep += 1;
+                memo.counts.cell_dep += 1;
                 None
             }
         }
@@ -579,14 +632,14 @@ impl LabelCtx<'_> {
         match exact {
             Some(lab) => {
                 if self.is_allowed(lab.final_sign) {
-                    memo.cell_allow += 1;
+                    memo.counts.cell_allow += 1;
                 } else {
-                    memo.cell_deny += 1;
+                    memo.counts.cell_deny += 1;
                 }
                 Some(lab)
             }
             None => {
-                memo.cell_dep += 1;
+                memo.counts.cell_dep += 1;
                 None
             }
         }
@@ -628,18 +681,18 @@ impl LabelCtx<'_> {
         }
         let mask = self.mask_of(n);
         if let Some(lab) = memo.local.get(&(is_attribute, mask)) {
-            memo.hits += 1;
+            memo.counts.hits += 1;
             return *lab;
         }
         let key = DecisionKey { fingerprint: self.fingerprint, is_attribute, mask };
         if let Some(shared) = self.decisions {
             if let Some(lab) = shared.get(&key) {
-                memo.hits += 1;
+                memo.counts.hits += 1;
                 memo.local.insert((is_attribute, mask), lab);
                 return lab;
             }
         }
-        memo.misses += 1;
+        memo.counts.misses += 1;
         let off = self.xml.len();
         let lab = self.resolve_with(
             is_attribute,
@@ -759,31 +812,71 @@ impl LabelCtx<'_> {
         lab.final_sign = lab.collapse();
         lab
     }
+
+    /// The previous label of slot `i` when it still holds: reuse state is
+    /// attached, the slot is clean, and its parent kept its label
+    /// (`parent_same`). A label is a pure function of the node's match
+    /// mask and its parent's label, so nothing else can have changed it.
+    fn kept(&self, i: usize, parent_same: bool, memo: &mut Memo) -> Option<Label> {
+        match self.reuse.as_ref().filter(|r| parent_same && r.clean[i]) {
+            Some(r) => {
+                memo.counts.reused += 1;
+                Some(r.prev[i])
+            }
+            None => {
+                memo.counts.resolved += 1;
+                None
+            }
+        }
+    }
+
+    /// Labels element `n` and its attributes under the parent's label,
+    /// emitting `(arena slot, label)` pairs and keeping previous labels
+    /// where [`LabelCtx::kept`] allows. Returns `n`'s label and whether it
+    /// was kept: only then may its clean children keep theirs.
+    fn label_step(
+        &self,
+        n: NodeId,
+        parent: &Label,
+        parent_same: bool,
+        memo: &mut Memo,
+        emit: &mut impl FnMut(usize, Label),
+    ) -> (Label, bool) {
+        let kept = self.kept(n.index(), parent_same, memo);
+        let lab = kept.unwrap_or_else(|| self.label_element(n, parent, memo));
+        emit(n.index(), lab);
+        for &a in self.doc.attributes(n) {
+            let lab_a = match self.kept(a.index(), kept.is_some(), memo) {
+                Some(prev) => prev,
+                None => self.label_attribute(a, n, &lab, memo),
+            };
+            emit(a.index(), lab_a);
+        }
+        (lab, kept.is_some())
+    }
 }
 
-/// Labels the subtree rooted at `n` given its parent's (already decided)
+/// Labels the subtree rooted at `n` under its parent's (already decided)
 /// label, emitting `(arena slot, label)` pairs — directly into the label
 /// vector on the sequential path, into a per-worker buffer under
-/// parallel fan-out. Polls the request token once per element (amortized
-/// inside [`CancelToken::poll`]), unwinding through the recursion with
-/// the partial emit buffer discarded by the caller.
-fn label_subtree(
+/// parallel fan-out. `parent_same`: the parent kept its previous label.
+/// Polls the request token once per element (amortized inside
+/// [`CancelToken::poll`]), unwinding through the recursion with the
+/// partial emit buffer discarded by the caller.
+fn walk(
     ctx: &LabelCtx<'_>,
     n: NodeId,
-    parent: Label,
+    parent: &Label,
+    parent_same: bool,
     memo: &mut Memo,
     emit: &mut impl FnMut(usize, Label),
 ) -> Result<(), Cancelled> {
     if let Some(t) = ctx.cancel {
         t.poll()?;
     }
-    let lab = ctx.label_element(n, &parent, memo);
-    emit(n.index(), lab);
-    for &a in ctx.doc.attributes(n) {
-        emit(a.index(), ctx.label_attribute(a, n, &lab, memo));
-    }
+    let (lab, same) = ctx.label_step(n, parent, parent_same, memo, emit);
     for c in ctx.doc.child_elements(n) {
-        label_subtree(ctx, c, lab, memo, emit)?;
+        walk(ctx, c, &lab, same, memo, emit)?;
     }
     Ok(())
 }
@@ -800,11 +893,9 @@ fn label_subtree(
 fn label_fast_path(
     doc: &Document,
     cp: &CompiledPolicy,
-    instance_auths: usize,
-    schema_auths: usize,
     policy: PolicyConfig,
     cancel: Option<&CancelToken>,
-) -> Result<Option<Labeling>, Cancelled> {
+) -> Result<Option<Vec<Label>>, Cancelled> {
     if doc.element_name(doc.root()) != Some(cp.root.as_str()) {
         return Ok(None);
     }
@@ -843,15 +934,8 @@ fn label_fast_path(
         }
         stack.extend(doc.child_elements(n));
     }
-    let mut stats = ViewStats { instance_auths, schema_auths, ..Default::default() };
-    for n in doc.preorder(doc.root()) {
-        stats.labeled_nodes += 1;
-        if labels[n.index()].final_sign == Sign3::Plus {
-            stats.granted_nodes += 1;
-        }
-    }
     record_cell_hits(allow, deny, 0);
-    Ok(Some(Labeling { labels, stats, incremental: None }))
+    Ok(Some(labels))
 }
 
 /// Flushes incremental-relabel traffic to telemetry: how many nodes kept
@@ -885,9 +969,9 @@ fn record_relabel(reused: u64, resolved: u64) {
 /// reuse state in the returned [`Labeling`] and — when `prev` carries
 /// compatible state from an earlier call — **relabels only the dirty
 /// region**: the nodes whose match mask changed, the slots recycled by
-/// the update, and the descendants of any node whose propagated label
-/// changed. Everything else keeps its previous label without touching
-/// the resolution machinery.
+/// the update, and the descendants of every node it relabels. Everything
+/// else keeps its previous label without touching the resolution
+/// machinery.
 ///
 /// Soundness: a node's label is a pure function of `(its match mask,
 /// its parent's label)` — the element and attribute label rules read
@@ -895,10 +979,11 @@ fn record_relabel(reused: u64, resolved: u64) {
 /// type alone, which cannot change while the slot generation is
 /// unchanged. Authorization objects are re-evaluated globally every call
 /// (an XPath predicate may read content anywhere in the document), so
-/// changed masks are always observed; the walk then descends only where
+/// changed masks are always observed; the walk then relabels only where
 /// `(generation, mask, parent label)` differs from the previous run,
 /// which makes the result identical — not just equivalent — to a cold
-/// [`label_document_engine`] run.
+/// [`label_document_engine`] run. Incremental runs are sequential and
+/// never take the compiled fast path.
 ///
 /// `prev` is ignored (full relabel, state still captured) when it has no
 /// reuse state or was computed under a different policy fingerprint.
@@ -913,230 +998,7 @@ pub fn label_document_incremental(
     opts: &EngineOptions<'_>,
     prev: Option<&Labeling>,
 ) -> Result<Labeling, EvalError> {
-    if axml.len() + adtd.len() > 128 {
-        return label_document_engine(doc, axml, adtd, dir, policy, opts);
-    }
-    // Always canonicalize: mask bit `i` must mean the same authorization
-    // in the run that captured the state and in the run that compares
-    // against it, independent of presentation order (and of whether a
-    // decision cache happens to be attached).
-    fn canonical<'x>(set: &[&'x Authorization]) -> Vec<&'x Authorization> {
-        let mut v = set.to_vec();
-        v.sort_by_cached_key(|a| a.to_string());
-        v
-    }
-    let axml = canonical(axml);
-    let adtd = canonical(adtd);
-    let fingerprint = policy_fingerprint(&axml, &adtd, dir, policy);
-    let compiled = opts.compiled.filter(|cp| cp.fingerprint == fingerprint);
-
-    if let Some(t) = opts.cancel {
-        t.check().map_err(|c| EvalError::Cancelled(c.reason))?;
-    }
-
-    // Global re-evaluation of the applicable objects (predicates may read
-    // mutated content anywhere); the budget pool and cancellation
-    // contract match the plain engine.
-    let pool = match opts.cancel {
-        Some(t) => SharedBudget::with_cancel(opts.limits.max_node_visits, t.clone()),
-        None => SharedBudget::new(opts.limits.max_node_visits),
-    };
-    let xml_matched = evaluate_auths(doc, &axml, &opts.limits, &pool, 1)?;
-    let dtd_matched = evaluate_auths(doc, &adtd, &opts.limits, &pool, 1)?;
-
-    let ctx = LabelCtx {
-        doc,
-        xml: &xml_matched,
-        dtd: &dtd_matched,
-        dir,
-        policy,
-        fingerprint,
-        decisions: opts.decisions,
-        compiled,
-        cancel: opts.cancel,
-    };
-
-    let len = doc.arena_len();
-    let mut masks = vec![0u128; len];
-    for n in doc.preorder(doc.root()) {
-        masks[n.index()] = ctx.mask_of(n);
-    }
-    let gens: Vec<u32> = (0..len).map(|i| doc.slot_generation(i).unwrap_or(0)).collect();
-
-    let reusable = prev
-        .and_then(|p| p.incremental.as_ref())
-        .filter(|s| s.fingerprint == fingerprint);
-
-    // `clean[i]`: slot i held the same node (generation) with the same
-    // match mask last run — its previous label can be reused as long as
-    // its parent's label also comes out unchanged.
-    let mut clean = vec![false; len];
-    let mut prev_labels: &[Label] = &[];
-    if let Some(state) = reusable {
-        let p = prev.expect("reusable implies prev");
-        prev_labels = &p.labels;
-        let overlap = len.min(state.masks.len());
-        for (i, c) in clean.iter_mut().enumerate().take(overlap) {
-            *c = state.gens[i] == gens[i] && state.masks[i] == masks[i];
-        }
-    }
-    // `hot[i]`: the subtree below slot i contains a non-clean node, so
-    // the walk must descend through i even when i itself is reusable.
-    let mut hot = vec![false; len];
-    for n in doc.preorder(doc.root()) {
-        let i = n.index();
-        if !clean[i] && !hot[i] {
-            let mut cur = doc.parent(n);
-            while let Some(a) = cur {
-                let ai = a.index();
-                if hot[ai] {
-                    break;
-                }
-                hot[ai] = true;
-                cur = doc.parent(a);
-            }
-        }
-    }
-
-    let mut labels = vec![Label::default(); len];
-    let mut memo = Memo::default();
-    let (mut reused, mut resolved) = (0u64, 0u64);
-
-    // Copies the previous labels of the whole (clean) subtree under `n`.
-    fn copy_subtree(
-        doc: &Document,
-        n: NodeId,
-        prev_labels: &[Label],
-        labels: &mut [Label],
-        reused: &mut u64,
-    ) {
-        for m in doc.preorder(n) {
-            labels[m.index()] = prev_labels[m.index()];
-            *reused += 1;
-        }
-    }
-
-    // Relabels top-down, descending only where something changed.
-    // `parent_same`: the parent's new label equals its previous one, so
-    // a clean child's previous label is still valid.
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        ctx: &LabelCtx<'_>,
-        n: NodeId,
-        parent: &Label,
-        parent_same: bool,
-        clean: &[bool],
-        hot: &[bool],
-        prev_labels: &[Label],
-        labels: &mut [Label],
-        memo: &mut Memo,
-        reused: &mut u64,
-        resolved: &mut u64,
-    ) -> Result<(), Cancelled> {
-        if let Some(t) = ctx.cancel {
-            t.poll()?;
-        }
-        let i = n.index();
-        if parent_same && clean[i] && !hot[i] {
-            copy_subtree(ctx.doc, n, prev_labels, labels, reused);
-            return Ok(());
-        }
-        let lab = if parent_same && clean[i] {
-            *reused += 1;
-            prev_labels[i]
-        } else {
-            *resolved += 1;
-            ctx.label_element(n, parent, memo)
-        };
-        labels[i] = lab;
-        let same = parent_same && clean[i] && lab == prev_labels[i];
-        for &a in ctx.doc.attributes(n) {
-            let ai = a.index();
-            if same && clean[ai] {
-                labels[ai] = prev_labels[ai];
-                *reused += 1;
-            } else {
-                labels[ai] = ctx.label_attribute(a, n, &lab, memo);
-                *resolved += 1;
-            }
-        }
-        for c in ctx.doc.child_elements(n) {
-            walk(ctx, c, &lab, same, clean, hot, prev_labels, labels, memo, reused, resolved)?;
-        }
-        Ok(())
-    }
-
-    // Root: no parent propagation, so "parent unchanged" is vacuously
-    // true and the root reuses its previous label whenever it is clean.
-    let root = doc.root();
-    let ri = root.index();
-    if clean[ri] && !hot[ri] {
-        copy_subtree(doc, root, prev_labels, &mut labels, &mut reused);
-    } else {
-        let root_label = if clean[ri] {
-            reused += 1;
-            prev_labels[ri]
-        } else {
-            resolved += 1;
-            ctx.compiled_element(root, &mut memo).unwrap_or_else(|| {
-                let mut lab = ctx.initial_label(root, false, &mut memo);
-                lab.final_sign = lab.collapse();
-                lab
-            })
-        };
-        labels[ri] = root_label;
-        let same = clean[ri] && root_label == prev_labels[ri];
-        for &a in doc.attributes(root) {
-            let ai = a.index();
-            if same && clean[ai] {
-                labels[ai] = prev_labels[ai];
-                reused += 1;
-            } else {
-                labels[ai] = ctx.label_attribute(a, root, &root_label, &mut memo);
-                resolved += 1;
-            }
-        }
-        for c in doc.child_elements(root) {
-            walk(
-                &ctx,
-                c,
-                &root_label,
-                same,
-                &clean,
-                &hot,
-                prev_labels,
-                &mut labels,
-                &mut memo,
-                &mut reused,
-                &mut resolved,
-            )
-            .map_err(|c| EvalError::Cancelled(c.reason))?;
-        }
-    }
-    record_traffic(memo.hits, memo.misses);
-    record_cell_hits(memo.cell_allow, memo.cell_deny, memo.cell_dep);
-    record_relabel(reused, resolved);
-
-    let mut labeling = Labeling {
-        labels,
-        stats: ViewStats {
-            instance_auths: axml.len(),
-            schema_auths: adtd.len(),
-            ..Default::default()
-        },
-        incremental: Some(IncrementalState { masks, gens, fingerprint }),
-    };
-    let mut labeled = 0usize;
-    let mut granted = 0usize;
-    for n in doc.preorder(doc.root()) {
-        labeled += 1;
-        if labeling.labels[n.index()].final_sign == Sign3::Plus {
-            granted += 1;
-        }
-    }
-    labeling.stats.labeled_nodes = labeled;
-    labeling.stats.granted_nodes = granted;
-    Ok(labeling)
+    label_run(doc, axml, adtd, dir, policy, opts, Run::Incremental { prev })
 }
 
 /// The paper's `prune(T, n)` (postorder): removes from `doc` every node
@@ -1231,8 +1093,8 @@ pub fn compute_view_engine(
     compute_view_fingerprinted(doc, axml, adtd, dir, policy, opts, None)
 }
 
-/// [`compute_view_engine`] with an optional precomputed fingerprint
-/// (see [`label_document_fingerprinted`]).
+/// [`compute_view_engine`], reusing the [`policy_fingerprint`] of the
+/// inputs when the caller already computed it.
 pub(crate) fn compute_view_fingerprinted(
     mut doc: Document,
     axml: &[&Authorization],
@@ -1244,7 +1106,7 @@ pub(crate) fn compute_view_fingerprinted(
 ) -> Result<(Document, ViewStats), EvalError> {
     let labeling = {
         let _s = crate::stages::label();
-        label_document_fingerprinted(&doc, axml, adtd, dir, policy, opts, fingerprint)?
+        label_run(&doc, axml, adtd, dir, policy, opts, Run::Plain { fingerprint })?
     };
     let _s = crate::stages::prune();
     let removed = prune_document(&mut doc, &labeling, policy);
@@ -1830,5 +1692,124 @@ mod tests {
         // ...does not cover two: the pool is request-wide, not per-object.
         assert_eq!(run(&two, cost), Err(EvalError::NodeBudget { limit: cost }));
         assert!(run(&two, 2 * cost).is_ok());
+    }
+
+    // ---- engine: incremental relabeling ----
+
+    fn reused_counter() -> std::sync::Arc<xmlsec_telemetry::Counter> {
+        xmlsec_telemetry::global().counter(
+            "xmlsec_relabel_nodes_total",
+            "Nodes whose label was reused across an incremental relabel.",
+            &[("kind", "reused")],
+        )
+    }
+
+    fn slot_generations(doc: &Document) -> Vec<u32> {
+        (0..doc.arena_len()).map(|i| doc.slot_generation(i).unwrap_or(0)).collect()
+    }
+
+    /// Applies `ops` to `doc` after labeling it incrementally, relabels
+    /// against that labeling, and checks the result label for label
+    /// against a cold run. Returns `(nodes in slots the batch did not
+    /// touch, nodes in recycled slots, reused-counter growth)`.
+    fn relabel_after(
+        doc: &mut Document,
+        auths: &[Authorization],
+        ops: &[crate::update::UpdateOp],
+    ) -> (u64, u64, u64) {
+        let ax: Vec<&Authorization> = auths.iter().collect();
+        let (d, policy) = (dir(), PolicyConfig::paper_default());
+        let opts = EngineOptions::sequential(EvalLimits::default_limits());
+        let first = label_document_incremental(doc, &ax, &[], &d, policy, &opts, None).unwrap();
+        assert!(first.supports_incremental());
+        let gens = slot_generations(doc);
+        crate::update::apply_updates_preauthorized(doc, ops, None).unwrap();
+
+        let reused = reused_counter();
+        let before = reused.get();
+        let next =
+            label_document_incremental(doc, &ax, &[], &d, policy, &opts, Some(&first)).unwrap();
+        let grown = reused.get() - before;
+        let cold = label_document_engine(doc, &ax, &[], &d, policy, &opts).unwrap();
+        for n in doc.preorder(doc.root()) {
+            assert_eq!(next.label(n), cold.label(n), "slot {}", n.index());
+        }
+        assert_eq!(next.stats, cold.stats);
+
+        let (mut untouched, mut recycled) = (0, 0);
+        for n in doc.preorder(doc.root()) {
+            match gens.get(n.index()) {
+                Some(&g) if g == n.generation() => untouched += 1,
+                Some(_) => recycled += 1,
+                None => {}
+            }
+        }
+        (untouched, recycled, grown)
+    }
+
+    #[test]
+    fn incremental_relabel_after_settext_matches_cold_and_reuses_every_node() {
+        use crate::update::UpdateOp;
+        let mut doc = parse(&wide_doc_text()).unwrap();
+        let ops = [UpdateOp::SetText {
+            target: "/lab/project[2]/paper[3]/title".into(),
+            text: "changed".into(),
+        }];
+        let (untouched, _, grown) = relabel_after(&mut doc, &engine_auths(), &ops);
+        // No authorization reads text, so no match mask moved.
+        assert_eq!(untouched, doc.preorder(doc.root()).count() as u64);
+        assert!(grown >= untouched, "reused grew by {grown}, {untouched} nodes untouched");
+    }
+
+    #[test]
+    fn incremental_relabel_after_recycling_delete_and_insert_matches_cold() {
+        use crate::update::UpdateOp;
+        let mut doc = parse(&wide_doc_text()).unwrap();
+        let ops = [
+            UpdateOp::Delete { target: "/lab/project[1]/paper[1]".into() },
+            UpdateOp::InsertSubtree {
+                parent: "/lab/project[5]".into(),
+                xml: r#"<paper n="1"><title>new</title><body>b</body></paper>"#.into(),
+            },
+        ];
+        let (untouched, recycled, grown) = relabel_after(&mut doc, &engine_auths(), &ops);
+        assert!(recycled > 0, "the insert must reuse slots the delete freed");
+        assert!(grown >= untouched, "reused grew by {grown}, {untouched} nodes untouched");
+    }
+
+    #[test]
+    fn incremental_relabel_redoes_clean_children_of_a_relabeled_parent() {
+        use crate::update::UpdateOp;
+        // Project 1 turns internal: its mask and label change, while most
+        // of its papers keep their masks and must still follow it.
+        let mut doc = parse(&wide_doc_text()).unwrap();
+        let ops = [UpdateOp::SetAttribute {
+            target: "/lab/project[1]".into(),
+            name: "kind".into(),
+            value: "internal".into(),
+        }];
+        relabel_after(&mut doc, &engine_auths(), &ops);
+    }
+
+    #[test]
+    fn incremental_relabel_ignores_prev_from_other_applicable_sets() {
+        // The same object under the opposite sign: every match mask
+        // coincides, so only the fingerprint tells the runs apart.
+        let doc = parse(&wide_doc_text()).unwrap();
+        let grant = [auth("d.xml:/lab", Sign::Plus, AuthType::Recursive)];
+        let deny = [auth("d.xml:/lab", Sign::Minus, AuthType::Recursive)];
+        let (gx, dx): (Vec<&Authorization>, Vec<&Authorization>) =
+            (grant.iter().collect(), deny.iter().collect());
+        let (d, policy) = (dir(), PolicyConfig::paper_default());
+        let opts = EngineOptions::sequential(EvalLimits::default_limits());
+        let prev = label_document_incremental(&doc, &gx, &[], &d, policy, &opts, None).unwrap();
+        let got =
+            label_document_incremental(&doc, &dx, &[], &d, policy, &opts, Some(&prev)).unwrap();
+        let cold = label_document_engine(&doc, &dx, &[], &d, policy, &opts).unwrap();
+        for n in doc.preorder(doc.root()) {
+            assert_eq!(got.label(n), cold.label(n), "slot {}", n.index());
+        }
+        assert_eq!(got.stats, cold.stats);
+        assert!(got.supports_incremental());
     }
 }

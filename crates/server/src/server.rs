@@ -276,8 +276,8 @@ pub fn etag_matches(if_none_match: &str, etag: &str) -> bool {
 /// to recompute the view against the post-update document without
 /// rerunning the full pipeline. `prev` is the labeling of the
 /// repository's parsed document from the last patch (or `None` before
-/// the first), fed to [`label_document_incremental`] so only the dirty
-/// subtree and its ancestor chain are relabeled.
+/// the first, which relabels in full and captures the reuse state), fed
+/// to [`label_document_incremental`] so unchanged nodes keep their labels.
 struct PatchEntry {
     requester: Requester,
     prev: Option<Arc<Labeling>>,
@@ -606,12 +606,40 @@ impl SecureServer {
 
     /// Handles one request end to end.
     pub fn handle(&self, req: &ClientRequest) -> Result<ServerResponse, ServerError> {
-        self.handle_conditional(req, None).map(|o| match o {
+        self.handle_full(req, None)
+    }
+
+    /// [`SecureServer::handle_cancellable`] without an `If-None-Match`,
+    /// which always yields the full response.
+    fn handle_full(
+        &self,
+        req: &ClientRequest,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ServerResponse, ServerError> {
+        self.handle_cancellable(req, None, cancel).map(|o| match o {
             ConditionalOutcome::Full(resp) => resp,
             // Unreachable: without an If-None-Match nothing can match.
             ConditionalOutcome::NotModified { etag } => {
                 ServerResponse { xml: String::new(), loosened_dtd: None, cached: true, etag }
             }
+        })
+    }
+
+    /// Parses `text` under the server's XML limits, observing `cancel`.
+    fn parse_xml(
+        &self,
+        text: &str,
+        cancel: Option<&CancelToken>,
+    ) -> Result<xmlsec_xml::Document, ServerError> {
+        xmlsec_xml::parse_cancellable(
+            text,
+            xmlsec_xml::ParseOptions::default(),
+            &self.limits().xml,
+            cancel,
+        )
+        .map_err(|e| match e.kind {
+            xmlsec_xml::XmlErrorKind::Cancelled(r) => ServerError::Cancelled(r),
+            _ => ServerError::Processing(e.to_string()),
         })
     }
 
@@ -868,23 +896,8 @@ impl SecureServer {
     ) -> Result<QueryResponse, ServerError> {
         let parsed =
             xmlsec_xpath::parse_path(path).map_err(|e| ServerError::BadQuery(e.to_string()))?;
-        let resp = match self.handle_cancellable(req, None, cancel)? {
-            ConditionalOutcome::Full(resp) => resp,
-            // Unreachable: without an If-None-Match nothing can match.
-            ConditionalOutcome::NotModified { etag } => {
-                ServerResponse { xml: String::new(), loosened_dtd: None, cached: true, etag }
-            }
-        };
-        let view = xmlsec_xml::parse_cancellable(
-            &resp.xml,
-            xmlsec_xml::ParseOptions::default(),
-            &self.limits().xml,
-            cancel,
-        )
-        .map_err(|e| match e.kind {
-            xmlsec_xml::XmlErrorKind::Cancelled(r) => ServerError::Cancelled(r),
-            _ => ServerError::Processing(e.to_string()),
-        })?;
+        let resp = self.handle_full(req, cancel)?;
+        let view = self.parse_xml(&resp.xml, cancel)?;
         // The query path is requester-supplied: budget its evaluation so a
         // hostile expression cannot pin the worker; the token rides in the
         // shared budget, so every draw is also a cancellation checkpoint.
@@ -959,16 +972,7 @@ impl SecureServer {
         // first after a byte-level `put_document`) pays a parse.
         if repo.parsed_document(&req.uri).is_none() {
             let xml_text = repo.document(&req.uri).map(|s| s.xml.clone()).unwrap_or_default();
-            let mut doc = xmlsec_xml::parse_cancellable(
-                &xml_text,
-                xmlsec_xml::ParseOptions::default(),
-                &self.limits().xml,
-                cancel,
-            )
-            .map_err(|e| match e.kind {
-                xmlsec_xml::XmlErrorKind::Cancelled(r) => ServerError::Cancelled(r),
-                _ => ServerError::Processing(e.to_string()),
-            })?;
+            let mut doc = self.parse_xml(&xml_text, cancel)?;
             // Normalize defaulted attributes exactly as the read path
             // does, so write authorizations conditioned on them match.
             if let Some(d) = &dtd_parsed {
