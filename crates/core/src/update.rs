@@ -170,8 +170,8 @@ pub struct UpdateOutcome {
     /// document: targets of text/attribute writes, roots of inserted or
     /// replacing subtrees, and parents of deletions. A later op in the
     /// same batch may have since removed a recorded node — consumers
-    /// (incremental rehashers) must skip ids for which
-    /// [`Document::contains`] is false.
+    /// must skip ids for which [`Document::contains`] is false. No
+    /// server path reads it.
     pub dirty: Vec<NodeId>,
 }
 

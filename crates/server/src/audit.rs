@@ -1,8 +1,10 @@
-//! Audit log: a record of every access decision the server takes.
+//! Audit log: a record of every access decision the server takes, of
+//! which the most recent [`AUDIT_CAPACITY`] are kept.
 //!
 //! Appends are timed into the `xmlsec_audit_append_duration_seconds`
 //! histogram so `/metrics` exposes the cost of the audit trail itself.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use xmlsec_telemetry as telemetry;
@@ -80,10 +82,17 @@ fn append_histogram() -> &'static Arc<telemetry::Histogram> {
     })
 }
 
-/// Thread-safe, append-only audit log.
+/// How many records an [`AuditLog`] keeps: the most recent ones, so
+/// clients cannot grow server memory by sending requests. Sequence
+/// numbers keep counting every record ever appended.
+pub const AUDIT_CAPACITY: usize = 16_384;
+
+/// Thread-safe, append-only audit log holding the most recent
+/// [`AUDIT_CAPACITY`] records.
 #[derive(Debug, Default)]
 pub struct AuditLog {
-    inner: Mutex<Vec<AuditRecord>>,
+    /// The kept records, oldest first.
+    inner: Mutex<VecDeque<AuditRecord>>,
 }
 
 impl AuditLog {
@@ -92,16 +101,20 @@ impl AuditLog {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<AuditRecord>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<AuditRecord>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends a record, assigning its sequence number.
+    /// Appends a record, assigning its sequence number; the oldest record
+    /// goes when [`AUDIT_CAPACITY`] are already kept.
     pub fn record(&self, requester: &str, uri: &str, outcome: AuditOutcome) -> u64 {
         append_histogram().time(|| {
             let mut inner = self.lock();
-            let seq = inner.len() as u64;
-            inner.push(AuditRecord {
+            let seq = inner.back().map_or(0, |r| r.seq + 1);
+            if inner.len() == AUDIT_CAPACITY {
+                inner.pop_front();
+            }
+            inner.push_back(AuditRecord {
                 seq,
                 requester: requester.to_string(),
                 uri: uri.to_string(),
@@ -111,12 +124,12 @@ impl AuditLog {
         })
     }
 
-    /// A snapshot of all records.
+    /// A snapshot of the kept records, oldest first.
     pub fn records(&self) -> Vec<AuditRecord> {
-        self.lock().clone()
+        self.lock().iter().cloned().collect()
     }
 
-    /// Number of records.
+    /// Number of kept records (at most [`AUDIT_CAPACITY`]).
     pub fn len(&self) -> usize {
         self.lock().len()
     }
@@ -146,6 +159,19 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].uri, "b.xml");
         assert!(records[0].to_string().contains("NotFound"));
+    }
+
+    #[test]
+    fn only_the_most_recent_records_are_kept() {
+        let log = AuditLog::new();
+        let k = 5;
+        for _ in 0..AUDIT_CAPACITY + k {
+            log.record("Public@*(*)", "a.xml", AuditOutcome::NotFound);
+        }
+        assert_eq!(log.len(), AUDIT_CAPACITY);
+        let records = log.records();
+        assert_eq!(records.first().unwrap().seq, k as u64, "the oldest kept record");
+        assert_eq!(records.last().unwrap().seq, (AUDIT_CAPACITY + k - 1) as u64, "the newest");
     }
 
     #[test]

@@ -198,6 +198,18 @@ impl ViewCache {
         }
     }
 
+    /// Looks up a view for a caller that will not compute it on a miss
+    /// (the cache-only probe): a hit is counted, a miss is neither
+    /// counted nor swept, so a request that goes on to compute counts
+    /// its miss once, in [`ViewCache::get`].
+    pub(crate) fn get_cached(&self, key: &ViewKey) -> Option<CachedView> {
+        let mut inner = self.lock();
+        let view = inner.map.get(key).cloned()?;
+        inner.hits += 1;
+        cache_metrics().hits.inc();
+        Some(view)
+    }
+
     /// Stores a view, evicting the oldest entries if over capacity.
     pub fn put(&self, key: ViewKey, view: CachedView) {
         let mut inner = self.lock();

@@ -744,6 +744,7 @@ pub(crate) fn render_not_modified(etag: &str, keep_alive: bool) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::server::SecureServer;
+    use proptest::prelude::*;
     use std::io::Read;
     use xmlsec_authz::{AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
     use xmlsec_subjects::{Directory, Subject};
@@ -1236,5 +1237,84 @@ mod tests {
         assert!(buf.contains("Retry-After: "), "{buf}");
         let (_, view) = get(demo.addr(), "/doc.xml?user=ro&pass=pw&ip=1.2.3.4&host=h.x.org");
         assert!(view.contains("v1"), "the expired batch left the document alone: {view}");
+    }
+
+    /// One op and the line that renders it in the batch grammar. Paths
+    /// and names hold no tab; free-text fields may.
+    fn op_and_line() -> impl Strategy<Value = (UpdateOp, String)> {
+        let field = "[a-z/@*=' ]{1,12}";
+        let text = "[\t -~]{0,16}";
+        (0u8..6, field, field, text).prop_map(|(kind, a, b, t)| match kind {
+            0 => (
+                UpdateOp::SetText { target: a.clone(), text: t.clone() },
+                format!("settext {a}\t{t}"),
+            ),
+            1 => {
+                let value = t.replace('\t', " ");
+                let line = format!("setattr {a}\t{b}\t{value}");
+                (UpdateOp::SetAttribute { target: a, name: b, value }, line)
+            }
+            2 => (
+                UpdateOp::InsertElement { parent: a.clone(), name: b.clone() },
+                format!("insert {a}\t{b}"),
+            ),
+            3 => (
+                UpdateOp::InsertSubtree { parent: a.clone(), xml: t.clone() },
+                format!("insertsub {a}\t{t}"),
+            ),
+            4 => (
+                UpdateOp::ReplaceSubtree { target: a.clone(), xml: t.clone() },
+                format!("replacesub {a}\t{t}"),
+            ),
+            _ => (UpdateOp::Delete { target: a.clone() }, format!("delete {a}")),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn hostile_op_batches_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            let _ = parse_update_ops_with_lines(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn hostile_op_lines_never_panic(parts in prop::collection::vec((0usize..16, any::<u8>()), 0..32)) {
+            // Verbs, separators and payload fragments in any order, so
+            // every arm's error paths are reached.
+            const FRAGMENTS: [&str; 14] = [
+                "settext ", "setattr ", "insert ", "insertsub ", "replacesub ", "delete ",
+                "frobnicate ", "\t", "\n", "\r\n", "\r", "#", "/d/a", "<x/>",
+            ];
+            let mut body = String::new();
+            for (i, b) in parts {
+                match FRAGMENTS.get(i) {
+                    Some(f) => body.push_str(f),
+                    None => body.push(char::from(b)),
+                }
+            }
+            let _ = parse_update_ops_with_lines(&body);
+        }
+
+        #[test]
+        fn rendered_batches_parse_back_to_their_ops_and_lines(
+            batch in prop::collection::vec((op_and_line(), 0u8..3, 0u8..3), 1..8),
+        ) {
+            let mut body = String::new();
+            let mut line = 0u32;
+            let mut expect = Vec::new();
+            for ((op, rendered), filler, ending) in batch {
+                // Comment and blank lines are skipped but still counted.
+                for f in 0..filler {
+                    body.push_str(if f % 2 == 0 { "# note\n" } else { "\r\n" });
+                    line += 1;
+                }
+                body.push_str(&rendered);
+                body.push_str(if ending == 0 { "\r\n" } else { "\n" });
+                line += 1;
+                expect.push((line, op));
+            }
+            prop_assert_eq!(parse_update_ops_with_lines(&body), Ok(expect));
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! run per request, a [`ViewCache`] keyed by applicable-authorization
 //! fingerprint **and repository content hash** (requesters covered by
 //! the same authorizations share a view; a content change structurally
-//! misses — see `docs/CACHING.md`), and an append-only [`AuditLog`].
+//! misses — see `docs/CACHING.md`), and a bounded, append-only [`AuditLog`].
 //! The same content identity backs HTTP conditional revalidation
 //! (`ETag` / `If-None-Match` → 304).
 //!

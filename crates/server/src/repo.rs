@@ -3,20 +3,23 @@
 //! scenario: "a user requesting a set of XML documents from a remote
 //! site").
 //!
-//! Every stored document and DTD carries a **content hash**, computed
-//! once on registration or replacement — never per request. The view
-//! cache folds [`Repository::content_hash`] into its key, so a content
-//! change *necessarily* repoints every cache lookup for that document:
+//! Each document is one [`StoredDocument`] record: its bytes, their
+//! content hash, the validity memo of the current revision and, once the
+//! update path has parsed it, its parsed form. Every stored document and
+//! DTD carries a **content hash**, computed once on registration,
+//! replacement or commit — never per request. The view cache folds
+//! [`Repository::content_hash`] into its key, so a content change
+//! *necessarily* repoints every cache lookup for that document:
 //! explicit invalidation becomes hygiene (it reclaims space early)
-//! rather than a correctness requirement. Rehashes are counted in the
-//! `xmlsec_repo_rehash_total{kind}` telemetry series.
+//! rather than a correctness requirement. Registrations are counted in
+//! the `xmlsec_repo_rehash_total{kind}` telemetry series.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use xmlsec_core::PreparedSchema;
 use xmlsec_dtd::DtdError;
 use xmlsec_telemetry as telemetry;
-use xmlsec_xml::{Document, NodeData, NodeId};
+use xmlsec_xml::{Document, NodeId};
 
 /// 64-bit FNV-1a over a byte string: stable across processes (unlike
 /// `DefaultHasher`, whose seed is unspecified), cheap, and good enough
@@ -34,7 +37,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 fn rehash_counter(kind: &'static str) -> Arc<telemetry::Counter> {
     telemetry::global().counter(
         "xmlsec_repo_rehash_total",
-        "Content-hash computations on repository registration or update.",
+        "Content-hash computations on document or DTD registration.",
         &[("kind", kind)],
     )
 }
@@ -49,12 +52,7 @@ fn dtd_rehashes() -> &'static Arc<telemetry::Counter> {
     C.get_or_init(|| rehash_counter("dtd"))
 }
 
-fn incremental_rehashes() -> &'static Arc<telemetry::Counter> {
-    static C: OnceLock<Arc<telemetry::Counter>> = OnceLock::new();
-    C.get_or_init(|| rehash_counter("incremental"))
-}
-
-/// A stored XML document.
+/// A stored XML document: the one record the repository keeps per URI.
 #[derive(Debug, Clone)]
 pub struct StoredDocument {
     /// The document text as served.
@@ -65,6 +63,9 @@ pub struct StoredDocument {
     pub content_hash: u64,
     /// Memoized validity of this revision against its DTD.
     schema_valid: OnceLock<bool>,
+    /// The parsed, normalized form of this revision, once the update
+    /// path has built it (see [`Repository::store_parsed`]).
+    parsed: Option<ParsedDocument>,
 }
 
 impl StoredDocument {
@@ -88,22 +89,13 @@ struct StoredDtd {
     schema: Result<Arc<PreparedSchema>, DtdError>,
 }
 
-/// A document in parsed (and DTD-normalized) form, kept alongside the
-/// byte form so the update path never reparses: writes mutate this DOM
-/// in place and rehash only the dirty subtrees.
-///
-/// The content identity of a parsed document is a **Merkle-style tree
-/// hash**: every arena slot carries the hash of its subtree (node kind,
-/// names/values, attribute hashes, child hashes in order), and the
-/// document's hash is the root's. After an update,
-/// [`ParsedDocument::rehash_dirty`] recomputes exactly the dirty
-/// subtrees plus their ancestor chains — O(changed + depth), not O(doc).
+/// A document in parsed (and DTD-normalized) form, kept in its
+/// [`StoredDocument`] record so the update path never reparses: writes
+/// apply to a clone of this DOM and [`Repository::commit_update`]
+/// installs the result.
 #[derive(Debug, Clone)]
 pub struct ParsedDocument {
     doc: Document,
-    /// Per arena slot: subtree hash of the node occupying it (stale for
-    /// vacant slots; never read through them).
-    hashes: Vec<u64>,
     /// A validity flag for holders of a parsed form outside a
     /// repository; the server keeps its memo on the stored revision
     /// ([`StoredDocument::schema_valid`]).
@@ -111,13 +103,9 @@ pub struct ParsedDocument {
 }
 
 impl ParsedDocument {
-    /// Wraps a freshly parsed (and normalized) document, hashing every
-    /// subtree once.
+    /// Wraps a freshly parsed (and normalized) document.
     pub fn new(doc: Document) -> ParsedDocument {
-        let mut p = ParsedDocument { doc, hashes: Vec::new(), schema_valid: None };
-        p.hashes = vec![0; p.doc.arena_len()];
-        p.rehash_subtree(p.doc.root());
-        p
+        ParsedDocument { doc, schema_valid: None }
     }
 
     /// The parsed document.
@@ -125,8 +113,8 @@ impl ParsedDocument {
         &self.doc
     }
 
-    /// The recorded DTD-validity of this parsed form, if any (cleared by
-    /// [`ParsedDocument::rehash_dirty`]).
+    /// The recorded DTD-validity of this parsed form, if any (a commit
+    /// installs a new parsed form with none recorded).
     pub fn schema_valid(&self) -> Option<bool> {
         self.schema_valid
     }
@@ -135,108 +123,14 @@ impl ParsedDocument {
     pub fn set_schema_valid(&mut self, valid: bool) {
         self.schema_valid = Some(valid);
     }
-
-    /// The tree hash of the whole document.
-    pub fn root_hash(&self) -> u64 {
-        self.hashes[self.doc.root().index()]
-    }
-
-    /// Replaces the document with an updated revision of itself and
-    /// recomputes hashes for the given dirty subtree roots plus their
-    /// ancestor chains. Ids no longer live in `doc` (removed by a later
-    /// op of the same batch) are skipped. Returns the number of nodes
-    /// rehashed — the incremental work, which the
-    /// `xmlsec_repo_rehash_total{kind="incremental"}` counter absorbs.
-    pub fn rehash_dirty(&mut self, doc: Document, dirty: &[NodeId]) -> usize {
-        self.doc = doc;
-        self.schema_valid = None;
-        self.hashes.resize(self.doc.arena_len().max(self.hashes.len()), 0);
-        let mut rehashed = 0usize;
-        for &d in dirty {
-            if !self.doc.contains(d) {
-                continue;
-            }
-            rehashed += self.rehash_subtree(d);
-            // Recombine the ancestor chain shallowly: each parent's hash
-            // is rebuilt from its (now current) child hashes. Shared
-            // ancestors of several dirty nodes are recombined more than
-            // once — idempotent, and cheaper than deduplicating.
-            let mut cur = d;
-            while let Some(p) = self.doc.parent(cur) {
-                let h = self.shallow_hash(p);
-                self.hashes[p.index()] = h;
-                rehashed += 1;
-                cur = p;
-            }
-        }
-        rehashed
-    }
-
-    /// Full recompute of one subtree (post-order). Returns nodes hashed.
-    fn rehash_subtree(&mut self, n: NodeId) -> usize {
-        let mut count = 1usize;
-        for a in self.doc.attributes(n).to_vec() {
-            let h = self.shallow_hash(a);
-            self.hashes[a.index()] = h;
-            count += 1;
-        }
-        for c in self.doc.children(n).to_vec() {
-            count += self.rehash_subtree(c);
-        }
-        let h = self.shallow_hash(n);
-        self.hashes[n.index()] = h;
-        count
-    }
-
-    /// Hash of one node from its own data plus the *stored* hashes of
-    /// its attributes and children.
-    fn shallow_hash(&self, n: NodeId) -> u64 {
-        let mut buf: Vec<u8> = Vec::with_capacity(64);
-        match &self.doc.node(n).data {
-            NodeData::Element { name, attrs, children } => {
-                buf.push(1);
-                buf.extend_from_slice(name.as_bytes());
-                for &a in attrs {
-                    buf.push(0xfe);
-                    buf.extend_from_slice(&self.hashes[a.index()].to_le_bytes());
-                }
-                for &c in children {
-                    buf.push(0xff);
-                    buf.extend_from_slice(&self.hashes[c.index()].to_le_bytes());
-                }
-            }
-            NodeData::Attr { name, value } => {
-                buf.push(2);
-                buf.extend_from_slice(name.as_bytes());
-                buf.push(0);
-                buf.extend_from_slice(value.as_bytes());
-            }
-            NodeData::Text(t) => {
-                buf.push(3);
-                buf.extend_from_slice(t.as_bytes());
-            }
-            NodeData::Comment(t) => {
-                buf.push(4);
-                buf.extend_from_slice(t.as_bytes());
-            }
-            NodeData::Pi { target, data } => {
-                buf.push(5);
-                buf.extend_from_slice(target.as_bytes());
-                buf.push(0);
-                buf.extend_from_slice(data.as_bytes());
-            }
-        }
-        fnv1a64(&buf)
-    }
 }
 
-/// The repository: documents and DTD texts, keyed by URI, plus the
-/// parsed form of documents that have been through the update path.
+/// The repository: one record per document and the DTD texts, each
+/// keyed by URI.
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
     documents: HashMap<String, StoredDocument>,
     dtds: HashMap<String, StoredDtd>,
-    parsed: HashMap<String, ParsedDocument>,
 }
 
 impl Repository {
@@ -245,12 +139,11 @@ impl Repository {
         Self::default()
     }
 
-    /// Stores (or replaces) a document, rehashing its content. Any
-    /// parsed form held for `uri` is dropped — the bytes are now the
-    /// source of truth and the next update reparses them.
+    /// Stores (or replaces) a document, rehashing its content. The new
+    /// record has no parsed form — the bytes are the source of truth and
+    /// the next update reparses them.
     pub fn put_document(&mut self, uri: &str, xml: &str, dtd_uri: Option<&str>) {
         document_rehashes().inc();
-        self.parsed.remove(uri);
         self.documents.insert(
             uri.to_string(),
             StoredDocument {
@@ -258,6 +151,7 @@ impl Repository {
                 dtd_uri: dtd_uri.map(str::to_string),
                 content_hash: fnv1a64(xml.as_bytes()),
                 schema_valid: OnceLock::new(),
+                parsed: None,
             },
         );
     }
@@ -270,9 +164,9 @@ impl Repository {
     /// and so are their validity memos.
     pub fn put_dtd(&mut self, uri: &str, dtd: &str) {
         dtd_rehashes().inc();
-        for doc_uri in self.documents_with_dtd(uri) {
-            self.parsed.remove(&doc_uri);
-            if let Some(d) = self.documents.get_mut(&doc_uri) {
+        for d in self.documents.values_mut() {
+            if d.dtd_uri.as_deref() == Some(uri) {
+                d.parsed = None;
                 d.schema_valid = OnceLock::new();
             }
         }
@@ -286,58 +180,51 @@ impl Repository {
     /// The parsed form of `uri`, when one is held (populated by the
     /// update path via [`Repository::store_parsed`]).
     pub fn parsed_document(&self, uri: &str) -> Option<&ParsedDocument> {
-        self.parsed.get(uri)
+        self.documents.get(uri)?.parsed.as_ref()
     }
 
     /// Mutable access to the parsed form of `uri` (for memoizing the
     /// validity of the current revision).
     pub fn parsed_document_mut(&mut self, uri: &str) -> Option<&mut ParsedDocument> {
-        self.parsed.get_mut(uri)
+        self.documents.get_mut(uri)?.parsed.as_mut()
     }
 
     /// Caches the parsed (normalized) form of an already-stored
-    /// document. No effect on the byte form or its hash: the parsed form
-    /// only becomes the content authority once [`Repository::commit_update`]
-    /// runs.
+    /// document; a no-op when `uri` has no stored document. No effect on
+    /// the byte form, its hash or its validity memo: the parsed form
+    /// only becomes the content authority once
+    /// [`Repository::commit_update`] runs.
     pub fn store_parsed(&mut self, uri: &str, parsed: ParsedDocument) {
-        self.parsed.insert(uri.to_string(), parsed);
+        if let Some(d) = self.documents.get_mut(uri) {
+            d.parsed = Some(parsed);
+        }
     }
 
-    /// Commits an updated revision of `uri`'s parsed document: rehashes
-    /// the dirty subtrees incrementally (bounding the hashing work by
-    /// the batch's footprint), refreshes the served bytes from the new
-    /// DOM, recomputes the content hash from those bytes so every cache
+    /// Commits an updated revision of `uri`'s parsed document: installs
+    /// `doc` as the record's parsed form, refreshes the served bytes from
+    /// it, recomputes the content hash from those bytes so every cache
     /// key for the old revision is structurally unreachable, and resets
-    /// the revision's validity memo.
+    /// the revision's validity memo. `_dirty` (the batch's mutated
+    /// subtree roots) is not read.
     ///
-    /// The content hash stays **byte-derived** — the same scheme
+    /// The content hash is **byte-derived** — the same scheme
     /// [`Repository::put_document`] uses — so an updated document and a
     /// fresh server loading the committed bytes agree on the content
     /// identity (and therefore on entity tags: a client can revalidate
-    /// against a restarted or replicated instance). The incremental
-    /// tree hash is internal bookkeeping that decides *what* to rehash,
-    /// never the published identity.
+    /// against a restarted or replicated instance).
     ///
-    /// Returns the number of nodes rehashed, or `None` when `uri` has no
-    /// stored document or no parsed form (callers establish both first).
-    pub fn commit_update(
-        &mut self,
-        uri: &str,
-        doc: Document,
-        dirty: &[xmlsec_xml::NodeId],
-    ) -> Option<usize> {
-        if !self.documents.contains_key(uri) {
-            return None;
-        }
-        let parsed = self.parsed.get_mut(uri)?;
-        let rehashed = parsed.rehash_dirty(doc, dirty);
-        incremental_rehashes().add(rehashed as u64);
-        let xml = xmlsec_xml::serialize(&parsed.doc, &xmlsec_xml::SerializeOptions::canonical());
-        let stored = self.documents.get_mut(uri).expect("checked above");
+    /// Returns `false`, committing nothing, when `uri` has no stored
+    /// document or no parsed form (callers establish both first).
+    pub fn commit_update(&mut self, uri: &str, doc: Document, _dirty: &[NodeId]) -> bool {
+        let Some(stored) = self.documents.get_mut(uri).filter(|d| d.parsed.is_some()) else {
+            return false;
+        };
+        let xml = xmlsec_xml::serialize(&doc, &xmlsec_xml::SerializeOptions::canonical());
         stored.content_hash = fnv1a64(xml.as_bytes());
         stored.xml = xml;
         stored.schema_valid = OnceLock::new();
-        Some(rehashed)
+        stored.parsed = Some(ParsedDocument::new(doc));
+        true
     }
 
     /// Fetches a document.
@@ -495,41 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_hash_matches_full_recompute_after_incremental_rehash() {
-        let doc = xmlsec_xml::parse(r#"<doc><a x="1">t</a><b>u</b></doc>"#).unwrap();
-        let mut parsed = ParsedDocument::new(doc.clone());
-
-        // Mutate: change <a>'s text, add an attribute on <b>.
-        let mut updated = doc;
-        let a = updated.child_elements(updated.root()).next().unwrap();
-        let b = updated.child_elements(updated.root()).nth(1).unwrap();
-        let t = updated.children(a).iter().copied().find(|&c| updated.is_text(c)).unwrap();
-        updated.remove_subtree(t);
-        updated.append_text(a, "t2");
-        updated.set_attribute(b, "y", "2").unwrap();
-
-        let before = parsed.root_hash();
-        parsed.rehash_dirty(updated.clone(), &[a, b]);
-        assert_ne!(parsed.root_hash(), before, "content change must move the hash");
-        // Incremental result equals a from-scratch hash of the same DOM.
-        assert_eq!(parsed.root_hash(), ParsedDocument::new(updated).root_hash());
-    }
-
-    #[test]
-    fn tree_hash_skips_dead_dirty_ids() {
-        let doc = xmlsec_xml::parse("<doc><a>t</a></doc>").unwrap();
-        let mut parsed = ParsedDocument::new(doc.clone());
-        let mut updated = doc;
-        let a = updated.child_elements(updated.root()).next().unwrap();
-        updated.remove_subtree(a);
-        // Dirty list names the removed node and its parent — only the
-        // live one is rehashed.
-        let root = updated.root();
-        parsed.rehash_dirty(updated.clone(), &[a, root]);
-        assert_eq!(parsed.root_hash(), ParsedDocument::new(updated).root_hash());
-    }
-
-    #[test]
     fn commit_update_repoints_bytes_and_hash() {
         let mut r = Repository::new();
         r.put_document("a.xml", "<doc><a>old</a></doc>", None);
@@ -542,12 +394,17 @@ mod tests {
         let t = updated.children(a)[0];
         updated.remove_subtree(t);
         updated.append_text(a, "new");
-        let rehashed = r.commit_update("a.xml", updated, &[a]).unwrap();
-        assert!(rehashed > 0);
+        assert!(r.commit_update("a.xml", updated, &[a]));
         assert_eq!(r.document("a.xml").unwrap().xml, "<doc><a>new</a></doc>");
         assert_ne!(r.content_hash("a.xml").unwrap(), h0);
-        // The parsed form survives the commit for the next update.
-        assert!(r.parsed_document("a.xml").is_some());
+        // The published identity is the one a fresh load of the bytes gets.
+        let mut fresh = Repository::new();
+        fresh.put_document("a.xml", "<doc><a>new</a></doc>", None);
+        assert_eq!(r.content_hash("a.xml"), fresh.content_hash("a.xml"));
+        // The committed DOM stays as the parsed form for the next update.
+        let parsed = r.parsed_document("a.xml").unwrap().doc();
+        let canonical = xmlsec_xml::SerializeOptions::canonical();
+        assert_eq!(xmlsec_xml::serialize(parsed, &canonical), "<doc><a>new</a></doc>");
     }
 
     #[test]
@@ -569,7 +426,12 @@ mod tests {
         r.put_dtd("d.dtd", "<!ELEMENT doc (#PCDATA)>");
         assert!(r.parsed_document("a.xml").is_none());
         // commit_update without a parsed form is refused.
-        assert!(r.commit_update("a.xml", xmlsec_xml::parse("<doc/>").unwrap(), &[]).is_none());
+        assert!(!r.commit_update("a.xml", xmlsec_xml::parse("<doc/>").unwrap(), &[]));
+        // A parsed form needs a stored record to live in.
+        r.store_parsed("ghost.xml", ParsedDocument::new(xmlsec_xml::parse("<doc/>").unwrap()));
+        assert!(r.parsed_document("ghost.xml").is_none());
+        assert!(r.document("ghost.xml").is_none());
+        assert!(!r.commit_update("ghost.xml", xmlsec_xml::parse("<doc/>").unwrap(), &[]));
     }
 
     #[test]
@@ -599,7 +461,7 @@ mod tests {
         let doc = xmlsec_xml::parse("<doc>x</doc>").unwrap();
         r.store_parsed("a.xml", ParsedDocument::new(doc.clone()));
         assert_eq!(memo(&r, "a.xml"), Some(true), "caching a parsed form changes nothing");
-        r.commit_update("a.xml", doc, &[]).unwrap();
+        assert!(r.commit_update("a.xml", doc, &[]));
         assert_eq!(memo(&r, "a.xml"), None, "a commit starts a new revision");
     }
 

@@ -102,7 +102,11 @@ fn scan_head(buf: &[u8], max_line: usize, max_header: usize) -> HeadScan {
                 }
                 pos += i + 1;
             }
-            None if header_bytes + rest.len() > max_header => return HeadScan::HeadersTooLong,
+            // A lone `\r` may be the start of the blank line, which
+            // does not count against the cap.
+            None if rest != b"\r" && header_bytes + rest.len() > max_header => {
+                return HeadScan::HeadersTooLong
+            }
             None => return HeadScan::Incomplete,
         }
     }
@@ -703,6 +707,7 @@ fn worker_loop<T>(rx: &Mutex<Receiver<(T, Instant)>>, core: &Core, run: &dyn Fn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use xmlsec_authz::{AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
     use xmlsec_subjects::{Directory, Subject};
 
@@ -728,6 +733,98 @@ mod tests {
         assert_eq!(scan_head(b"GET /x\r\nA: 1\r\nB: 23", 64, 10), HeadScan::HeadersTooLong);
         // Bare-LF framing is accepted.
         assert_eq!(scan_head(b"GET /x\nA: 1\n\nrest", 64, 64), HeadScan::Complete(13));
+        // A block at its cap whose blank line has sent only its `\r` so far.
+        assert_eq!(scan_head(b"GET /x\r\nA: 1\r\n\r", 64, 6), HeadScan::Incomplete);
+        assert_eq!(scan_head(b"GET /x\r\nA: 1\r\n\rB", 64, 6), HeadScan::HeadersTooLong);
+    }
+
+    /// Bytes biased towards framing: request-line and header fragments,
+    /// both line terminators, and arbitrary single bytes.
+    fn framing_bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0u8..8, any::<u8>()), 0..48).prop_map(|parts| {
+            let mut out = Vec::new();
+            for (kind, b) in parts {
+                match kind {
+                    0 => out.extend_from_slice(b"GET /doc.xml?user=tom HTTP/1.1"),
+                    1 => out.extend_from_slice(b"\r\n"),
+                    2 => out.push(b'\n'),
+                    3 => out.push(b'\r'),
+                    4 => out.extend_from_slice(b"Content-Length: 4"),
+                    5 => out.extend_from_slice(b"Connection: keep-alive"),
+                    _ => out.push(b),
+                }
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn hostile_framing_never_panics(bytes in framing_bytes(), caps in (0usize..96, 0usize..96)) {
+            let _ = scan_head(&bytes, caps.0, caps.1);
+            let _ = parse_head(&String::from_utf8_lossy(&bytes), true);
+            let _ = parse_head(&String::from_utf8_lossy(&bytes), false);
+        }
+
+        #[test]
+        fn scan_verdicts_are_final_once_reached(
+            bytes in framing_bytes(),
+            caps in (0usize..96, 0usize..96),
+        ) {
+            let mut settled = None;
+            for end in 0..=bytes.len() {
+                let verdict = scan_head(&bytes[..end], caps.0, caps.1);
+                if let Some(first) = &settled {
+                    prop_assert_eq!(&verdict, first, "prefix of {} bytes", end);
+                } else if verdict != HeadScan::Incomplete {
+                    settled = Some(verdict);
+                }
+            }
+        }
+
+        #[test]
+        fn caps_admit_the_limit_and_refuse_one_byte_more(
+            path in "[a-z/]{1,24}",
+            headers in prop::collection::vec("[A-Za-z]{1,6}: [ -~]{0,12}", 0..4),
+            crlf in any::<bool>(),
+        ) {
+            let term: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+            let content = format!("GET /{path} HTTP/1.1");
+            let line = [content.as_bytes(), term].concat();
+            let block: Vec<u8> = headers.iter().flat_map(|h| [h.as_bytes(), term].concat()).collect();
+            let head = [line.as_slice(), &block, term].concat();
+            let (max_line, max_header) = (line.len(), block.len());
+
+            // At both caps the head is complete, and no prefix of it is refused.
+            prop_assert_eq!(scan_head(&head, max_line, max_header), HeadScan::Complete(head.len()));
+            for end in 0..head.len() {
+                prop_assert_eq!(scan_head(&head[..end], max_line, max_header), HeadScan::Incomplete);
+            }
+            // One byte over the line cap: refused with its newline...
+            prop_assert_eq!(scan_head(&head, max_line - 1, max_header), HeadScan::LineTooLong);
+            // ...and before it, once the line's own bytes pass the cap.
+            let unterminated = content.as_bytes();
+            prop_assert_eq!(scan_head(unterminated, unterminated.len(), 0), HeadScan::Incomplete);
+            prop_assert_eq!(
+                scan_head(unterminated, unterminated.len() - 1, 0),
+                HeadScan::LineTooLong
+            );
+            if let Some(last) = headers.last() {
+                // One byte over the header cap: refused with its newline...
+                prop_assert_eq!(
+                    scan_head(&head, max_line, max_header - 1),
+                    HeadScan::HeadersTooLong
+                );
+                // ...and before it, once the block's bytes pass the cap.
+                let sent = [line.as_slice(), &block[..block.len() - term.len()]].concat();
+                let so_far = block.len() - term.len();
+                prop_assert!(sent.ends_with(last.as_bytes()));
+                prop_assert_eq!(scan_head(&sent, max_line, so_far), HeadScan::Incomplete);
+                prop_assert_eq!(scan_head(&sent, max_line, so_far - 1), HeadScan::HeadersTooLong);
+            }
+        }
     }
 
     #[test]
@@ -813,6 +910,36 @@ mod tests {
         // Queries always recompute → refused while shedding.
         let q = degraded_get("/doc.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org&q=%2Fd%2Fpub");
         assert!(q.starts_with("HTTP/1.0 503"), "{q}");
+    }
+
+    #[test]
+    fn a_view_counts_one_cache_lookup_whichever_probe_answers_it() {
+        let core = core();
+        let get = "GET /doc.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org HTTP/1.0\r\n\r\n";
+        // As the event loop serves a view: the cache-only probe, then
+        // compute when it cannot answer.
+        let serve = || {
+            let Step::Job { job, .. } = core.route(get.as_bytes(), "127.0.0.1") else {
+                panic!("a view is a job")
+            };
+            let reply = match core.cached(&job) {
+                Ok(Some(reply)) | Err(reply) => reply,
+                Ok(None) => core.compute(&job, true),
+            };
+            String::from_utf8(reply.bytes).unwrap()
+        };
+        let moved = |before: (u64, u64)| {
+            let after = core.server.cache_stats();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        let before = core.server.cache_stats();
+        let cold = serve();
+        assert!(cold.starts_with("HTTP/1.0 200"), "{cold}");
+        assert_eq!(moved(before), (0, 1), "a cold GET is one miss");
+        let before = core.server.cache_stats();
+        let warm = serve();
+        assert!(warm.starts_with("HTTP/1.0 200"), "{warm}");
+        assert_eq!(moved(before), (1, 0), "a warm GET is one hit");
     }
 
     #[test]

@@ -683,14 +683,16 @@ impl SecureServer {
     /// pipeline stage when the view would have to be computed. The HTTP
     /// front end uses this while the admission controller is shedding,
     /// so clients holding a current view keep revalidating (and warm
-    /// views keep serving) even when compute is refused.
+    /// views keep serving) even when compute is refused. A hit counts as
+    /// a view-cache hit; a miss counts nothing, so a request that goes
+    /// on to [`SecureServer::handle_cancellable`] counts one miss.
     pub fn handle_cache_only(
         &self,
         req: &ClientRequest,
         if_none_match: Option<&str>,
     ) -> Result<Option<ConditionalOutcome>, ServerError> {
         let m = server_metrics();
-        match self.probe(req, if_none_match) {
+        match self.probe(req, if_none_match, true) {
             Ok(RequestProbe { hit: Some(outcome), .. }) => {
                 let result = Ok(outcome);
                 m.for_outcome(&result).inc();
@@ -710,7 +712,7 @@ impl SecureServer {
         if_none_match: Option<&str>,
         cancel: Option<&CancelToken>,
     ) -> Result<ConditionalOutcome, ServerError> {
-        let probe = self.probe(req, if_none_match)?;
+        let probe = self.probe(req, if_none_match, false)?;
         if let Some(outcome) = probe.hit {
             return Ok(outcome);
         }
@@ -721,11 +723,13 @@ impl SecureServer {
     /// authenticate, resolve the document, build the content-addressed
     /// cache key, and probe the cache (serving a 304 when the client's
     /// tag matches). Cheap by construction — no document bytes are
-    /// parsed or hashed here.
+    /// parsed or hashed here. A `cache_only` probe counts no miss: the
+    /// miss belongs to the lookup that runs the pipeline, if any.
     fn probe(
         &self,
         req: &ClientRequest,
         if_none_match: Option<&str>,
+        cache_only: bool,
     ) -> Result<RequestProbe, ServerError> {
         let user = match self.authenticate(req) {
             Ok(u) => u,
@@ -770,7 +774,8 @@ impl SecureServer {
             content: repo.content_hash(&req.uri).unwrap_or(0),
         };
         if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(&key) {
+            let hit = if cache_only { cache.get_cached(&key) } else { cache.get(&key) };
+            if let Some(hit) = hit {
                 self.audit.record(
                     &requester_str,
                     &req.uri,
@@ -930,12 +935,11 @@ impl SecureServer {
     /// valid against its DTD.
     ///
     /// The commit path is **incremental**: the repository keeps the
-    /// parsed, normalized document alongside the bytes, so steady-state
-    /// updates never reparse; only the dirty subtrees and their ancestor
-    /// chains are rehashed; and every warm cached view of the document is
-    /// **patched in place** (incremental relabel, re-prune, new ETag)
-    /// instead of being invalidated. Returns how many nodes the batch
-    /// touched.
+    /// parsed, normalized document in the document's record, so
+    /// steady-state updates never reparse, and every warm cached view of
+    /// the document is **patched in place** (incremental relabel,
+    /// re-prune, new ETag) instead of being invalidated. Returns how many
+    /// nodes the batch touched.
     pub fn update(&self, req: &ClientRequest, ops: &[UpdateOp]) -> Result<usize, ServerError> {
         self.update_cancellable(req, ops, None)
     }
@@ -1062,7 +1066,7 @@ impl SecureServer {
         }
 
         let touched = outcome.touched;
-        if repo.commit_update(&req.uri, doc, &outcome.dirty).is_none() {
+        if !repo.commit_update(&req.uri, doc, &outcome.dirty) {
             return Err(ServerError::Processing("commit failed: document vanished".into()));
         }
         if dtd_parsed.is_some() {
