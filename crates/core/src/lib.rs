@@ -78,7 +78,8 @@ pub use update::{
 };
 pub use view::{
     compute_view, compute_view_engine, label_document, label_document_engine,
-    label_document_incremental, prune_document, render_labeled, EngineOptions, Labeling, ViewStats,
+    label_document_incremental, prune_document, render_labeled, render_view, EngineOptions,
+    Labeling, ViewStats,
 };
 pub use xmlsec_xml::cancel::{CancelReason, CancelToken, Cancelled};
 

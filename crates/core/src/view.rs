@@ -63,7 +63,7 @@ use xmlsec_authz::{
 };
 use xmlsec_subjects::Directory;
 use xmlsec_xml::cancel::{CancelToken, Cancelled};
-use xmlsec_xml::{Document, NodeData, NodeId};
+use xmlsec_xml::{Document, NodeData, NodeId, SerializeOptions};
 use xmlsec_xpath::{eval_path_shared, EvalError, EvalLimits, SharedBudget};
 
 /// Counters the processor reports alongside a computed view.
@@ -1004,63 +1004,95 @@ pub fn label_document_incremental(
 /// The paper's `prune(T, n)` (postorder): removes from `doc` every node
 /// whose subtree contains no granted node. Returns the number of nodes
 /// removed. The root element always survives (its start/end tags frame
-/// the view).
+/// the view). Which nodes go is decided by the same rule
+/// [`render_view`] applies.
 pub fn prune_document(doc: &mut Document, labeling: &Labeling, policy: PolicyConfig) -> usize {
-    let open = policy.completeness == CompletenessPolicy::Open;
-    let allowed = |s: Sign3| s == Sign3::Plus || (open && s == Sign3::Eps);
+    let keep = visible_nodes(doc, labeling, policy);
     let mut removed = 0usize;
     let root = doc.root();
-    prune_rec(doc, root, labeling, allowed, &mut removed);
+    detach_hidden(doc, root, &keep, &mut removed);
     removed
 }
 
-/// Returns `true` when the subtree rooted at `n` survived.
-fn prune_rec(
-    doc: &mut Document,
-    n: NodeId,
-    labeling: &Labeling,
-    allowed: impl Fn(Sign3) -> bool + Copy,
-    removed: &mut usize,
-) -> bool {
-    let self_allowed = allowed(labeling.final_sign(n));
-
-    // Attributes: kept iff their own final sign grants access.
-    let attrs: Vec<NodeId> = doc.attributes(n).to_vec();
-    let mut kept_any_attr = false;
-    for a in attrs {
-        if allowed(labeling.final_sign(a)) {
-            kept_any_attr = true;
-        } else {
-            doc.detach(a);
-            *removed += 1;
-        }
+/// Detaches every node below `n` that `keep` rejects, children before
+/// their parent.
+fn detach_hidden(doc: &mut Document, n: NodeId, keep: &[bool], removed: &mut usize) {
+    let hidden: Vec<NodeId> =
+        doc.attributes(n).iter().copied().filter(|a| !keep[a.index()]).collect();
+    for a in hidden {
+        doc.detach(a);
+        *removed += 1;
     }
-
-    // Children: elements recurse; text/comments/PIs follow the element's
-    // own sign (content of a structure-only element is hidden).
     let children: Vec<NodeId> = doc.children(n).to_vec();
-    let mut kept_any_child = false;
     for c in children {
-        let keep = match &doc.node(c).data {
-            NodeData::Element { .. } => prune_rec(doc, c, labeling, allowed, removed),
-            _ => self_allowed,
-        };
-        if keep {
-            kept_any_child = true;
-        } else if !doc.is_element(c) {
+        if doc.is_element(c) {
+            detach_hidden(doc, c, keep, removed);
+        }
+        if !keep[c.index()] {
             doc.detach(c);
             *removed += 1;
         }
     }
+}
 
-    let keep = self_allowed || kept_any_attr || kept_any_child;
-    let is_root = doc.parent(n).is_none();
-    if !keep && !is_root {
-        doc.detach(n);
-        *removed += 1;
+/// Renders the view of `doc` under `labeling` and `policy` straight to
+/// text: the bytes [`xmlsec_xml::serialize()`] writes for a pruned copy
+/// (`prune_document` on `doc.clone()`), without copying the tree. The
+/// update path patches warm views this way from the committed DOM.
+pub fn render_view(
+    doc: &Document,
+    labeling: &Labeling,
+    policy: PolicyConfig,
+    opts: &SerializeOptions,
+) -> String {
+    let keep = visible_nodes(doc, labeling, policy);
+    xmlsec_xml::serialize_filtered(doc, opts, &|n| keep[n.index()])
+}
+
+/// Which nodes a view of `doc` keeps, indexed by arena slot. The one
+/// visibility rule behind [`prune_document`] and [`render_view`]:
+///
+/// - an attribute is kept by its own final sign;
+/// - text, comments and PIs follow their element's sign (the content of
+///   a structure-only element is hidden);
+/// - an element survives if it is allowed, or keeps an attribute or a
+///   child;
+/// - the root always survives.
+fn visible_nodes(doc: &Document, labeling: &Labeling, policy: PolicyConfig) -> Vec<bool> {
+    let open = policy.completeness == CompletenessPolicy::Open;
+    let allowed = |s: Sign3| s == Sign3::Plus || (open && s == Sign3::Eps);
+    let mut keep = vec![false; doc.arena_len()];
+    let root = doc.root();
+    mark_visible(doc, root, labeling, allowed, &mut keep);
+    keep[root.index()] = true;
+    keep
+}
+
+/// Marks the subtree of element `n` in `keep`; returns whether `n`
+/// survives.
+fn mark_visible(
+    doc: &Document,
+    n: NodeId,
+    labeling: &Labeling,
+    allowed: impl Fn(Sign3) -> bool + Copy,
+    keep: &mut [bool],
+) -> bool {
+    let self_allowed = allowed(labeling.final_sign(n));
+    let mut survives = self_allowed;
+    for &a in doc.attributes(n) {
+        keep[a.index()] = allowed(labeling.final_sign(a));
+        survives |= keep[a.index()];
     }
-    // The root element always survives; report it as kept.
-    keep || is_root
+    for &c in doc.children(n) {
+        keep[c.index()] = if doc.is_element(c) {
+            mark_visible(doc, c, labeling, allowed, keep)
+        } else {
+            self_allowed
+        };
+        survives |= keep[c.index()];
+    }
+    keep[n.index()] = survives;
+    survives
 }
 
 /// Convenience: label `doc` and prune a *copy*, leaving the original

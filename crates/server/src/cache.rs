@@ -199,7 +199,7 @@ impl ViewCache {
     }
 
     /// Looks up a view for a caller that will not compute it on a miss
-    /// (the cache-only probe): a hit is counted, a miss is neither
+    /// (every request's probe): a hit is counted, a miss is neither
     /// counted nor swept, so a request that goes on to compute counts
     /// its miss once, in [`ViewCache::get`].
     pub(crate) fn get_cached(&self, key: &ViewKey) -> Option<CachedView> {

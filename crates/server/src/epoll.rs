@@ -532,7 +532,7 @@ mod imp {
         /// close.
         fn advance(&mut self, tok: u64, conn: &mut Conn) -> bool {
             while !conn.computing && !conn.close_after_write && conn.lingering.is_none() {
-                let job = match self.core.route(&conn.buf, &conn.peer_ip) {
+                let mut job = match self.core.route(&conn.buf, &conn.peer_ip) {
                     Step::Incomplete => return false,
                     Step::Reply { consumed, reply } => {
                         conn.buf.drain(..consumed);
@@ -546,7 +546,7 @@ mod imp {
                 };
                 // Warm hits, 304s and the probe's errors never leave the
                 // loop thread.
-                match self.core.cached(&job) {
+                match self.core.cached(&mut job) {
                     Ok(Some(reply)) | Err(reply) => answer(conn, reply),
                     Ok(None) => {
                         let cancel = job.cancel.clone();
@@ -752,8 +752,8 @@ mod imp {
             // the loop through the eventfd.
             let (queue, workers) = {
                 let (completions, wake) = (Arc::clone(&completions), Arc::clone(&wake));
-                Workers::start(&core, move |core: &Core, (conn, job): (u64, Job), admitted| {
-                    let reply = core.compute(&job, admitted);
+                Workers::start(&core, move |core: &Core, (conn, mut job): (u64, Job), admitted| {
+                    let reply = core.compute(&mut job, admitted);
                     if let Ok(mut guard) = completions.lock() {
                         guard.push(Done { conn, reply });
                     }

@@ -11,7 +11,10 @@
 //! - `"process.request"` — immediately before the server is invoked for
 //!   that request;
 //! - `"respond.write"` — immediately before the success response is
-//!   rendered.
+//!   rendered;
+//! - `"update.publish"` — in an update, after the new revision and every
+//!   patched view are rendered and before the repository's write side is
+//!   taken to publish them (readers still see the old revision).
 //!
 //! Two arming modes:
 //!

@@ -416,12 +416,12 @@ fn serve(core: &Core, mut conn: TcpStream, admitted: bool) {
         match core.route(&buf, &peer_ip) {
             Step::Incomplete => {}
             Step::Reply { reply, .. } => break reply,
-            Step::Job { job, .. } => {
+            Step::Job { mut job, .. } => {
                 // The request is fully read, so the watchdog's
                 // read-0-means-hangup contract holds for GETs and POSTs
                 // alike.
                 let watchdog = Watchdog::spawn(&conn, &job.cancel);
-                let reply = core.compute(&job, admitted);
+                let reply = core.compute(&mut job, admitted);
                 if let Some(w) = watchdog {
                     w.disarm(&conn);
                 }

@@ -23,6 +23,14 @@ pub mod cache;
 pub mod epoll;
 #[cfg(feature = "faults")]
 pub mod faults;
+#[cfg(not(feature = "faults"))]
+mod faults {
+    //! No-op stand-in: builds without the `faults` feature carry no
+    //! injection hooks.
+    pub(crate) fn check(_point: &str) -> bool {
+        false
+    }
+}
 pub mod http;
 pub mod repo;
 mod request;
@@ -33,7 +41,7 @@ pub use audit::{AuditLog, AuditOutcome, AuditRecord};
 pub use cache::{CachedView, ViewCache, ViewKey};
 pub use epoll::{AnyDemo, EpollDemo, Transport};
 pub use http::{parse_update_ops, parse_update_ops_with_lines, HttpConfig, HttpDemo};
-pub use repo::{fnv1a64, Repository, StoredDocument};
+pub use repo::{fnv1a64, Repository, Revision, StoredDocument};
 pub use server::{
     etag_matches, ClientRequest, ConditionalOutcome, QueryResponse, SecureServer, ServerError,
     ServerResponse,

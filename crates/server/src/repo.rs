@@ -13,6 +13,12 @@
 //! explicit invalidation becomes hygiene (it reclaims space early)
 //! rather than a correctness requirement. Registrations are counted in
 //! the `xmlsec_repo_rehash_total{kind}` telemetry series.
+//!
+//! A commit has two halves. [`Repository::prepare_commit`] serializes
+//! and hashes the updated DOM into a [`Revision`] under a shared borrow;
+//! [`Repository::publish`] only moves that revision into the record. A
+//! server can therefore keep its readers on the current revision for all
+//! of a commit's work and exclude them only for the install.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -125,6 +131,39 @@ impl ParsedDocument {
     }
 }
 
+/// The next revision of a stored document, built by
+/// [`Repository::prepare_commit`] and installed by
+/// [`Repository::publish`]: the updated DOM, its canonical bytes, their
+/// hash, and a validity memo the committer may fill in before
+/// publishing.
+#[derive(Debug)]
+pub struct Revision {
+    doc: Document,
+    xml: String,
+    hash: u64,
+    content: u64,
+    schema_valid: OnceLock<bool>,
+}
+
+impl Revision {
+    /// The updated DOM the revision was built from.
+    pub fn doc(&self) -> &Document {
+        &self.doc
+    }
+
+    /// The revision's combined content identity: what
+    /// [`Repository::content_hash`] answers once it is published.
+    pub fn content_hash(&self) -> u64 {
+        self.content
+    }
+
+    /// The revision's validity memo, carried into the record on publish
+    /// (see [`StoredDocument::schema_valid`]).
+    pub fn schema_valid(&self) -> &OnceLock<bool> {
+        &self.schema_valid
+    }
+}
+
 /// The repository: one record per document and the DTD texts, each
 /// keyed by URI.
 #[derive(Debug, Clone, Default)]
@@ -200,12 +239,28 @@ impl Repository {
         }
     }
 
-    /// Commits an updated revision of `uri`'s parsed document: installs
-    /// `doc` as the record's parsed form, refreshes the served bytes from
-    /// it, recomputes the content hash from those bytes so every cache
-    /// key for the old revision is structurally unreachable, and resets
-    /// the revision's validity memo. `_dirty` (the batch's mutated
-    /// subtree roots) is not read.
+    /// Commits an updated revision of `uri`'s parsed document:
+    /// [`Repository::prepare_commit`] then [`Repository::publish`]. It
+    /// installs `doc` as the record's parsed form, refreshes the served
+    /// bytes from it, recomputes the content hash from those bytes so
+    /// every cache key for the old revision is structurally unreachable,
+    /// and resets the revision's validity memo. `_dirty` (the batch's
+    /// mutated subtree roots) is not read.
+    ///
+    /// Returns `false`, committing nothing, when `uri` has no stored
+    /// document or no parsed form (callers establish both first).
+    pub fn commit_update(&mut self, uri: &str, doc: Document, _dirty: &[NodeId]) -> bool {
+        match self.prepare_commit(uri, doc) {
+            Some(revision) => self.publish(uri, revision),
+            None => false,
+        }
+    }
+
+    /// Builds the next revision of `uri` from its updated parsed form
+    /// without changing the repository: serializes `doc` canonically and
+    /// hashes those bytes. This is the expensive half of a commit, and it
+    /// needs only a shared borrow, so readers keep serving the current
+    /// revision while it runs.
     ///
     /// The content hash is **byte-derived** — the same scheme
     /// [`Repository::put_document`] uses — so an updated document and a
@@ -213,16 +268,29 @@ impl Repository {
     /// identity (and therefore on entity tags: a client can revalidate
     /// against a restarted or replicated instance).
     ///
-    /// Returns `false`, committing nothing, when `uri` has no stored
-    /// document or no parsed form (callers establish both first).
-    pub fn commit_update(&mut self, uri: &str, doc: Document, _dirty: &[NodeId]) -> bool {
+    /// Returns `None` when `uri` has no stored document or no parsed
+    /// form.
+    pub fn prepare_commit(&self, uri: &str, doc: Document) -> Option<Revision> {
+        let stored = self.documents.get(uri).filter(|d| d.parsed.is_some())?;
+        let xml = xmlsec_xml::serialize(&doc, &xmlsec_xml::SerializeOptions::canonical());
+        let hash = fnv1a64(xml.as_bytes());
+        let content = self.identity(hash, stored.dtd_uri.as_deref());
+        Some(Revision { doc, xml, hash, content, schema_valid: OnceLock::new() })
+    }
+
+    /// Installs a revision built by [`Repository::prepare_commit`] as
+    /// `uri`'s record: its DOM, bytes, hash and validity memo. Nothing is
+    /// recomputed, so the record must not have changed since the
+    /// revision was prepared. Returns `false`, installing nothing, when
+    /// `uri` has no stored document or no parsed form.
+    pub fn publish(&mut self, uri: &str, revision: Revision) -> bool {
         let Some(stored) = self.documents.get_mut(uri).filter(|d| d.parsed.is_some()) else {
             return false;
         };
-        let xml = xmlsec_xml::serialize(&doc, &xmlsec_xml::SerializeOptions::canonical());
-        stored.content_hash = fnv1a64(xml.as_bytes());
+        let Revision { doc, xml, hash, schema_valid, .. } = revision;
+        stored.content_hash = hash;
         stored.xml = xml;
-        stored.schema_valid = OnceLock::new();
+        stored.schema_valid = schema_valid;
         stored.parsed = Some(ParsedDocument::new(doc));
         true
     }
@@ -256,21 +324,23 @@ impl Repository {
     /// are combined here; no document bytes are touched per request.
     pub fn content_hash(&self, uri: &str) -> Option<u64> {
         let doc = self.documents.get(uri)?;
-        let mut h = doc.content_hash;
-        if let Some(dtd_uri) = &doc.dtd_uri {
-            // Mix with a distinct tag per case so "DTD registered",
-            // "DTD referenced but missing", and "no DTD" all differ.
-            let (tag, dtd_hash) = match self.dtds.get(dtd_uri) {
-                Some(d) => (0x01u8, d.content_hash),
-                None => (0x02u8, fnv1a64(dtd_uri.as_bytes())),
-            };
-            let mut bytes = [0u8; 17];
-            bytes[..8].copy_from_slice(&h.to_le_bytes());
-            bytes[8] = tag;
-            bytes[9..].copy_from_slice(&dtd_hash.to_le_bytes());
-            h = fnv1a64(&bytes);
-        }
-        Some(h)
+        Some(self.identity(doc.content_hash, doc.dtd_uri.as_deref()))
+    }
+
+    /// Folds a document's byte hash with the hash of the DTD it names.
+    fn identity(&self, doc_hash: u64, dtd_uri: Option<&str>) -> u64 {
+        let Some(dtd_uri) = dtd_uri else { return doc_hash };
+        // Mix with a distinct tag per case so "DTD registered",
+        // "DTD referenced but missing", and "no DTD" all differ.
+        let (tag, dtd_hash) = match self.dtds.get(dtd_uri) {
+            Some(d) => (0x01u8, d.content_hash),
+            None => (0x02u8, fnv1a64(dtd_uri.as_bytes())),
+        };
+        let mut bytes = [0u8; 17];
+        bytes[..8].copy_from_slice(&doc_hash.to_le_bytes());
+        bytes[8] = tag;
+        bytes[9..].copy_from_slice(&dtd_hash.to_le_bytes());
+        fnv1a64(&bytes)
     }
 
     /// URIs of every document that is an instance of `dtd_uri` — the
@@ -405,6 +475,36 @@ mod tests {
         let parsed = r.parsed_document("a.xml").unwrap().doc();
         let canonical = xmlsec_xml::SerializeOptions::canonical();
         assert_eq!(xmlsec_xml::serialize(parsed, &canonical), "<doc><a>new</a></doc>");
+    }
+
+    #[test]
+    fn prepared_revisions_change_nothing_until_published() {
+        let mut r = Repository::new();
+        r.put_dtd("d.dtd", "<!ELEMENT doc (#PCDATA)>");
+        r.put_document("a.xml", "<doc>x</doc>", Some("d.dtd"));
+        let doc = xmlsec_xml::parse("<doc>x</doc>").unwrap();
+        assert!(r.prepare_commit("a.xml", doc.clone()).is_none(), "no parsed form yet");
+        r.store_parsed("a.xml", ParsedDocument::new(doc));
+        let h0 = r.content_hash("a.xml");
+
+        let revision = r.prepare_commit("a.xml", xmlsec_xml::parse("<doc>y</doc>").unwrap());
+        let revision = revision.unwrap();
+        revision.schema_valid().set(true).unwrap();
+        assert_eq!(r.document("a.xml").unwrap().xml, "<doc>x</doc>");
+        assert_eq!(r.content_hash("a.xml"), h0, "readers still see the old revision");
+
+        let promised = revision.content_hash();
+        assert!(r.publish("a.xml", revision));
+        assert_eq!(r.document("a.xml").unwrap().xml, "<doc>y</doc>");
+        assert_eq!(r.content_hash("a.xml"), Some(promised), "the identity is the one promised");
+        assert_eq!(r.document("a.xml").unwrap().schema_valid().get(), Some(&true));
+        assert_eq!(
+            xmlsec_xml::serialize(
+                r.parsed_document("a.xml").unwrap().doc(),
+                &xmlsec_xml::SerializeOptions::canonical()
+            ),
+            "<doc>y</doc>"
+        );
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   What is left is a [`Job`]: a view, a secure query or an update.
 //! - **The cache-only probe.** [`Core::cached`] answers a view from
 //!   already-computed state (a warm hit, a 304, or the probe's error)
-//!   without running a pipeline stage. The event loop calls it inline
-//!   before handing a job to a worker, and every degraded (shed) job
-//!   goes through it.
+//!   without running a pipeline stage; on a miss it leaves the probe's
+//!   ticket on the job, so compute does not repeat the probe. The event
+//!   loop calls it inline before handing a job to a worker, and every
+//!   degraded (shed) job goes through it.
 //! - **Compute.** [`Core::compute`] runs one job under `catch_unwind`
 //!   with the `handle.start`, `process.request` and `respond.write`
 //!   fault points, and renders the reply: one error-to-status mapping,
@@ -33,13 +34,16 @@
 //! are about the socket rather than the request: the 408 of a read
 //! timeout and the silent close of a half-sent request.
 
+use crate::faults;
 use crate::http::{
     adaptive_shed_total, cancelled_total, degraded_hits_total, not_modified_total,
     panics_caught_total, parse_update_ops_with_lines, queue_depth, render_busy, render_err,
     render_not_modified, render_overloaded, render_response, render_view, shed_total,
     sojourn_seconds, Admission, HttpConfig, MAX_UPDATE_BODY,
 };
-use crate::server::{ClientRequest, ConditionalOutcome, SecureServer, ServerError};
+use crate::server::{
+    ClientRequest, ConditionalOutcome, Probe, SecureServer, ServerError, ViewTicket,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -48,16 +52,6 @@ use std::time::{Duration, Instant};
 use xmlsec_core::update::UpdateOp;
 use xmlsec_core::{CancelReason, CancelToken};
 use xmlsec_telemetry as telemetry;
-
-#[cfg(feature = "faults")]
-use crate::faults;
-#[cfg(not(feature = "faults"))]
-mod faults {
-    // No-op shim: release builds carry no injection hooks.
-    pub(crate) fn check(_point: &str) -> bool {
-        false
-    }
-}
 
 /// How often shutdown polls the workers for completion.
 const JOIN_POLL: Duration = Duration::from_millis(2);
@@ -339,6 +333,9 @@ pub(crate) struct Job {
     /// hangs up.
     pub(crate) cancel: CancelToken,
     keep_alive: bool,
+    /// What a view's cache-only probe established before it missed, so
+    /// compute does not authenticate and fingerprint the request again.
+    ticket: Option<Box<ViewTicket>>,
 }
 
 /// What the buffered bytes amount to.
@@ -411,7 +408,8 @@ impl Core {
                 Some(path) => Work::Query(path),
                 None => Work::View { if_none_match: head.if_none_match },
             };
-            let job = Job { client, work, cancel: self.token(head.deadline_ms), keep_alive: ka };
+            let cancel = self.token(head.deadline_ms);
+            let job = Job { client, work, cancel, keep_alive: ka, ticket: None };
             return Step::Job { consumed: len, job };
         }
 
@@ -438,6 +436,7 @@ impl Core {
                     work: Work::Update { ops, lines },
                     cancel: self.token(head.deadline_ms),
                     keep_alive: ka,
+                    ticket: None,
                 };
                 Step::Job { consumed, job }
             }
@@ -461,20 +460,24 @@ impl Core {
 
     /// Answers a view from already-computed state: `Ok(Some)` for a warm
     /// hit or a 304, `Err` for the probe's typed error (authentication,
-    /// missing document), `Ok(None)` when the job needs compute. Queries
-    /// and updates always need compute.
-    pub(crate) fn cached(&self, job: &Job) -> Result<Option<Reply>, Reply> {
+    /// missing document), `Ok(None)` when the job needs compute — the
+    /// job then carries the probe's ticket to it. Queries and updates
+    /// always need compute.
+    pub(crate) fn cached(&self, job: &mut Job) -> Result<Option<Reply>, Reply> {
         let Work::View { if_none_match } = &job.work else { return Ok(None) };
         let ka = job.keep_alive;
-        match self.server.handle_cache_only(&job.client, if_none_match.as_deref()) {
-            Ok(Some(ConditionalOutcome::NotModified { etag })) => {
+        match self.server.probe_cache_only(&job.client, if_none_match.as_deref()) {
+            Ok(Probe::Hit(ConditionalOutcome::NotModified { etag })) => {
                 not_modified_total().inc();
                 Ok(Some(Reply::new(render_not_modified(&etag, ka), ka)))
             }
-            Ok(Some(ConditionalOutcome::Full(resp))) => {
+            Ok(Probe::Hit(ConditionalOutcome::Full(resp))) => {
                 Ok(Some(Reply::new(render_view(resp, ka), ka)))
             }
-            Ok(None) => Ok(None),
+            Ok(Probe::Miss(ticket)) => {
+                job.ticket = Some(Box::new(ticket));
+                Ok(None)
+            }
             Err(e) => Err(Reply::new(render_err(&e, ka), ka)),
         }
     }
@@ -483,7 +486,7 @@ impl Core {
     /// admission controller is shedding: only already-computed state is
     /// served, and fresh compute is refused with 503 + `Retry-After`.
     /// A panic anywhere in here answers 500 and leaves the worker alive.
-    pub(crate) fn compute(&self, job: &Job, admitted: bool) -> Reply {
+    pub(crate) fn compute(&self, job: &mut Job, admitted: bool) -> Reply {
         match catch_unwind(AssertUnwindSafe(|| self.run(job, admitted))) {
             Ok(reply) => reply,
             Err(_) => {
@@ -499,7 +502,7 @@ impl Core {
         }
     }
 
-    fn run(&self, job: &Job, admitted: bool) -> Reply {
+    fn run(&self, job: &mut Job, admitted: bool) -> Reply {
         let ka = job.keep_alive;
         if faults::check("handle.start") {
             return Reply::silent(); // injected disconnect: drop without responding
@@ -517,16 +520,24 @@ impl Core {
         let _ = faults::check("process.request");
         let cancel = Some(&job.cancel);
         let rendered = match &job.work {
-            Work::View { if_none_match } => self
-                .server
-                .handle_cancellable(&job.client, if_none_match.as_deref(), cancel)
-                .map(|outcome| match outcome {
-                    ConditionalOutcome::NotModified { etag } => {
-                        not_modified_total().inc();
-                        render_not_modified(&etag, ka)
-                    }
-                    ConditionalOutcome::Full(resp) => render_view(resp, ka),
-                }),
+            Work::View { if_none_match } => match job.ticket.take() {
+                Some(ticket) => self.server.handle_probed(
+                    &job.client,
+                    if_none_match.as_deref(),
+                    cancel,
+                    *ticket,
+                ),
+                None => {
+                    self.server.handle_cancellable(&job.client, if_none_match.as_deref(), cancel)
+                }
+            }
+            .map(|outcome| match outcome {
+                ConditionalOutcome::NotModified { etag } => {
+                    not_modified_total().inc();
+                    render_not_modified(&etag, ka)
+                }
+                ConditionalOutcome::Full(resp) => render_view(resp, ka),
+            }),
             Work::Query(path) => {
                 self.server.query_cancellable(&job.client, path, cancel).map(|resp| {
                     let mut body = String::new();
@@ -879,7 +890,7 @@ mod tests {
         let reply = match core.route(request.as_bytes(), "127.0.0.1") {
             Step::Incomplete => panic!("incomplete: {request:?}"),
             Step::Reply { reply, .. } => reply,
-            Step::Job { job, .. } => core.compute(&job, admitted),
+            Step::Job { mut job, .. } => core.compute(&mut job, admitted),
         };
         String::from_utf8(reply.bytes).unwrap()
     }
@@ -919,12 +930,15 @@ mod tests {
         // As the event loop serves a view: the cache-only probe, then
         // compute when it cannot answer.
         let serve = || {
-            let Step::Job { job, .. } = core.route(get.as_bytes(), "127.0.0.1") else {
+            let Step::Job { mut job, .. } = core.route(get.as_bytes(), "127.0.0.1") else {
                 panic!("a view is a job")
             };
-            let reply = match core.cached(&job) {
+            let reply = match core.cached(&mut job) {
                 Ok(Some(reply)) | Err(reply) => reply,
-                Ok(None) => core.compute(&job, true),
+                Ok(None) => {
+                    assert!(job.ticket.is_some(), "a missed probe hands its ticket on");
+                    core.compute(&mut job, true)
+                }
             };
             String::from_utf8(reply.bytes).unwrap()
         };

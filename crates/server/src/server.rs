@@ -16,7 +16,8 @@
 
 use crate::audit::{AuditLog, AuditOutcome};
 use crate::cache::{fingerprint, CachedView, ViewCache, ViewKey};
-use crate::repo::{fnv1a64, ParsedDocument, Repository};
+use crate::faults;
+use crate::repo::{fnv1a64, ParsedDocument, Repository, Revision};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -25,7 +26,7 @@ use xmlsec_authz::{
     PolicyConfig, Severity,
 };
 use xmlsec_core::update::{apply_updates, UpdateError, UpdateOp, WriteContext};
-use xmlsec_core::view::{label_document_incremental, prune_document, Labeling};
+use xmlsec_core::view::{label_document_incremental, render_view, Labeling};
 use xmlsec_core::{
     AccessRequest, CancelReason, CancelToken, CompiledCache, DecisionCache, DocumentSource,
     Parallelism, PreparedSchema, ResourceLimits, SecurityProcessor,
@@ -234,13 +235,20 @@ pub enum ConditionalOutcome {
 }
 
 /// What the request prologue established before any pipeline stage ran:
-/// the authenticated requester, the content-addressed cache key, and —
-/// when the cache already held the view — the finished outcome.
-struct RequestProbe {
+/// the authenticated requester and the content-addressed cache key. A
+/// cache-only probe that cannot answer hands it on with the request, so
+/// compute does not authenticate and fingerprint the request again.
+pub(crate) struct ViewTicket {
     requester: Requester,
     requester_str: String,
     key: ViewKey,
-    hit: Option<ConditionalOutcome>,
+}
+
+/// The outcome of the request prologue: a finished answer from the
+/// cache, or the ticket compute needs.
+pub(crate) enum Probe {
+    Hit(ConditionalOutcome),
+    Miss(ViewTicket),
 }
 
 /// Strong entity tag for a view: FNV-1a over the cache key and the exact
@@ -278,9 +286,18 @@ pub fn etag_matches(if_none_match: &str, etag: &str) -> bool {
 /// repository's parsed document from the last patch (or `None` before
 /// the first, which relabels in full and captures the reuse state), fed
 /// to [`label_document_incremental`] so unchanged nodes keep their labels.
+#[derive(Clone)]
 struct PatchEntry {
     requester: Requester,
     prev: Option<Arc<Labeling>>,
+}
+
+/// One warm view of an updated document, rendered against the prepared
+/// revision and waiting for the publish: `new` is `None` when the view
+/// could not be patched and is dropped instead.
+struct Patch {
+    old: ViewKey,
+    new: Option<(ViewKey, CachedView, PatchEntry)>,
 }
 
 /// The secure server.
@@ -291,9 +308,13 @@ pub struct SecureServer {
     /// and revoke clear the memo anyway to reclaim the space. The
     /// compiled-policy cache is attached while reads compile.
     processor: SecurityProcessor,
-    /// Writers (update batches) take the write side; every read-path
-    /// stage holds the read side, so readers share and an update drains
-    /// in-flight computes before mutating the parsed document.
+    /// Update batches serialize on this lock, so at most one revision is
+    /// being prepared at a time. Lock order: writer → repository →
+    /// patch state → cache.
+    writer: Mutex<()>,
+    /// Every read-path stage and all of an update's work hold the read
+    /// side; an update takes the write side only to publish its
+    /// prepared revision and patched views.
     repository: RwLock<Repository>,
     /// Patch bookkeeping keyed by cache key, pruned against the live
     /// cache after every update so it cannot outgrow it.
@@ -321,6 +342,7 @@ impl SecureServer {
             .with_compiled_cache(Arc::clone(&compiled));
         SecureServer {
             processor,
+            writer: Mutex::new(()),
             repository: RwLock::new(Repository::new()),
             patch_state: Mutex::new(HashMap::new()),
             credentials: HashMap::new(),
@@ -668,10 +690,34 @@ impl SecureServer {
         if_none_match: Option<&str>,
         cancel: Option<&CancelToken>,
     ) -> Result<ConditionalOutcome, ServerError> {
+        self.observed(|| match self.probe(req, if_none_match)? {
+            Probe::Hit(outcome) => Ok(outcome),
+            Probe::Miss(ticket) => self.compute_view_for(req, if_none_match, cancel, ticket),
+        })
+    }
+
+    /// [`SecureServer::handle_cancellable`] for a request whose
+    /// cache-only probe ([`SecureServer::probe_cache_only`]) missed:
+    /// computes from the probe's ticket instead of probing again.
+    pub(crate) fn handle_probed(
+        &self,
+        req: &ClientRequest,
+        if_none_match: Option<&str>,
+        cancel: Option<&CancelToken>,
+        ticket: ViewTicket,
+    ) -> Result<ConditionalOutcome, ServerError> {
+        self.observed(|| self.compute_view_for(req, if_none_match, cancel, ticket))
+    }
+
+    /// Times one view request and counts its outcome.
+    fn observed(
+        &self,
+        run: impl FnOnce() -> Result<ConditionalOutcome, ServerError>,
+    ) -> Result<ConditionalOutcome, ServerError> {
         let m = server_metrics();
         let result = m.duration.time(|| {
             let _span = telemetry::trace::span("server.handle");
-            self.handle_inner(req, if_none_match, cancel)
+            run()
         });
         m.for_outcome(&result).inc();
         result
@@ -691,14 +737,28 @@ impl SecureServer {
         req: &ClientRequest,
         if_none_match: Option<&str>,
     ) -> Result<Option<ConditionalOutcome>, ServerError> {
+        Ok(match self.probe_cache_only(req, if_none_match)? {
+            Probe::Hit(outcome) => Some(outcome),
+            Probe::Miss(_) => None,
+        })
+    }
+
+    /// [`SecureServer::handle_cache_only`], keeping the ticket of a miss
+    /// for [`SecureServer::handle_probed`]. Hits and errors are counted
+    /// as request outcomes here; a miss is counted by the compute.
+    pub(crate) fn probe_cache_only(
+        &self,
+        req: &ClientRequest,
+        if_none_match: Option<&str>,
+    ) -> Result<Probe, ServerError> {
         let m = server_metrics();
-        match self.probe(req, if_none_match, true) {
-            Ok(RequestProbe { hit: Some(outcome), .. }) => {
+        match self.probe(req, if_none_match) {
+            Ok(Probe::Hit(outcome)) => {
                 let result = Ok(outcome);
                 m.for_outcome(&result).inc();
-                result.map(Some)
+                result.map(Probe::Hit)
             }
-            Ok(_) => Ok(None),
+            Ok(miss) => Ok(miss),
             Err(e) => {
                 m.for_outcome(&Err(e.clone())).inc();
                 Err(e)
@@ -706,31 +766,17 @@ impl SecureServer {
         }
     }
 
-    fn handle_inner(
-        &self,
-        req: &ClientRequest,
-        if_none_match: Option<&str>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ConditionalOutcome, ServerError> {
-        let probe = self.probe(req, if_none_match, false)?;
-        if let Some(outcome) = probe.hit {
-            return Ok(outcome);
-        }
-        self.compute_view_for(req, if_none_match, cancel, probe)
-    }
-
-    /// The request prologue shared by the normal and cache-only paths:
-    /// authenticate, resolve the document, build the content-addressed
-    /// cache key, and probe the cache (serving a 304 when the client's
-    /// tag matches). Cheap by construction — no document bytes are
-    /// parsed or hashed here. A `cache_only` probe counts no miss: the
-    /// miss belongs to the lookup that runs the pipeline, if any.
+    /// The request prologue shared by every view path: authenticate,
+    /// resolve the document, build the content-addressed cache key, and
+    /// probe the cache (serving a 304 when the client's tag matches).
+    /// Cheap by construction — no document bytes are parsed or hashed
+    /// here. A hit is counted; a miss is not, because it belongs to the
+    /// compute that follows, if any.
     fn probe(
         &self,
         req: &ClientRequest,
         if_none_match: Option<&str>,
-        cache_only: bool,
-    ) -> Result<RequestProbe, ServerError> {
+    ) -> Result<Probe, ServerError> {
         let user = match self.authenticate(req) {
             Ok(u) => u,
             Err(e) => {
@@ -773,29 +819,39 @@ impl SecureServer {
             // rehashed on the request path.
             content: repo.content_hash(&req.uri).unwrap_or(0),
         };
-        if let Some(cache) = &self.cache {
-            let hit = if cache_only { cache.get_cached(&key) } else { cache.get(&key) };
-            if let Some(hit) = hit {
-                self.audit.record(
-                    &requester_str,
-                    &req.uri,
-                    AuditOutcome::Served { granted_nodes: 0, total_nodes: 0, cached: true },
-                );
-                let outcome = match if_none_match {
-                    Some(inm) if etag_matches(inm, &hit.etag) => {
-                        ConditionalOutcome::NotModified { etag: hit.etag }
-                    }
-                    _ => ConditionalOutcome::Full(ServerResponse {
-                        xml: hit.xml,
-                        loosened_dtd: hit.loosened_dtd,
-                        cached: true,
-                        etag: hit.etag,
-                    }),
-                };
-                return Ok(RequestProbe { requester, requester_str, key, hit: Some(outcome) });
+        drop(repo);
+        let hit = self.cache.as_ref().and_then(|c| c.get_cached(&key));
+        Ok(match hit {
+            Some(hit) => Probe::Hit(self.serve_hit(&requester_str, &req.uri, hit, if_none_match)),
+            None => Probe::Miss(ViewTicket { requester, requester_str, key }),
+        })
+    }
+
+    /// Audits a cache hit and answers it: a 304 when the client's tag
+    /// matches, the cached view otherwise.
+    fn serve_hit(
+        &self,
+        requester_str: &str,
+        uri: &str,
+        hit: CachedView,
+        if_none_match: Option<&str>,
+    ) -> ConditionalOutcome {
+        self.audit.record(
+            requester_str,
+            uri,
+            AuditOutcome::Served { granted_nodes: 0, total_nodes: 0, cached: true },
+        );
+        match if_none_match {
+            Some(inm) if etag_matches(inm, &hit.etag) => {
+                ConditionalOutcome::NotModified { etag: hit.etag }
             }
+            _ => ConditionalOutcome::Full(ServerResponse {
+                xml: hit.xml,
+                loosened_dtd: hit.loosened_dtd,
+                cached: true,
+                etag: hit.etag,
+            }),
         }
-        Ok(RequestProbe { requester, requester_str, key, hit: None })
     }
 
     /// The full processor pipeline, run when the probe found no cached
@@ -805,13 +861,25 @@ impl SecureServer {
         req: &ClientRequest,
         if_none_match: Option<&str>,
         cancel: Option<&CancelToken>,
-        probe: RequestProbe,
+        ticket: ViewTicket,
     ) -> Result<ConditionalOutcome, ServerError> {
-        let RequestProbe { requester, requester_str, key, .. } = probe;
+        let ViewTicket { requester, requester_str, mut key } = ticket;
         let repo = self.read_repo();
         let Some(stored) = repo.document(&req.uri) else {
             return Err(ServerError::NotFound(req.uri.clone()));
         };
+        // The probe read the content hash under a guard it has since
+        // dropped. Key the revision this guard sees, so a commit in
+        // between cannot file the new revision's view under the old
+        // revision's key.
+        key.content = repo.content_hash(&req.uri).unwrap_or(0);
+        if let Some(cache) = &self.cache {
+            // The one counted lookup of a request the probe could not
+            // answer: another compute may have filled the entry since.
+            if let Some(hit) = cache.get(&key) {
+                return Ok(self.serve_hit(&requester_str, &req.uri, hit, if_none_match));
+            }
+        }
         // The DTD as prepared when it was stored, with this revision's
         // validity memo. A DTD that failed to parse then goes in as text,
         // so the processor reports the same parse error as it always has.
@@ -937,17 +1005,21 @@ impl SecureServer {
     /// The commit path is **incremental**: the repository keeps the
     /// parsed, normalized document in the document's record, so
     /// steady-state updates never reparse, and every warm cached view of
-    /// the document is **patched in place** (incremental relabel,
-    /// re-prune, new ETag) instead of being invalidated. Returns how many
-    /// nodes the batch touched.
+    /// the document is **patched** (incremental relabel, re-render, new
+    /// ETag) instead of being invalidated. All of that work runs beside
+    /// readers, which keep the old revision and its views until the new
+    /// revision and its patched views are published together. Returns
+    /// how many nodes the batch touched.
     pub fn update(&self, req: &ClientRequest, ops: &[UpdateOp]) -> Result<usize, ServerError> {
         self.update_cancellable(req, ops, None)
     }
 
     /// [`SecureServer::update`] with a request-scoped cancellation
-    /// token. The token is polled between operations and inside the
-    /// write-labeling passes; when it trips, the batch unwinds with
-    /// [`ServerError::Cancelled`] and the stored document is untouched.
+    /// token. The token is polled between operations, inside the
+    /// write-labeling passes and while warm views are patched; when it
+    /// trips before the publish, the batch unwinds with
+    /// [`ServerError::Cancelled`] and the stored document and its views
+    /// are untouched.
     pub fn update_cancellable(
         &self,
         req: &ClientRequest,
@@ -958,8 +1030,10 @@ impl SecureServer {
         let requester = Requester::new(&user, &req.ip, &req.sym)
             .map_err(|e| ServerError::BadRequest(e.to_string()))?;
 
-        // Writers serialize here; in-flight read computes drain first.
-        let mut repo = self.write_repo();
+        // Writers serialize here. Up to the publish, the update holds
+        // only the read side, so readers keep serving the old revision.
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut repo = self.read_repo();
         let dtd_uri = match repo.document(&req.uri) {
             Some(s) => s.dtd_uri.clone(),
             None => return Err(ServerError::NotFound(req.uri.clone())),
@@ -975,14 +1049,18 @@ impl SecureServer {
         // parsed, normalized form, so only the first update (or the
         // first after a byte-level `put_document`) pays a parse.
         if repo.parsed_document(&req.uri).is_none() {
-            let xml_text = repo.document(&req.uri).map(|s| s.xml.clone()).unwrap_or_default();
-            let mut doc = self.parse_xml(&xml_text, cancel)?;
+            let xml_text = repo.document(&req.uri).map(|s| s.xml.as_str()).unwrap_or_default();
+            let mut doc = self.parse_xml(xml_text, cancel)?;
             // Normalize defaulted attributes exactly as the read path
             // does, so write authorizations conditioned on them match.
             if let Some(d) = &dtd_parsed {
                 xmlsec_dtd::normalize(d, &mut doc);
             }
-            repo.store_parsed(&req.uri, ParsedDocument::new(doc));
+            drop(repo);
+            // Only this writer changes records, so the revision just
+            // parsed is still the current one.
+            self.write_repo().store_parsed(&req.uri, ParsedDocument::new(doc));
+            repo = self.read_repo();
         }
         let p = &self.processor;
         let (wxml, wdtd) =
@@ -1066,26 +1144,27 @@ impl SecureServer {
         }
 
         let touched = outcome.touched;
-        if !repo.commit_update(&req.uri, doc, &outcome.dirty) {
+        let Some(revision) = repo.prepare_commit(&req.uri, doc) else {
             return Err(ServerError::Processing("commit failed: document vanished".into()));
-        }
+        };
         if dtd_parsed.is_some() {
-            // Post-validation passed above, and commit_update installed
+            // Post-validation passed above and the revision carries
             // exactly the validated DOM: memoize validity for the next
             // pre-flight and the next read instead of revalidating.
-            if let Some(stored) = repo.document(&req.uri) {
-                let _ = stored.schema_valid().set(true);
-            }
+            let _ = revision.schema_valid().set(true);
         }
-
-        // Patch every warm cached view of this document in place; views
-        // we cannot patch (no bookkeeping, labeling error) are dropped —
-        // content-addressed keys make the old entries unreachable either
-        // way, so this is never a correctness hinge.
-        if self.cache.is_some() {
-            self.patch_views(&repo, &req.uri, schema.as_deref(), cancel);
+        // Re-render every warm cached view of this document against the
+        // new revision; views we cannot patch (no bookkeeping, labeling
+        // error) are dropped at the publish — content-addressed keys
+        // make the old entries unreachable either way, so this is never
+        // a correctness hinge.
+        let patches = self.render_patches(&repo, &req.uri, &revision, schema.as_deref(), cancel);
+        if let Some(Err(c)) = cancel.map(CancelToken::check) {
+            return Err(ServerError::Cancelled(c.reason));
         }
         drop(repo);
+        let _ = faults::check("update.publish");
+        self.publish(&req.uri, revision, patches)?;
         self.prune_patch_state();
 
         self.audit.record(
@@ -1096,69 +1175,92 @@ impl SecureServer {
         Ok(touched)
     }
 
-    /// Rewrites each warm cached view of `uri` against the post-commit
-    /// document: incremental relabel from the entry's previous labeling,
-    /// re-prune, re-serialize, new content-addressed key and ETag — the
-    /// entry keeps its position in the eviction order. Called with the
-    /// repository write guard held, so no reader observes a half-patched
-    /// cache for the new content.
-    fn patch_views(
+    /// Renders each warm cached view of `uri` against the prepared
+    /// `revision`: incremental relabel from the entry's previous
+    /// labeling, render straight from the revision's DOM, new
+    /// content-addressed key and ETag. Runs under the repository's read
+    /// side and changes nothing; [`SecureServer::publish`] installs the
+    /// result.
+    fn render_patches(
         &self,
         repo: &Repository,
         uri: &str,
+        revision: &Revision,
         schema: Option<&PreparedSchema>,
         cancel: Option<&CancelToken>,
-    ) {
-        let Some(cache) = &self.cache else { return };
-        let new_content = repo.content_hash(uri).unwrap_or(0);
-        let old_keys: Vec<ViewKey> = cache
-            .keys_for_uri(uri)
-            .into_iter()
-            .filter(|k| k.content != new_content)
-            .collect();
-        if old_keys.is_empty() {
-            return;
-        }
-        let Some(parsed) = repo.parsed_document(uri) else {
-            for k in &old_keys {
-                cache.remove(k);
-            }
-            return;
+    ) -> Vec<Patch> {
+        let Some(cache) = &self.cache else { return Vec::new() };
+        let new_content = revision.content_hash();
+        let old: Vec<(ViewKey, Option<PatchEntry>)> = {
+            let state = self.lock_patch_state();
+            cache
+                .keys_for_uri(uri)
+                .into_iter()
+                .filter(|k| k.content != new_content)
+                .map(|k| {
+                    let entry = state.get(&k).cloned();
+                    (k, entry)
+                })
+                .collect()
         };
-        let doc = parsed.doc();
-        let dtd_uri = repo.document(uri).and_then(|s| s.dtd_uri.clone());
+        let dtd_uri = repo.document(uri).and_then(|s| s.dtd_uri.as_deref());
         // Loosening is requester-independent: prepared once per DTD and
         // shared by every patched entry.
         let loosened_text = schema.map(PreparedSchema::loosened_text);
+        old.into_iter()
+            .map(|(old_key, entry)| Patch {
+                new: entry.and_then(|entry| {
+                    self.patch_one(
+                        revision.doc(),
+                        uri,
+                        dtd_uri,
+                        &old_key,
+                        entry,
+                        new_content,
+                        loosened_text,
+                        cancel,
+                    )
+                }),
+                old: old_key,
+            })
+            .collect()
+    }
 
+    /// The exclusive section of a commit: installs the prepared revision
+    /// and swaps each warm view for its patch (or drops it), so a reader
+    /// sees either the old revision with its old views or the new one
+    /// with its new views.
+    fn publish(
+        &self,
+        uri: &str,
+        revision: Revision,
+        patches: Vec<Patch>,
+    ) -> Result<(), ServerError> {
+        let mut repo = self.write_repo();
+        if !repo.publish(uri, revision) {
+            return Err(ServerError::Processing("commit failed: document vanished".into()));
+        }
+        let Some(cache) = &self.cache else { return Ok(()) };
         let m = patch_metrics();
         let mut state = self.lock_patch_state();
-        for old_key in old_keys {
-            let patched = state.remove(&old_key).and_then(|entry| {
-                self.patch_one(
-                    doc,
-                    uri,
-                    dtd_uri.as_deref(),
-                    &old_key,
-                    entry,
-                    new_content,
-                    loosened_text,
-                    cancel,
-                )
-            });
-            match patched {
-                Some((new_key, view, new_entry)) => {
-                    if cache.replace(&old_key, new_key.clone(), view) {
-                        state.insert(new_key, new_entry);
+        for Patch { old, new } in patches {
+            state.remove(&old);
+            match new {
+                Some((key, view, entry)) => {
+                    // The entry keeps its eviction age; one evicted
+                    // meanwhile stays gone.
+                    if cache.replace(&old, key.clone(), view) {
+                        state.insert(key, entry);
                         m.patched.inc();
                     }
                 }
                 None => {
-                    cache.remove(&old_key);
+                    cache.remove(&old);
                     m.dropped.inc();
                 }
             }
         }
+        Ok(())
     }
 
     /// Recomputes one cached view against the updated document. Returns
@@ -1183,9 +1285,7 @@ impl SecureServer {
         let labeling =
             label_document_incremental(doc, &axml, &adtd, dir, policy, &opts, prev.as_deref())
                 .ok()?;
-        let mut view = doc.clone();
-        prune_document(&mut view, &labeling, policy);
-        let xml = xmlsec_xml::serialize(&view, &xmlsec_xml::SerializeOptions::canonical());
+        let xml = render_view(doc, &labeling, policy, &xmlsec_xml::SerializeOptions::canonical());
         let new_key = ViewKey {
             uri: uri.to_string(),
             fingerprint: old_key.fingerprint,
@@ -1898,6 +1998,35 @@ mod update_tests {
         assert!(after.cached, "the warm view survives the aborted batch");
         assert_eq!(after.xml, before.xml);
         assert_eq!(after.etag, before.etag);
+    }
+
+    #[test]
+    fn a_commit_between_probe_and_compute_cannot_file_a_view_under_the_old_key() {
+        let s = writable_server();
+        let Probe::Miss(ticket) = s.probe(&rq("ro"), None).unwrap() else {
+            panic!("the reader's view is cold")
+        };
+        let old_key = ticket.key.clone();
+        let set = |text: &str| {
+            let op = UpdateOp::SetText { target: "/d/t".into(), text: text.into() };
+            s.update(&rq("ed"), &[op]).unwrap();
+        };
+        set("v2");
+        let ConditionalOutcome::Full(resp) =
+            s.compute_view_for(&rq("ro"), None, None, ticket).unwrap()
+        else {
+            panic!("no tag was sent")
+        };
+        assert_eq!(resp.xml, "<d><t>v2</t></d>", "compute reads the current revision");
+        let cache = s.cache.as_ref().unwrap();
+        assert!(
+            cache.get_cached(&old_key).map_or(true, |v| !v.xml.contains("v2")),
+            "the new revision's view is filed under the old revision's key"
+        );
+        // When the bytes return to the old revision, its key is live
+        // again and must serve the old revision's view.
+        set("v1");
+        assert_eq!(s.handle(&rq("ro")).unwrap().xml, "<d><t>v1</t></d>");
     }
 
     #[test]

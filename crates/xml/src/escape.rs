@@ -15,33 +15,54 @@ use crate::name::is_xml_char;
 /// serializers (and to protect `]]>`).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
+    escape_text_into(s, &mut out);
     out
 }
 
 /// Escapes `s` for use inside a double-quoted attribute value.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
+    escape_attr_into(s, &mut out);
+    out
+}
+
+/// [`escape_text`], appending to `out` instead of allocating.
+pub fn escape_text_into(s: &str, out: &mut String) {
+    escape_into(s, out, |b| match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        _ => None,
+    });
+}
+
+/// [`escape_attr`], appending to `out` instead of allocating.
+pub fn escape_attr_into(s: &str, out: &mut String) {
+    escape_into(s, out, |b| match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        b'"' => Some("&quot;"),
+        b'\n' => Some("&#10;"),
+        b'\t' => Some("&#9;"),
+        b'\r' => Some("&#13;"),
+        _ => None,
+    });
+}
+
+/// Appends `s` to `out`, replacing each byte `escape` maps. Every
+/// escaped character is ASCII, so runs between them are copied whole
+/// and always end on a character boundary.
+fn escape_into(s: &str, out: &mut String, escape: impl Fn(u8) -> Option<&'static str>) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if let Some(entity) = escape(b) {
+            out.push_str(&s[run..i]);
+            out.push_str(entity);
+            run = i + 1;
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Resolves a single entity or character reference body (the text between
@@ -125,6 +146,17 @@ mod tests {
     #[test]
     fn attr_escaping_quotes_and_newlines() {
         assert_eq!(escape_attr("say \"hi\"\n"), "say &quot;hi&quot;&#10;");
+    }
+
+    #[test]
+    fn escaping_appends_and_keeps_multibyte_runs_whole() {
+        let mut out = String::from("x=");
+        escape_text_into("é<ü>&ß", &mut out);
+        escape_attr_into("\t\"€\r", &mut out);
+        assert_eq!(out, "x=é&lt;ü&gt;&amp;ß&#9;&quot;€&#13;");
+        let mut plain = String::new();
+        escape_attr_into("no specials", &mut plain);
+        assert_eq!(plain, "no specials");
     }
 
     #[test]

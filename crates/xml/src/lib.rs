@@ -45,7 +45,7 @@ pub use error::{Pos, XmlError, XmlErrorKind};
 pub use limits::{LimitKind, Limits};
 pub use parser::{parse, parse_cancellable, parse_with, parse_with_limits, ParseOptions};
 pub use render::render_tree;
-pub use serialize::{serialize, serialize_node, SerializeOptions};
+pub use serialize::{serialize, serialize_filtered, serialize_node, SerializeOptions};
 
 /// Bumps the shared `xmlsec_limits_rejected_total{kind=...}` counter.
 ///

@@ -4,9 +4,15 @@
 //! compact (canonical, no inserted whitespace — used by tests that compare
 //! documents textually) and pretty-printed (indented — used by the
 //! `figures` binary and examples).
+//!
+//! [`serialize_filtered`] writes only the nodes a keep-filter admits, so
+//! a caller holding a per-node visibility verdict (an access-control
+//! view) can render that view without first copying and pruning the
+//! tree: the bytes are those [`serialize`] would produce after the
+//! rejected nodes had been detached.
 
 use crate::dom::{Doctype, Document, NodeData, NodeId};
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{escape_attr_into, escape_text_into};
 
 /// Serializer configuration.
 #[derive(Debug, Clone)]
@@ -39,6 +45,19 @@ impl SerializeOptions {
 
 /// Serializes the whole document with `opts`.
 pub fn serialize(doc: &Document, opts: &SerializeOptions) -> String {
+    serialize_filtered(doc, opts, &|_| true)
+}
+
+/// Serializes the document with `opts`, writing only the attributes and
+/// children for which `keep` holds (a rejected element drops its whole
+/// subtree). The document element is always written. The output is
+/// byte-identical to [`serialize`] on a copy from which every rejected
+/// node had been detached.
+pub fn serialize_filtered(
+    doc: &Document,
+    opts: &SerializeOptions,
+    keep: &impl Fn(NodeId) -> bool,
+) -> String {
     let mut out = String::new();
     if opts.xml_decl {
         out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
@@ -54,7 +73,7 @@ pub fn serialize(doc: &Document, opts: &SerializeOptions) -> String {
             }
         }
     }
-    write_node(doc, doc.root(), opts, 0, &mut out);
+    write_node(doc, doc.root(), opts, keep, 0, &mut out);
     if opts.indent.is_some() {
         out.push('\n');
     }
@@ -64,7 +83,7 @@ pub fn serialize(doc: &Document, opts: &SerializeOptions) -> String {
 /// Serializes a single subtree compactly (no prolog).
 pub fn serialize_node(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, id, &SerializeOptions::canonical(), 0, &mut out);
+    write_node(doc, id, &SerializeOptions::canonical(), &|_| true, 0, &mut out);
     out
 }
 
@@ -88,7 +107,14 @@ fn write_doctype(dt: &Doctype, out: &mut String) {
     out.push('>');
 }
 
-fn write_node(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize, out: &mut String) {
+fn write_node(
+    doc: &Document,
+    id: NodeId,
+    opts: &SerializeOptions,
+    keep: &impl Fn(NodeId) -> bool,
+    depth: usize,
+    out: &mut String,
+) {
     match &doc.node(id).data {
         NodeData::Element { name, .. } => {
             indent(opts, depth, out);
@@ -96,30 +122,35 @@ fn write_node(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize,
             out.push_str(name);
             for &a in doc.attributes(id) {
                 if let NodeData::Attr { name, value } = &doc.node(a).data {
+                    if !keep(a) {
+                        continue;
+                    }
                     out.push(' ');
                     out.push_str(name);
                     out.push_str("=\"");
-                    out.push_str(&escape_attr(value));
+                    escape_attr_into(value, out);
                     out.push('"');
                 }
             }
             let children = doc.children(id);
-            if children.is_empty() {
+            let mut kept = children.iter().copied().filter(|&c| keep(c)).peekable();
+            if kept.peek().is_none() {
                 out.push_str("/>");
                 return;
             }
             out.push('>');
             // Mixed content (any text child) is serialized inline to keep
             // the text exact; element-only content may be indented.
-            let mixed = children.iter().any(|&c| doc.is_text(c));
-            if mixed || opts.indent.is_none() {
-                for &c in children {
-                    write_inline(doc, c, out);
+            let inline =
+                opts.indent.is_none() || children.iter().any(|&c| doc.is_text(c) && keep(c));
+            if inline {
+                for c in kept {
+                    write_inline(doc, c, keep, out);
                 }
             } else {
-                for &c in children {
+                for c in kept {
                     newline(opts, out);
-                    write_node(doc, c, opts, depth + 1, out);
+                    write_node(doc, c, opts, keep, depth + 1, out);
                 }
                 newline(opts, out);
                 indent(opts, depth, out);
@@ -128,14 +159,16 @@ fn write_node(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize,
             out.push_str(name);
             out.push('>');
         }
-        _ => write_inline(doc, id, out),
+        _ => write_inline(doc, id, keep, out),
     }
 }
 
-fn write_inline(doc: &Document, id: NodeId, out: &mut String) {
+fn write_inline(doc: &Document, id: NodeId, keep: &impl Fn(NodeId) -> bool, out: &mut String) {
     match &doc.node(id).data {
-        NodeData::Element { .. } => write_node(doc, id, &SerializeOptions::canonical(), 0, out),
-        NodeData::Text(t) => out.push_str(&escape_text(t)),
+        NodeData::Element { .. } => {
+            write_node(doc, id, &SerializeOptions::canonical(), keep, 0, out)
+        }
+        NodeData::Text(t) => escape_text_into(t, out),
         NodeData::Comment(t) => {
             out.push_str("<!--");
             out.push_str(t);
@@ -227,6 +260,29 @@ mod tests {
         let d = parse("<a><b x=\"1\">t</b><c/></a>").unwrap();
         let b = d.child_elements(d.root()).next().unwrap();
         assert_eq!(serialize_node(&d, b), "<b x=\"1\">t</b>");
+    }
+
+    #[test]
+    fn filtered_output_matches_serializing_a_detached_copy() {
+        let src = r#"<a k="1" h="2"><b>x<c/></b><d>y</d><!--n--></a>"#;
+        let d = parse(src).unwrap();
+        let hidden: Vec<NodeId> = d
+            .preorder(d.root())
+            .filter(|&n| matches!(d.node_name(n), Some("h" | "c" | "d")))
+            .collect();
+        let mut pruned = d.clone();
+        for &n in hidden.iter().rev() {
+            pruned.detach(n);
+        }
+        for opts in [SerializeOptions::canonical(), SerializeOptions::pretty()] {
+            let got = serialize_filtered(&d, &opts, &|n| !hidden.contains(&n));
+            assert_eq!(got, serialize(&pruned, &opts));
+        }
+        assert_eq!(
+            serialize_filtered(&d, &SerializeOptions::canonical(), &|n| n == d.root()),
+            "<a/>",
+            "the document element is written even when nothing below it is kept"
+        );
     }
 
     #[test]

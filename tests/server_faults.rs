@@ -8,23 +8,27 @@
 //! and fail both tests.
 
 use std::io::{Read, Write};
+use std::net::SocketAddr;
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xmlsec::server::{AnyDemo, HttpConfig, HttpDemo, SecureServer, Transport};
-use xmlsec_authz::{AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
+use xmlsec_authz::{Action, AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
 use xmlsec_subjects::{Directory, Subject};
 
-/// A server with one public document and one user (tom/pw).
+/// A server with one public document and one user (tom/pw) who may
+/// read and write all of it.
 fn base_server() -> SecureServer {
     let mut dir = Directory::new();
     dir.add_user("tom").expect("add user");
     let mut base = AuthorizationBase::new();
-    base.add(Authorization::new(
+    let grant = Authorization::new(
         Subject::new("tom", "*", "*").expect("subject"),
         ObjectSpec::with_path("doc.xml", "/d").expect("object"),
         Sign::Plus,
         AuthType::Recursive,
-    ));
+    );
+    base.add(grant.clone().with_action(Action::Write));
+    base.add(grant);
     let mut s = SecureServer::new(dir, base);
     s.register_credentials("tom", "pw");
     s.repository_mut().put_document("doc.xml", "<d><pub>hello</pub></d>", None);
@@ -61,6 +65,44 @@ fn client_gone(demo: &AnyDemo) -> u64 {
     metrics
         .lines()
         .find_map(|l| l.strip_prefix("xmlsec_server_cancelled_total{reason=\"client_gone\"} "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// Sends one raw request and returns `(status, head, body)`.
+fn exchange(addr: SocketAddr, request: &str) -> (u16, String, String) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(request.as_bytes()).expect("write");
+    let mut buf = String::new();
+    conn.read_to_string(&mut buf).expect("read");
+    let code = buf.split_whitespace().nth(1).and_then(|c| c.parse().ok()).unwrap_or(0);
+    let (head, body) = buf.split_once("\r\n\r\n").unwrap_or((&buf, ""));
+    (code, head.to_string(), body.to_string())
+}
+
+/// A view of `doc.xml`: `(status, ETag, body)`.
+fn view(addr: SocketAddr) -> (u16, String, String) {
+    let (code, head, body) = exchange(addr, &format!("GET {OK_TARGET} HTTP/1.0\r\n\r\n"));
+    let etag = head.lines().find_map(|l| l.strip_prefix("ETag: ")).unwrap_or("").to_string();
+    (code, etag, body)
+}
+
+/// Commits `settext /d/pub <text>` to `doc.xml`; returns the status.
+fn set_pub(addr: SocketAddr, text: &str) -> u16 {
+    let body = format!("settext /d/pub\t{text}");
+    let request = format!(
+        "POST /update?doc=doc.xml&user=tom&pass=pw HTTP/1.0\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    exchange(addr, &request).0
+}
+
+/// Views served from the cache so far, process-wide.
+fn served_cached(addr: SocketAddr) -> u64 {
+    let (_, _, metrics) = exchange(addr, "GET /metrics HTTP/1.0\r\n\r\n");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("xmlsec_requests_total{outcome=\"served_cached\"} "))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0)
 }
@@ -239,6 +281,48 @@ fn injected_faults_are_isolated_and_observable() {
         let mut next = String::new();
         conn.read_to_string(&mut next).expect("read");
         assert!(next.starts_with("HTTP/1.0 200"), "{transport}: not served after: {next}");
+        demo.shutdown();
+    }
+
+    // --- 8. A commit publishes its revision and patched views only at
+    // the end, on both transports. While it is stalled just before the
+    // publish, readers are served the old revision's warm view at once;
+    // the next read after the POST is a hit on the new bytes. A panic at
+    // the same point leaves the document, its tag and its warm view as
+    // they were, and the next batch commits.
+    for transport in transports() {
+        let mut demo = AnyDemo::start(transport, base_server(), "127.0.0.1:0").expect("bind");
+        let addr = demo.addr();
+        let (code, old_tag, old_body) = view(addr);
+        assert_eq!(code, 200, "{transport}: {old_body}");
+
+        arm("update.publish", FaultAction::SleepMs(300), 1);
+        let post = std::thread::spawn(move || set_pub(addr, "bye"));
+        std::thread::sleep(Duration::from_millis(100));
+        let start = Instant::now();
+        let (code, tag, body) = view(addr);
+        let waited = start.elapsed();
+        assert_eq!(code, 200, "{transport}: {body}");
+        assert!(waited < Duration::from_millis(100), "{transport}: a hit waited {waited:?}");
+        assert_eq!(tag, old_tag, "{transport}: a read during the commit sees the old revision");
+        assert_eq!(body, old_body);
+        assert_eq!(post.join().expect("post thread"), 200, "{transport}: the commit lands");
+        let hits = served_cached(addr);
+        let (code, new_tag, new_body) = view(addr);
+        assert_eq!(code, 200);
+        assert!(new_body.contains("bye"), "{transport}: {new_body}");
+        assert_ne!(new_tag, old_tag);
+        assert_eq!(served_cached(addr), hits + 1, "{transport}: the patched view is a hit");
+
+        arm("update.publish", FaultAction::Panic, 1);
+        assert_eq!(set_pub(addr, "lost"), 500, "{transport}: a panic before publish is a 500");
+        let hits = served_cached(addr);
+        assert_eq!(view(addr), (200, new_tag.clone(), new_body.clone()), "{transport}");
+        assert_eq!(served_cached(addr), hits + 1, "{transport}: the warm view survives");
+        assert_eq!(set_pub(addr, "again"), 200, "{transport}: the next batch commits");
+        let (_, tag, body) = view(addr);
+        assert!(body.contains("again"), "{transport}: {body}");
+        assert_ne!(tag, new_tag);
         demo.shutdown();
     }
     clear();
