@@ -18,7 +18,9 @@
 //! cache-less full recompute, and the commit-time patch cost at 1, 4,
 //! and 16 warm views), and B19 (the static write pre-flight: a
 //! guaranteed-denied batch refused from the compiled write table vs the
-//! same denial paid through dynamic write labeling) — and writes them as
+//! same denial paid through dynamic write labeling), and B20 (the
+//! authorization-object evaluation a served request starts its labeling
+//! with) — and writes them as
 //! flat JSON at
 //! the repo root (`BENCH_<n+1>.json` by default, one past the highest
 //! checked-in point, so the series extends without workflow edits) —
@@ -55,6 +57,7 @@
 //!   latency keys — including the commit latencies at 1/4/16 warm views,
 //!   which bound the per-view patch cost — are folded into the 15% drift
 //!   gate like B1/B13;
+//! - B20's object-evaluation time is a `*_ms` key in the 15% drift gate;
 //! - B19's guaranteed-deny rejection (answered from the compiled write
 //!   table, before any parsing or labeling) is less than 5x faster than
 //!   the same denial paid through full dynamic write labeling.
@@ -81,11 +84,14 @@ use xmlsec_server::{
     AnyDemo, ClientRequest, ConditionalOutcome, HttpConfig, SecureServer, ServerError, Transport,
 };
 use xmlsec_subjects::Subject;
+use xmlsec_workload::hospital::{hospital_authorizations, hospital_scaled};
 use xmlsec_workload::laboratory::{
-    lab_authorization_base, lab_directory, tom, CSLAB_URI, LAB_DTD, LAB_DTD_URI,
+    example1_authorizations, lab_authorization_base, lab_directory, tom, CSLAB_URI, LAB_DTD,
+    LAB_DTD_URI,
 };
 use xmlsec_workload::{run_open_loop, OpenLoopConfig};
 use xmlsec_xml::{serialize, SerializeOptions};
+use xmlsec_xpath::{eval_path_shared, EvalLimits, SharedBudget};
 
 /// Allowed slowdown vs the checked-in baseline before the gate trips.
 const REGRESSION_BUDGET: f64 = 1.15;
@@ -429,6 +435,28 @@ fn next_out() -> String {
     format!("BENCH_{next}.json")
 }
 
+/// B20 — every object of the Example 1 laboratory policy and of the
+/// hospital policy, evaluated with `eval_path_shared` over 192-unit
+/// documents. Each document's objects draw from one pool polling an armed
+/// 10 s token, as a served request's labeling does.
+fn b20_object_eval_ms(cfg: &Config) -> f64 {
+    let corpora = [
+        (xmlsec_workload::laboratory_scaled(192, 5), example1_authorizations()),
+        (hospital_scaled(192, 0xB12), hospital_authorizations()),
+    ];
+    let limits = EvalLimits::default();
+    time_ms(cfg, || {
+        for (doc, auths) in &corpora {
+            let token = CancelToken::with_timeout(Duration::from_secs(10));
+            let pool = SharedBudget::with_cancel(limits.max_node_visits, token);
+            for path in auths.iter().filter_map(|a| a.object.path.as_ref()) {
+                let nodes = eval_path_shared(doc, doc.root(), path, &limits, &pool);
+                black_box(nodes.expect("objects evaluate within the default budget"));
+            }
+        }
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -758,6 +786,10 @@ fn main() {
          {b19_dynamic_deny_ms:.4}ms ({b19_deny_speedup:.1}x)"
     );
 
+    // B20 — authorization-object evaluation, the first stage of labeling.
+    let b20_object_eval_ms = b20_object_eval_ms(&cfg);
+    eprintln!("  b20_object_eval_ms = {b20_object_eval_ms:.4}");
+
     let regression_gated = !no_gate && baseline_path(&out).is_some();
 
     let json = format!(
@@ -798,6 +830,7 @@ fn main() {
          \"b18_patch_4_ms\": {b18_patch_4_ms:.4},\n  \
          \"b18_patch_16_ms\": {b18_patch_16_ms:.4},\n  \
          \"b19_static_deny_ms\": {b19_static_deny_ms:.5},\n  \
+         \"b20_object_eval_ms\": {b20_object_eval_ms:.4},\n  \
          \"b19_dynamic_deny_ms\": {b19_dynamic_deny_ms:.4},\n  \
          \"b19_deny_speedup\": {b19_deny_speedup:.4},\n  \
          \"regression_gated\": {}\n}}\n",

@@ -73,8 +73,8 @@ pub use static_analysis::{
     analyze_policy, closure_subjects, Cell, PolicyReport, SubjectTable, Verdict,
 };
 pub use update::{
-    apply_updates, apply_updates_preauthorized, label_for_write, label_for_write_engine,
-    UpdateError, UpdateOp, UpdateOutcome, WriteContext,
+    apply_updates, apply_updates_in_place, apply_updates_preauthorized, label_for_write,
+    label_for_write_engine, UpdateError, UpdateOp, UpdateOutcome, WriteContext,
 };
 pub use view::{
     compute_view, compute_view_engine, label_document, label_document_engine,

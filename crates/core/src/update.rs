@@ -35,7 +35,7 @@ use crate::view::{label_document, label_document_engine, EngineOptions, Labeling
 use std::fmt;
 use xmlsec_authz::{Action, Authorization, PolicyConfig};
 use xmlsec_subjects::Directory;
-use xmlsec_xml::cancel::CancelReason;
+use xmlsec_xml::cancel::{CancelReason, CancelToken};
 use xmlsec_xml::{Document, NodeId};
 use xmlsec_xpath::{parse_path, select, EvalError, XPathError};
 
@@ -143,7 +143,7 @@ impl From<EvalError> for UpdateError {
 /// mutates the document: the applicable authorization sets (filtered to
 /// `action = write` internally), the subject directory, the policy, and
 /// the engine options carrying evaluation limits and the request's
-/// [`CancelToken`](xmlsec_xml::cancel::CancelToken).
+/// [`CancelToken`].
 #[derive(Clone, Copy)]
 pub struct WriteContext<'a> {
     /// Applicable instance-level authorizations (any action; write ones
@@ -226,27 +226,7 @@ pub fn apply_updates(
     ctx: &WriteContext<'_>,
 ) -> Result<UpdateOutcome, UpdateError> {
     let mut work = doc.clone();
-    let mut outcome = UpdateOutcome { touched: 0, dirty: Vec::new() };
-    let mut labels: Option<Labeling> = None;
-    for op in ops {
-        if let Some(t) = ctx.opts.cancel {
-            t.check().map_err(|c| UpdateError::Cancelled(c.reason))?;
-        }
-        // Lazily (re)derive labels: the previous op's mutations can
-        // change any label in the document (write-auth objects may carry
-        // predicates over the mutated content), so a changed clone drops
-        // the labeling and the next op pays for a fresh one.
-        let current = match &labels {
-            Some(l) => l,
-            None => labels.insert(label_for_write_engine(
-                &work, ctx.axml, ctx.adtd, ctx.dir, ctx.policy, &ctx.opts,
-            )?),
-        };
-        let granted = |n: NodeId| current.final_sign(n) == Sign3::Plus;
-        if apply_one(&mut work, op, &granted, &mut outcome)? {
-            labels = None;
-        }
-    }
+    let outcome = apply_updates_in_place(&mut work, ops, Some(ctx), ctx.opts.cancel)?;
     *doc = work;
     Ok(outcome)
 }
@@ -259,21 +239,54 @@ pub fn apply_updates(
 /// byte-identically to the dynamic path — only the per-op write-labeling
 /// is skipped. The caller carries the soundness obligation (a
 /// guaranteed-allow [`crate::static_analysis::write::BatchVerdict`]).
+/// On any error `doc` is unchanged.
 pub fn apply_updates_preauthorized(
     doc: &mut Document,
     ops: &[UpdateOp],
-    cancel: Option<&xmlsec_xml::cancel::CancelToken>,
+    cancel: Option<&CancelToken>,
 ) -> Result<UpdateOutcome, UpdateError> {
     let mut work = doc.clone();
+    let outcome = apply_updates_in_place(&mut work, ops, None, cancel)?;
+    *doc = work;
+    Ok(outcome)
+}
+
+/// The batch loop behind [`apply_updates`] (`ctx` set) and
+/// [`apply_updates_preauthorized`] (`ctx` = `None`), for a caller that
+/// already owns a working copy: ops apply to `work` in place, and
+/// `cancel` is checked before each one. On error `work` may hold part of
+/// the batch and must be discarded.
+pub fn apply_updates_in_place(
+    work: &mut Document,
+    ops: &[UpdateOp],
+    ctx: Option<&WriteContext<'_>>,
+    cancel: Option<&CancelToken>,
+) -> Result<UpdateOutcome, UpdateError> {
     let mut outcome = UpdateOutcome { touched: 0, dirty: Vec::new() };
-    let granted = |_: NodeId| true;
+    let mut labels: Option<Labeling> = None;
     for op in ops {
         if let Some(t) = cancel {
             t.check().map_err(|c| UpdateError::Cancelled(c.reason))?;
         }
-        apply_one(&mut work, op, &granted, &mut outcome)?;
+        let Some(ctx) = ctx else {
+            apply_one(work, op, &|_| true, &mut outcome)?;
+            continue;
+        };
+        // Lazily (re)derive labels: the previous op's mutations can
+        // change any label in the document (write-auth objects may carry
+        // predicates over the mutated content), so a changed document
+        // drops the labeling and the next op pays for a fresh one.
+        let current = match &labels {
+            Some(l) => l,
+            None => labels.insert(label_for_write_engine(
+                work, ctx.axml, ctx.adtd, ctx.dir, ctx.policy, &ctx.opts,
+            )?),
+        };
+        let granted = |n: NodeId| current.final_sign(n) == Sign3::Plus;
+        if apply_one(work, op, &granted, &mut outcome)? {
+            labels = None;
+        }
     }
-    *doc = work;
     Ok(outcome)
 }
 
@@ -511,6 +524,30 @@ mod tests {
 
     fn canon(doc: &Document) -> String {
         serialize(doc, &SerializeOptions::canonical())
+    }
+
+    #[test]
+    fn a_failing_batch_leaves_the_document_unchanged_on_both_public_paths() {
+        // The first op applies to the working copy before the second
+        // fails; neither public function may let that first op through.
+        let ops = [
+            UpdateOp::SetText { target: "/doc/notes".into(), text: "new".into() },
+            UpdateOp::SetText { target: "/doc/missing".into(), text: "x".into() },
+        ];
+        let pristine = canon(&parse(DOC).unwrap());
+        let mut doc = parse(DOC).unwrap();
+        let auths = [write_auth("/doc", Sign::Plus)];
+        assert!(matches!(apply(&mut doc, &auths, &ops), Err(UpdateError::NoSuchNode(_))));
+        assert_eq!(canon(&doc), pristine);
+        assert!(matches!(
+            apply_updates_preauthorized(&mut doc, &ops, None),
+            Err(UpdateError::NoSuchNode(_))
+        ));
+        assert_eq!(canon(&doc), pristine);
+        // The in-place core did apply the first op to the copy it was given.
+        let mut work = parse(DOC).unwrap();
+        assert!(apply_updates_in_place(&mut work, &ops, None, None).is_err());
+        assert!(canon(&work).contains(">new</notes>"), "{}", canon(&work));
     }
 
     #[test]

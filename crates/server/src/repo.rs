@@ -131,6 +131,16 @@ impl ParsedDocument {
     }
 }
 
+/// The bytes and DOM of a revision that [`Repository::publish`]
+/// replaced. Dropping it frees thousands of allocations, so a caller
+/// holding the repository's lock drops it after releasing the lock.
+#[derive(Debug)]
+#[must_use = "drop the replaced revision once no lock is held"]
+pub struct Replaced {
+    _xml: String,
+    _parsed: Option<ParsedDocument>,
+}
+
 /// The next revision of a stored document, built by
 /// [`Repository::prepare_commit`] and installed by
 /// [`Repository::publish`]: the updated DOM, its canonical bytes, their
@@ -251,7 +261,7 @@ impl Repository {
     /// document or no parsed form (callers establish both first).
     pub fn commit_update(&mut self, uri: &str, doc: Document, _dirty: &[NodeId]) -> bool {
         match self.prepare_commit(uri, doc) {
-            Some(revision) => self.publish(uri, revision),
+            Some(revision) => self.publish(uri, revision).is_some(),
             None => false,
         }
     }
@@ -281,18 +291,18 @@ impl Repository {
     /// Installs a revision built by [`Repository::prepare_commit`] as
     /// `uri`'s record: its DOM, bytes, hash and validity memo. Nothing is
     /// recomputed, so the record must not have changed since the
-    /// revision was prepared. Returns `false`, installing nothing, when
-    /// `uri` has no stored document or no parsed form.
-    pub fn publish(&mut self, uri: &str, revision: Revision) -> bool {
-        let Some(stored) = self.documents.get_mut(uri).filter(|d| d.parsed.is_some()) else {
-            return false;
-        };
+    /// revision was prepared. Returns the replaced bytes and DOM, or
+    /// `None`, installing nothing, when `uri` has no stored document or
+    /// no parsed form.
+    pub fn publish(&mut self, uri: &str, revision: Revision) -> Option<Replaced> {
+        let stored = self.documents.get_mut(uri).filter(|d| d.parsed.is_some())?;
         let Revision { doc, xml, hash, schema_valid, .. } = revision;
         stored.content_hash = hash;
-        stored.xml = xml;
         stored.schema_valid = schema_valid;
-        stored.parsed = Some(ParsedDocument::new(doc));
-        true
+        Some(Replaced {
+            _xml: std::mem::replace(&mut stored.xml, xml),
+            _parsed: stored.parsed.replace(ParsedDocument::new(doc)),
+        })
     }
 
     /// Fetches a document.
@@ -494,7 +504,7 @@ mod tests {
         assert_eq!(r.content_hash("a.xml"), h0, "readers still see the old revision");
 
         let promised = revision.content_hash();
-        assert!(r.publish("a.xml", revision));
+        assert!(r.publish("a.xml", revision).is_some());
         assert_eq!(r.document("a.xml").unwrap().xml, "<doc>y</doc>");
         assert_eq!(r.content_hash("a.xml"), Some(promised), "the identity is the one promised");
         assert_eq!(r.document("a.xml").unwrap().schema_valid().get(), Some(&true));

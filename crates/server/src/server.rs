@@ -25,7 +25,7 @@ use xmlsec_authz::{
     Action, Authorization, AuthorizationBase, CompletenessPolicy, ConflictResolution, Finding,
     PolicyConfig, Severity,
 };
-use xmlsec_core::update::{apply_updates, UpdateError, UpdateOp, WriteContext};
+use xmlsec_core::update::{apply_updates_in_place, UpdateError, UpdateOp, WriteContext};
 use xmlsec_core::view::{label_document_incremental, render_view, Labeling};
 use xmlsec_core::{
     AccessRequest, CancelReason, CancelToken, CompiledCache, DecisionCache, DocumentSource,
@@ -1115,14 +1115,11 @@ impl SecureServer {
             None => return Err(ServerError::Processing("parsed form missing".into())),
         };
 
+        // `doc` is this update's own copy: a failed batch just drops it.
         let ctx =
             WriteContext { axml: &wxml, adtd: &wdtd, dir, policy, opts: p.options.engine(cancel) };
-        let applied = if preauthorized {
-            xmlsec_core::apply_updates_preauthorized(&mut doc, ops, cancel)
-        } else {
-            apply_updates(&mut doc, ops, &ctx)
-        };
-        let outcome = applied.map_err(|e| match e {
+        let ctx = (!preauthorized).then_some(&ctx);
+        let outcome = apply_updates_in_place(&mut doc, ops, ctx, cancel).map_err(|e| match e {
             UpdateError::Cancelled(r) => ServerError::Cancelled(r),
             UpdateError::Engine(err) => ServerError::LimitExceeded(err.to_string()),
             other => ServerError::UpdateDenied(other.to_string()),
@@ -1236,30 +1233,37 @@ impl SecureServer {
         revision: Revision,
         patches: Vec<Patch>,
     ) -> Result<(), ServerError> {
-        let mut repo = self.write_repo();
-        if !repo.publish(uri, revision) {
-            return Err(ServerError::Processing("commit failed: document vanished".into()));
-        }
-        let Some(cache) = &self.cache else { return Ok(()) };
-        let m = patch_metrics();
-        let mut state = self.lock_patch_state();
-        for Patch { old, new } in patches {
-            state.remove(&old);
-            match new {
-                Some((key, view, entry)) => {
-                    // The entry keeps its eviction age; one evicted
-                    // meanwhile stays gone.
-                    if cache.replace(&old, key.clone(), view) {
-                        state.insert(key, entry);
-                        m.patched.inc();
+        let replaced = {
+            let mut repo = self.write_repo();
+            let Some(replaced) = repo.publish(uri, revision) else {
+                return Err(ServerError::Processing("commit failed: document vanished".into()));
+            };
+            if let Some(cache) = &self.cache {
+                let m = patch_metrics();
+                let mut state = self.lock_patch_state();
+                for Patch { old, new } in patches {
+                    state.remove(&old);
+                    match new {
+                        Some((key, view, entry)) => {
+                            // The entry keeps its eviction age; one
+                            // evicted meanwhile stays gone.
+                            if cache.replace(&old, key.clone(), view) {
+                                state.insert(key, entry);
+                                m.patched.inc();
+                            }
+                        }
+                        None => {
+                            cache.remove(&old);
+                            m.dropped.inc();
+                        }
                     }
                 }
-                None => {
-                    cache.remove(&old);
-                    m.dropped.inc();
-                }
             }
-        }
+            replaced
+        };
+        // Free the old revision with no guard held: readers never wait
+        // on its deallocation.
+        drop(replaced);
         Ok(())
     }
 

@@ -7,10 +7,25 @@
 //! Node-sets are kept sorted by [`NodeId`]; for parser-built documents
 //! arena order *is* document order, so this yields document-order
 //! semantics for first-node string conversion and stable output.
+//!
+//! Each location step is one walk along its axis from each context node,
+//! and predicates are tested on each candidate as the walk reaches it:
+//!
+//! - `//T[p]` (`descendant-or-self::node()/child::T[p]`) runs as the one
+//!   walk `descendant::T[p]` when no predicate of `T` depends on position
+//!   (see `docs/XPATH_SUBSET.md`), and a bare `.` step is skipped;
+//! - an inner path in a predicate stops at its first matching node, and a
+//!   path compared against a literal reads each node's attribute or text
+//!   value in place, so a walk allocates nothing per node it visits;
+//! - visits and evaluations are counted in the evaluation's own budget,
+//!   drawn from the node-visit limit (which also polls the cancellation
+//!   token) once per 256 visits and at the end, and flushed to telemetry
+//!   once per top-level evaluation.
 
-use crate::ast::{ArithOp, Axis, Expr, Func, NodeTest, PathExpr, Step};
+use crate::ast::{ArithOp, Axis, CmpOp, Expr, Func, NodeTest, PathExpr, Step};
 use crate::limits::{EvalError, EvalLimits, SharedBudget};
-use crate::value::{compare, Value};
+use crate::value::{compare, str_to_number, Value};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use xmlsec_telemetry as telemetry;
 use xmlsec_xml::{Document, NodeData, NodeId};
@@ -39,52 +54,76 @@ fn eval_metrics() -> &'static EvalMetrics {
     })
 }
 
+/// Node visits between two draws from the node-visit limit.
+const DRAW_CHUNK: u64 = 256;
+
 /// Work accounting for one top-level evaluation, threaded through every
-/// helper. `remaining` counts down toward the node-visit budget; `visits`
-/// counts up for the telemetry flush; `depth` tracks inner-path nesting.
-/// When `shared` is set, visits are drawn from that cross-evaluation pool
-/// instead of the local countdown (see [`SharedBudget`]).
+/// helper. Visits accumulate in `pending` and are drawn from the limit —
+/// the local `max_node_visits`, or the cross-evaluation `pool` (see
+/// [`SharedBudget`]) — once per [`DRAW_CHUNK`] and once at the end, so an
+/// evaluation that succeeds has drawn exactly what it visited. `depth`
+/// tracks inner-path nesting; `spare` holds node-set buffers for reuse.
 struct Budget<'p> {
-    remaining: u64,
-    visits: u64,
+    drawn: u64,
+    pending: u64,
+    evaluations: u64,
     depth: u32,
     limits: EvalLimits,
-    shared: Option<&'p SharedBudget>,
+    pool: Option<&'p SharedBudget>,
+    spare: Vec<Vec<CtxNode>>,
 }
 
 impl<'p> Budget<'p> {
-    fn new(limits: EvalLimits) -> Budget<'static> {
-        Budget { remaining: limits.max_node_visits, visits: 0, depth: 0, limits, shared: None }
+    fn new(limits: EvalLimits, pool: Option<&'p SharedBudget>) -> Budget<'p> {
+        Budget { drawn: 0, pending: 0, evaluations: 0, depth: 0, limits, pool, spare: Vec::new() }
     }
 
-    fn with_pool(limits: EvalLimits, pool: &'p SharedBudget) -> Budget<'p> {
-        Budget { remaining: 0, visits: 0, depth: 0, limits, shared: Some(pool) }
-    }
-
-    /// Records `n` nodes examined; errors once the budget is spent.
-    fn charge(&mut self, n: u64) -> Result<(), EvalError> {
-        self.visits = self.visits.saturating_add(n);
-        if let Some(pool) = self.shared {
-            return pool.take(n);
+    /// Records one node examined.
+    #[inline]
+    fn visit(&mut self) -> Result<(), EvalError> {
+        self.pending += 1;
+        if self.pending < DRAW_CHUNK {
+            Ok(())
+        } else {
+            self.draw()
         }
-        if n > self.remaining {
-            self.remaining = 0;
-            return Err(EvalError::NodeBudget { limit: self.limits.max_node_visits });
-        }
-        self.remaining -= n;
-        Ok(())
     }
 
+    /// Draws the pending visits from the limit; errors once it is spent
+    /// or once the pool's cancellation token trips.
+    fn draw(&mut self) -> Result<(), EvalError> {
+        let n = std::mem::take(&mut self.pending);
+        self.drawn = self.drawn.saturating_add(n);
+        match self.pool {
+            Some(pool) => pool.take(n),
+            None if self.drawn > self.limits.max_node_visits => {
+                Err(EvalError::NodeBudget { limit: self.limits.max_node_visits })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Enters one path evaluation (top-level or inner).
     fn enter(&mut self) -> Result<(), EvalError> {
         if self.depth >= self.limits.max_eval_depth {
             return Err(EvalError::Depth { limit: self.limits.max_eval_depth });
         }
         self.depth += 1;
+        self.evaluations += 1;
         Ok(())
     }
 
     fn leave(&mut self) {
         self.depth -= 1;
+    }
+
+    fn buffer(&mut self) -> Vec<CtxNode> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    fn recycle(&mut self, mut v: Vec<CtxNode>) {
+        v.clear();
+        self.spare.push(v);
     }
 }
 
@@ -117,9 +156,7 @@ pub fn select_limited(
     path: &PathExpr,
     limits: &EvalLimits,
 ) -> Result<Vec<NodeId>, EvalError> {
-    let start = if path.absolute { CtxNode::Root } else { CtxNode::Node(doc.root()) };
-    let mut budget = Budget::new(*limits);
-    finish(eval_from(doc, start, path, &mut budget), &budget)
+    run(doc, doc.root(), path, Budget::new(*limits, None))
 }
 
 /// Evaluates `path` from an explicit context node (predicates use this
@@ -136,9 +173,7 @@ pub fn eval_path_limited(
     path: &PathExpr,
     limits: &EvalLimits,
 ) -> Result<Vec<NodeId>, EvalError> {
-    let start = if path.absolute { CtxNode::Root } else { CtxNode::Node(context) };
-    let mut budget = Budget::new(*limits);
-    finish(eval_from(doc, start, path, &mut budget), &budget)
+    run(doc, context, path, Budget::new(*limits, None))
 }
 
 /// Like [`eval_path_limited`], but draws node visits from `pool` — a
@@ -153,31 +188,38 @@ pub fn eval_path_shared(
     limits: &EvalLimits,
     pool: &SharedBudget,
 ) -> Result<Vec<NodeId>, EvalError> {
-    let start = if path.absolute { CtxNode::Root } else { CtxNode::Node(context) };
-    let mut budget = Budget::with_pool(*limits, pool);
-    finish(eval_from(doc, start, path, &mut budget), &budget)
+    run(doc, context, path, Budget::new(*limits, Some(pool)))
 }
 
 /// Like [`select_limited`], but draws node visits from `pool` (and, when
 /// the pool carries a [`CancelToken`](xmlsec_xml::cancel::CancelToken),
-/// polls it at every budget checkpoint). The server evaluates requester
-/// queries through this so an abandoned request stops mid-walk.
+/// polls it at every draw). The server evaluates requester queries
+/// through this so an abandoned request stops mid-walk.
 pub fn select_shared(
     doc: &Document,
     path: &PathExpr,
     limits: &EvalLimits,
     pool: &SharedBudget,
 ) -> Result<Vec<NodeId>, EvalError> {
-    let start = if path.absolute { CtxNode::Root } else { CtxNode::Node(doc.root()) };
-    let mut budget = Budget::with_pool(*limits, pool);
-    finish(eval_from(doc, start, path, &mut budget), &budget)
+    run(doc, doc.root(), path, Budget::new(*limits, Some(pool)))
 }
 
-/// Flushes telemetry for one top-level evaluation and reports budget
-/// violations on the shared limits counter (cancellations are abandoned
-/// requests, not limit violations, and are counted elsewhere).
-fn finish(r: Result<Vec<NodeId>, EvalError>, budget: &Budget) -> Result<Vec<NodeId>, EvalError> {
-    eval_metrics().node_visits.add(budget.visits);
+/// Runs one top-level evaluation from `context` (or from the virtual
+/// root, for an absolute path), draws what is still pending, flushes
+/// telemetry, and reports budget violations on the shared limits counter
+/// (cancellations are abandoned requests, not limit violations, and are
+/// counted elsewhere).
+fn run(
+    doc: &Document,
+    context: NodeId,
+    path: &PathExpr,
+    mut b: Budget,
+) -> Result<Vec<NodeId>, EvalError> {
+    let start = if path.absolute { CtxNode::Root } else { CtxNode::Node(context) };
+    let r = select_from(doc, start, path, &mut b).and_then(|nodes| b.draw().map(|()| nodes));
+    let m = eval_metrics();
+    m.node_visits.add(b.drawn.saturating_add(b.pending));
+    m.evaluations.add(b.evaluations);
     if let Err(e) = &r {
         if !e.is_cancelled() {
             xmlsec_xml::limit_rejected(e.kind());
@@ -186,54 +228,427 @@ fn finish(r: Result<Vec<NodeId>, EvalError>, budget: &Budget) -> Result<Vec<Node
     r
 }
 
-fn eval_from(
+/// The node-set `path` selects from `start`, in document order.
+fn select_from(
     doc: &Document,
     start: CtxNode,
     path: &PathExpr,
     b: &mut Budget,
 ) -> Result<Vec<NodeId>, EvalError> {
-    b.enter()?;
-    eval_metrics().evaluations.inc();
-    let r = eval_steps(doc, start, path, b);
-    b.leave();
-    r
-}
-
-fn eval_steps(
-    doc: &Document,
-    start: CtxNode,
-    path: &PathExpr,
-    b: &mut Budget,
-) -> Result<Vec<NodeId>, EvalError> {
-    let mut current: Vec<CtxNode> = vec![start];
-    for step in &path.steps {
-        let mut next: Vec<CtxNode> = Vec::new();
-        b.charge(current.len() as u64)?;
-        for &ctx in &current {
-            let candidates = axis_nodes(doc, ctx, step, b)?;
-            let selected = apply_predicates(doc, candidates, &step.predicates, b)?;
-            next.extend(selected);
+    let mut nodes = Vec::new();
+    eval_steps(doc, start, &path.steps, b, &mut |c| {
+        if let CtxNode::Node(n) = c {
+            nodes.push(n);
         }
-        next.sort_unstable();
-        next.dedup();
-        current = next;
-        if current.is_empty() {
-            break;
-        }
-    }
-    let mut result: Vec<NodeId> = current
-        .into_iter()
-        .filter_map(|c| match c {
-            CtxNode::Node(n) => Some(n),
-            CtxNode::Root => None,
-        })
-        .collect();
+        false
+    })?;
+    nodes.sort_unstable();
+    nodes.dedup();
     // Arena order equals document order for parsed documents, but not
     // necessarily after mutation; the final node-set is re-sorted so
     // first-node string conversion and consumers always see document
     // order.
-    sort_document_order(doc, &mut result);
-    Ok(result)
+    sort_document_order(doc, &mut nodes);
+    Ok(nodes)
+}
+
+/// Evaluates one path (top-level or inner) from `start`: the walks
+/// before the last build their node-sets, and the last one streams its
+/// nodes — possibly repeated — into `sink`. Returns `true` once `sink`
+/// asks to stop.
+fn eval_steps(
+    doc: &Document,
+    start: CtxNode,
+    steps: &[Step],
+    b: &mut Budget,
+    sink: &mut dyn FnMut(CtxNode) -> bool,
+) -> Result<bool, EvalError> {
+    b.enter()?;
+    let r = stream_steps(doc, start, steps, b, sink);
+    b.leave();
+    r
+}
+
+fn stream_steps(
+    doc: &Document,
+    start: CtxNode,
+    steps: &[Step],
+    b: &mut Budget,
+    sink: &mut dyn FnMut(CtxNode) -> bool,
+) -> Result<bool, EvalError> {
+    let mut walks = Walks { steps };
+    let Some(mut last) = walks.next() else {
+        // No step to take: the path selects its start node.
+        return Ok(sink(start));
+    };
+    let mut set: Option<Vec<CtxNode>> = None;
+    for w in walks {
+        let s = match &mut set {
+            Some(s) => s,
+            None => {
+                let mut s = b.buffer();
+                s.push(start);
+                set.insert(s)
+            }
+        };
+        step_set(doc, last, s, b)?;
+        last = w;
+    }
+    let one = [start];
+    let mut stopped = false;
+    for &ctx in set.as_deref().unwrap_or(&one) {
+        b.visit()?;
+        if walk(doc, ctx, last, b, sink)? {
+            stopped = true;
+            break;
+        }
+    }
+    if let Some(s) = set {
+        b.recycle(s);
+    }
+    Ok(stopped)
+}
+
+/// Replaces `set` with the nodes walk `w` selects from its members,
+/// sorted and without duplicates.
+fn step_set(
+    doc: &Document,
+    w: Walk,
+    set: &mut Vec<CtxNode>,
+    b: &mut Budget,
+) -> Result<(), EvalError> {
+    let mut next = b.buffer();
+    for &ctx in set.iter() {
+        b.visit()?;
+        walk(doc, ctx, w, b, &mut |n| {
+            next.push(n);
+            false
+        })?;
+    }
+    next.sort_unstable();
+    next.dedup();
+    std::mem::swap(set, &mut next);
+    b.recycle(next);
+    Ok(())
+}
+
+/// One walk along an axis: a location step as parsed, or the `//T[p]`
+/// pair fused into `descendant::T[p]`.
+#[derive(Clone, Copy)]
+struct Walk<'e> {
+    axis: Axis,
+    test: &'e NodeTest,
+    preds: &'e [Expr],
+    /// Some predicate reads the candidate's position ([`is_positional`]).
+    positional: bool,
+}
+
+/// The walks of a path's steps, in order.
+struct Walks<'e> {
+    steps: &'e [Step],
+}
+
+impl<'e> Iterator for Walks<'e> {
+    type Item = Walk<'e>;
+
+    fn next(&mut self) -> Option<Walk<'e>> {
+        loop {
+            let (step, rest) = self.steps.split_first()?;
+            self.steps = rest;
+            match (step.axis, &step.test, step.predicates.is_empty()) {
+                // `.`: every context node selects itself.
+                (Axis::SelfAxis, NodeTest::AnyNode, true) => continue,
+                // `//T[p]`: the children of every descendant-or-self are
+                // the descendants. Positions are counted among siblings,
+                // so a positional `p` keeps the two steps apart.
+                (Axis::DescendantOrSelf, NodeTest::AnyNode, true) => {
+                    if let Some((child, rest)) = rest.split_first() {
+                        if child.axis == Axis::Child && !child.predicates.iter().any(is_positional)
+                        {
+                            self.steps = rest;
+                            return Some(Walk {
+                                axis: Axis::Descendant,
+                                test: &child.test,
+                                preds: &child.predicates,
+                                positional: false,
+                            });
+                        }
+                    }
+                }
+                _ => {}
+            }
+            return Some(Walk {
+                axis: step.axis,
+                test: &step.test,
+                preds: &step.predicates,
+                positional: step.predicates.iter().any(is_positional),
+            });
+        }
+    }
+}
+
+/// Whether a predicate depends on the candidate's position: its value
+/// is a number (`[1]`, `[count(x)]`, `[number(@n)]`, arithmetic), which
+/// selects by position, or it calls `position()` or `last()` outside an
+/// inner path (whose own predicates count positions of their own).
+fn is_positional(e: &Expr) -> bool {
+    is_numeric(e) || reads_position(e)
+}
+
+/// Whether `e` evaluates to a number (the value types are static).
+fn is_numeric(e: &Expr) -> bool {
+    match e {
+        Expr::Number(_) | Expr::Arith(..) | Expr::Neg(_) => true,
+        Expr::Call(f, _) => matches!(
+            f,
+            Func::Position
+                | Func::Last
+                | Func::Count
+                | Func::NumberFn
+                | Func::StringLength
+                | Func::Floor
+                | Func::Ceiling
+                | Func::Round
+                | Func::Sum
+        ),
+        _ => false,
+    }
+}
+
+fn reads_position(e: &Expr) -> bool {
+    match e {
+        Expr::Call(Func::Position | Func::Last, _) => true,
+        Expr::Call(_, args) => args.iter().any(reads_position),
+        Expr::Or(a, b)
+        | Expr::And(a, b)
+        | Expr::Compare(_, a, b)
+        | Expr::Union(a, b)
+        | Expr::Arith(_, a, b) => reads_position(a) || reads_position(b),
+        Expr::Neg(a) => reads_position(a),
+        Expr::Path(_) | Expr::Literal(_) | Expr::Number(_) => false,
+    }
+}
+
+/// Receives each candidate of a walk, with the budget; `Ok(true)` stops
+/// the walk.
+type Emit<'a, 'p> = &'a mut dyn FnMut(CtxNode, &mut Budget<'p>) -> Result<bool, EvalError>;
+
+/// Streams the nodes walk `w` selects from `ctx` into `sink`, in axis
+/// order; returns `true` once `sink` asks to stop.
+///
+/// Without positional predicates each candidate is tested as the walk
+/// reaches it. Positions count the candidates that passed the earlier
+/// predicates, so a positional step first collects its candidates.
+fn walk<'p>(
+    doc: &Document,
+    ctx: CtxNode,
+    w: Walk,
+    b: &mut Budget<'p>,
+    sink: &mut dyn FnMut(CtxNode) -> bool,
+) -> Result<bool, EvalError> {
+    if !w.positional {
+        return axis(doc, ctx, w.axis, w.test, b, &mut |c, b| {
+            // The virtual root passes no predicate.
+            let CtxNode::Node(node) = c else { return Ok(w.preds.is_empty() && sink(c)) };
+            // Non-positional predicates never read position or size.
+            let pctx = EvalCtx { doc, node, position: 0, size: 0 };
+            for p in w.preds {
+                if !eval_bool(&pctx, p, b)? {
+                    return Ok(false);
+                }
+            }
+            Ok(sink(c))
+        });
+    }
+    let mut cands = b.buffer();
+    axis(doc, ctx, w.axis, w.test, b, &mut |c, _| {
+        cands.push(c);
+        Ok(false)
+    })?;
+    for p in w.preds {
+        let size = cands.len();
+        let mut kept = 0;
+        for i in 0..size {
+            let c = cands[i];
+            let CtxNode::Node(node) = c else { continue };
+            let pctx = EvalCtx { doc, node, position: i + 1, size };
+            let keep = if is_numeric(p) {
+                eval_value(&pctx, p, b)?.to_number(doc) == (i + 1) as f64
+            } else {
+                eval_bool(&pctx, p, b)?
+            };
+            if keep {
+                cands[kept] = c;
+                kept += 1;
+            }
+        }
+        cands.truncate(kept);
+    }
+    let stopped = cands.iter().any(|&c| sink(c));
+    b.recycle(cands);
+    Ok(stopped)
+}
+
+/// Offers each node along `axis` from `ctx` that passes `test` to `emit`,
+/// in axis order (document order for forward axes, nearest first for
+/// reverse axes), charging one visit per node examined — not per match —
+/// so the budget bounds actual work even for selective tests. Returns
+/// `true` once `emit` asks to stop.
+fn axis<'p>(
+    doc: &Document,
+    ctx: CtxNode,
+    axis: Axis,
+    test: &NodeTest,
+    b: &mut Budget<'p>,
+    emit: Emit<'_, 'p>,
+) -> Result<bool, EvalError> {
+    let any_node = matches!(test, NodeTest::AnyNode);
+    let n = match ctx {
+        CtxNode::Node(n) => n,
+        CtxNode::Root => {
+            return match axis {
+                Axis::Child => {
+                    b.visit()?;
+                    offer(doc, doc.root(), test, b, emit)
+                }
+                Axis::Descendant => descend(doc, doc.root(), test, b, emit),
+                Axis::DescendantOrSelf => {
+                    if any_node && emit(CtxNode::Root, b)? {
+                        return Ok(true);
+                    }
+                    descend(doc, doc.root(), test, b, emit)
+                }
+                Axis::SelfAxis if any_node => emit(CtxNode::Root, b),
+                _ => Ok(false),
+            };
+        }
+    };
+    match axis {
+        Axis::Child => {
+            for &c in doc.children(n) {
+                b.visit()?;
+                if offer(doc, c, test, b, emit)? {
+                    return Ok(true);
+                }
+            }
+        }
+        Axis::Descendant => {
+            for &c in doc.children(n) {
+                if descend(doc, c, test, b, emit)? {
+                    return Ok(true);
+                }
+            }
+        }
+        Axis::DescendantOrSelf => return descend(doc, n, test, b, emit),
+        Axis::SelfAxis => {
+            b.visit()?;
+            return offer(doc, n, test, b, emit);
+        }
+        Axis::Parent => {
+            b.visit()?;
+            return match doc.parent(n) {
+                Some(p) => offer(doc, p, test, b, emit),
+                // The parent of the document element is the virtual
+                // root, which only node() matches.
+                None if any_node => emit(CtxNode::Root, b),
+                None => Ok(false),
+            };
+        }
+        Axis::Ancestor | Axis::AncestorOrSelf => {
+            if axis == Axis::AncestorOrSelf {
+                b.visit()?;
+                if offer(doc, n, test, b, emit)? {
+                    return Ok(true);
+                }
+            }
+            for a in doc.ancestors(n) {
+                b.visit()?;
+                if offer(doc, a, test, b, emit)? {
+                    return Ok(true);
+                }
+            }
+            if any_node {
+                return emit(CtxNode::Root, b);
+            }
+        }
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            let Some(p) = doc.parent(n).filter(|_| !doc.is_attribute(n)) else {
+                return Ok(false);
+            };
+            let siblings = doc.children(p);
+            let Some(pos) = siblings.iter().position(|&c| c == n) else { return Ok(false) };
+            let (before, after) = (&siblings[..pos], &siblings[pos + 1..]);
+            // Reverse axis: nearest sibling first.
+            let mut nearest_first = before.iter().rev();
+            let mut forward = after.iter();
+            let order: &mut dyn Iterator<Item = &NodeId> =
+                if axis == Axis::FollowingSibling { &mut forward } else { &mut nearest_first };
+            for &c in order {
+                b.visit()?;
+                if offer(doc, c, test, b, emit)? {
+                    return Ok(true);
+                }
+            }
+        }
+        Axis::Attribute => {
+            for &a in doc.attributes(n) {
+                b.visit()?;
+                let matches = match (test, &doc.node(a).data) {
+                    (NodeTest::Name(want), NodeData::Attr { name, .. }) => name == want,
+                    (NodeTest::Wildcard | NodeTest::AnyNode, NodeData::Attr { .. }) => true,
+                    _ => false,
+                };
+                if matches && emit(CtxNode::Node(a), b)? {
+                    return Ok(true);
+                }
+            }
+        }
+    }
+    Ok(false)
+}
+
+/// Walks `n` and its descendants in document order. Attributes are not
+/// on the descendant axis (XPath data model).
+fn descend<'p>(
+    doc: &Document,
+    n: NodeId,
+    test: &NodeTest,
+    b: &mut Budget<'p>,
+    emit: Emit<'_, 'p>,
+) -> Result<bool, EvalError> {
+    b.visit()?;
+    if offer(doc, n, test, b, emit)? {
+        return Ok(true);
+    }
+    for &c in doc.children(n) {
+        if descend(doc, c, test, b, emit)? {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// Applies the element/text name test to a non-attribute-axis candidate.
+fn offer<'p>(
+    doc: &Document,
+    n: NodeId,
+    test: &NodeTest,
+    b: &mut Budget<'p>,
+    emit: Emit<'_, 'p>,
+) -> Result<bool, EvalError> {
+    let ok = match (test, &doc.node(n).data) {
+        (NodeTest::Name(want), NodeData::Element { name, .. }) => name == want,
+        (NodeTest::Name(want), NodeData::Attr { name, .. }) => name == want,
+        (NodeTest::Wildcard, NodeData::Element { .. }) => true,
+        (NodeTest::Text, NodeData::Text(_)) => true,
+        (NodeTest::AnyNode, _) => true,
+        _ => false,
+    };
+    if ok {
+        emit(CtxNode::Node(n), b)
+    } else {
+        Ok(false)
+    }
 }
 
 /// Sorts `nodes` into document order.
@@ -284,197 +699,6 @@ pub fn sort_document_order(doc: &Document, nodes: &mut [NodeId]) {
     }
 }
 
-/// Nodes along `step.axis` from `ctx` that pass `step.test`, in axis order
-/// (document order for forward axes, nearest-first for reverse axes).
-///
-/// Charges the budget one visit per node *examined* (not per match), so
-/// the budget bounds actual work even for selective tests.
-fn axis_nodes(
-    doc: &Document,
-    ctx: CtxNode,
-    step: &Step,
-    b: &mut Budget,
-) -> Result<Vec<CtxNode>, EvalError> {
-    let mut out = Vec::new();
-    match step.axis {
-        Axis::Child => match ctx {
-            CtxNode::Root => {
-                b.charge(1)?;
-                push_if(doc, doc.root(), &step.test, &mut out);
-            }
-            CtxNode::Node(n) => {
-                b.charge(doc.children(n).len() as u64)?;
-                for &c in doc.children(n) {
-                    push_if(doc, c, &step.test, &mut out);
-                }
-            }
-        },
-        Axis::Descendant => {
-            descend(doc, ctx, &step.test, false, &mut out, b)?;
-        }
-        Axis::DescendantOrSelf => {
-            descend(doc, ctx, &step.test, true, &mut out, b)?;
-        }
-        Axis::Parent => match ctx {
-            CtxNode::Root => {}
-            CtxNode::Node(n) => {
-                b.charge(1)?;
-                match doc.parent(n) {
-                    Some(p) => push_if(doc, p, &step.test, &mut out),
-                    None => {
-                        // Parent of the document element is the virtual root,
-                        // which only node() matches.
-                        if matches!(step.test, NodeTest::AnyNode) {
-                            out.push(CtxNode::Root);
-                        }
-                    }
-                }
-            }
-        },
-        Axis::Ancestor | Axis::AncestorOrSelf => {
-            if step.axis == Axis::AncestorOrSelf {
-                if let CtxNode::Node(n) = ctx {
-                    b.charge(1)?;
-                    push_if(doc, n, &step.test, &mut out);
-                }
-            }
-            if let CtxNode::Node(n) = ctx {
-                for a in doc.ancestors(n) {
-                    b.charge(1)?;
-                    push_if(doc, a, &step.test, &mut out);
-                }
-                if matches!(step.test, NodeTest::AnyNode) {
-                    out.push(CtxNode::Root);
-                }
-            }
-        }
-        Axis::SelfAxis => match ctx {
-            CtxNode::Root => {
-                if matches!(step.test, NodeTest::AnyNode) {
-                    out.push(CtxNode::Root);
-                }
-            }
-            CtxNode::Node(n) => {
-                b.charge(1)?;
-                push_if(doc, n, &step.test, &mut out);
-            }
-        },
-        Axis::FollowingSibling | Axis::PrecedingSibling => {
-            if let CtxNode::Node(n) = ctx {
-                if let Some(p) = doc.parent(n) {
-                    if !doc.is_attribute(n) {
-                        let siblings = doc.children(p);
-                        b.charge(siblings.len() as u64)?;
-                        let pos = siblings.iter().position(|&c| c == n);
-                        if let Some(pos) = pos {
-                            if step.axis == Axis::FollowingSibling {
-                                for &c in &siblings[pos + 1..] {
-                                    push_if(doc, c, &step.test, &mut out);
-                                }
-                            } else {
-                                // Reverse axis: nearest sibling first.
-                                for &c in siblings[..pos].iter().rev() {
-                                    push_if(doc, c, &step.test, &mut out);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Axis::Attribute => {
-            if let CtxNode::Node(n) = ctx {
-                b.charge(doc.attributes(n).len() as u64)?;
-                for &a in doc.attributes(n) {
-                    let matches = match (&step.test, &doc.node(a).data) {
-                        (NodeTest::Name(want), NodeData::Attr { name, .. }) => name == want,
-                        (NodeTest::Wildcard | NodeTest::AnyNode, NodeData::Attr { .. }) => true,
-                        _ => false,
-                    };
-                    if matches {
-                        out.push(CtxNode::Node(a));
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Collects descendants (document order), optionally including self.
-/// Attributes are not on the descendant axis (XPath data model).
-fn descend(
-    doc: &Document,
-    ctx: CtxNode,
-    test: &NodeTest,
-    include_self: bool,
-    out: &mut Vec<CtxNode>,
-    b: &mut Budget,
-) -> Result<(), EvalError> {
-    match ctx {
-        CtxNode::Root => {
-            if include_self && matches!(test, NodeTest::AnyNode) {
-                out.push(CtxNode::Root);
-            }
-            descend(doc, CtxNode::Node(doc.root()), test, true, out, b)?;
-        }
-        CtxNode::Node(n) => {
-            b.charge(1)?;
-            if include_self {
-                push_if(doc, n, test, out);
-            }
-            for &c in doc.children(n) {
-                descend(doc, CtxNode::Node(c), test, true, out, b)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Applies the element/text name test to a non-attribute-axis candidate.
-fn push_if(doc: &Document, n: NodeId, test: &NodeTest, out: &mut Vec<CtxNode>) {
-    let ok = match (test, &doc.node(n).data) {
-        (NodeTest::Name(want), NodeData::Element { name, .. }) => name == want,
-        (NodeTest::Name(want), NodeData::Attr { name, .. }) => name == want,
-        (NodeTest::Wildcard, NodeData::Element { .. }) => true,
-        (NodeTest::Text, NodeData::Text(_)) => true,
-        (NodeTest::AnyNode, _) => true,
-        _ => false,
-    };
-    if ok {
-        out.push(CtxNode::Node(n));
-    }
-}
-
-/// Filters `candidates` through each predicate in turn, re-numbering
-/// positions between predicates (XPath 1.0 semantics).
-fn apply_predicates(
-    doc: &Document,
-    mut candidates: Vec<CtxNode>,
-    preds: &[Expr],
-    b: &mut Budget,
-) -> Result<Vec<CtxNode>, EvalError> {
-    for pred in preds {
-        let size = candidates.len();
-        let mut kept = Vec::with_capacity(size);
-        for (i, &c) in candidates.iter().enumerate() {
-            let CtxNode::Node(n) = c else { continue };
-            let ctx = EvalCtx { doc, node: n, position: i + 1, size };
-            let v = eval_expr(&ctx, pred, b)?;
-            let keep = match v {
-                // A bare number predicate selects by position.
-                Value::Num(want) => (i + 1) as f64 == want,
-                other => other.to_bool(),
-            };
-            if keep {
-                kept.push(c);
-            }
-        }
-        candidates = kept;
-    }
-    Ok(candidates)
-}
-
 /// Evaluation context for condition expressions.
 struct EvalCtx<'d> {
     doc: &'d Document,
@@ -483,32 +707,148 @@ struct EvalCtx<'d> {
     size: usize,
 }
 
-fn eval_expr(ctx: &EvalCtx<'_>, e: &Expr, bu: &mut Budget) -> Result<Value, EvalError> {
+impl EvalCtx<'_> {
+    /// Where an inner path starts: the virtual root or the context node.
+    fn start(&self, p: &PathExpr) -> CtxNode {
+        if p.absolute {
+            CtxNode::Root
+        } else {
+            CtxNode::Node(self.node)
+        }
+    }
+}
+
+/// Evaluates `e` as a boolean without building node-sets: an inner path
+/// stops at its first node, and comparisons against a literal or number
+/// test each node in place.
+fn eval_bool(ctx: &EvalCtx<'_>, e: &Expr, bu: &mut Budget) -> Result<bool, EvalError> {
     Ok(match e {
-        Expr::Or(a, b) => {
-            Value::Bool(eval_expr(ctx, a, bu)?.to_bool() || eval_expr(ctx, b, bu)?.to_bool())
-        }
-        Expr::And(a, b) => {
-            Value::Bool(eval_expr(ctx, a, bu)?.to_bool() && eval_expr(ctx, b, bu)?.to_bool())
-        }
-        Expr::Compare(op, a, b) => {
-            let l = eval_expr(ctx, a, bu)?;
-            let r = eval_expr(ctx, b, bu)?;
-            Value::Bool(compare(ctx.doc, *op, &l, &r))
-        }
+        Expr::Or(a, b) => eval_bool(ctx, a, bu)? || eval_bool(ctx, b, bu)?,
+        Expr::And(a, b) => eval_bool(ctx, a, bu)? && eval_bool(ctx, b, bu)?,
         Expr::Path(p) => {
-            let start = if p.absolute { CtxNode::Root } else { CtxNode::Node(ctx.node) };
-            Value::NodeSet(eval_from(ctx.doc, start, p, bu)?)
+            eval_steps(ctx.doc, ctx.start(p), &p.steps, bu, &mut |c| matches!(c, CtxNode::Node(_)))?
         }
+        Expr::Compare(op, a, b) => compare_exprs(ctx, *op, a, b, bu)?,
+        Expr::Call(Func::Not, args) => match args.first() {
+            Some(a) => !eval_bool(ctx, a, bu)?,
+            None => true,
+        },
+        Expr::Call(Func::BooleanFn, args) => match args.first() {
+            Some(a) => eval_bool(ctx, a, bu)?,
+            None => false,
+        },
+        _ => eval_value(ctx, e, bu)?.to_bool(),
+    })
+}
+
+/// A literal operand of a comparison.
+#[derive(Clone, Copy)]
+enum Scalar<'e> {
+    Str(&'e str),
+    Num(f64),
+}
+
+/// `a OP b` (XPath 1.0 §3.4). A path against a literal or number is
+/// tested node by node on borrowed values, stopping at the first node
+/// that makes it true; anything else compares evaluated values.
+fn compare_exprs(
+    ctx: &EvalCtx<'_>,
+    op: CmpOp,
+    a: &Expr,
+    b: &Expr,
+    bu: &mut Budget,
+) -> Result<bool, EvalError> {
+    let (path, scalar, flipped) = match (a, b) {
+        (Expr::Path(p), Expr::Literal(s)) => (p, Scalar::Str(s), false),
+        (Expr::Path(p), Expr::Number(x)) => (p, Scalar::Num(*x), false),
+        (Expr::Literal(s), Expr::Path(p)) => (p, Scalar::Str(s), true),
+        (Expr::Number(x), Expr::Path(p)) => (p, Scalar::Num(*x), true),
+        _ => {
+            let l = eval_value(ctx, a, bu)?;
+            let r = eval_value(ctx, b, bu)?;
+            return Ok(compare(ctx.doc, op, &l, &r));
+        }
+    };
+    let doc = ctx.doc;
+    eval_steps(
+        doc,
+        ctx.start(path),
+        &path.steps,
+        bu,
+        &mut |c| matches!(c, CtxNode::Node(n) if node_compares(op, &string_value(doc, n), scalar, flipped)),
+    )
+}
+
+/// Compares one node's string-value against a scalar (the node on the
+/// left unless `flipped`): `=` and `!=` against a string compare strings,
+/// everything else compares numbers.
+fn node_compares(op: CmpOp, node: &str, scalar: Scalar<'_>, flipped: bool) -> bool {
+    let (l, r) = match (op, scalar) {
+        (CmpOp::Eq, Scalar::Str(s)) => return node == s,
+        (CmpOp::Ne, Scalar::Str(s)) => return node != s,
+        (_, Scalar::Str(s)) => (str_to_number(node), str_to_number(s)),
+        (_, Scalar::Num(x)) => (str_to_number(node), x),
+    };
+    let (l, r) = if flipped { (r, l) } else { (l, r) };
+    match op {
+        CmpOp::Eq => l == r,
+        CmpOp::Ne => l != r,
+        CmpOp::Lt => l < r,
+        CmpOp::Le => l <= r,
+        CmpOp::Gt => l > r,
+        CmpOp::Ge => l >= r,
+    }
+}
+
+/// The XPath string-value of `n`, borrowed from the document unless an
+/// element's text is spread over several text nodes.
+fn string_value(doc: &Document, n: NodeId) -> Cow<'_, str> {
+    match &doc.node(n).data {
+        NodeData::Attr { value, .. } => Cow::Borrowed(value),
+        NodeData::Text(t) => Cow::Borrowed(t),
+        NodeData::Comment(_) | NodeData::Pi { .. } => Cow::Borrowed(""),
+        NodeData::Element { .. } => match sole_text(doc, n) {
+            Some(t) => Cow::Borrowed(t.unwrap_or("")),
+            None => Cow::Owned(doc.text_value(n)),
+        },
+    }
+}
+
+/// The text of the only text node under `n` (`Some(None)` when there is
+/// none), or `None` when there are several.
+fn sole_text(doc: &Document, n: NodeId) -> Option<Option<&str>> {
+    let mut found = None;
+    for &c in doc.children(n) {
+        let t = match &doc.node(c).data {
+            NodeData::Text(t) => Some(t.as_str()),
+            NodeData::Element { .. } => sole_text(doc, c)?,
+            _ => None,
+        };
+        if t.is_some() {
+            if found.is_some() {
+                return None;
+            }
+            found = t;
+        }
+    }
+    Some(found)
+}
+
+/// Evaluates `e` to a value. Booleans go through [`eval_bool`]; paths
+/// build their node-sets.
+fn eval_value(ctx: &EvalCtx<'_>, e: &Expr, bu: &mut Budget) -> Result<Value, EvalError> {
+    Ok(match e {
+        Expr::Or(..) | Expr::And(..) | Expr::Compare(..) => Value::Bool(eval_bool(ctx, e, bu)?),
+        Expr::Path(p) => Value::NodeSet(select_from(ctx.doc, ctx.start(p), p, bu)?),
         Expr::Literal(s) => Value::Str(s.clone()),
         Expr::Number(n) => Value::Num(*n),
         Expr::Call(f, args) => eval_call(ctx, *f, args, bu)?,
         Expr::Union(a, b) => {
-            let mut out = match eval_expr(ctx, a, bu)? {
+            let mut out = match eval_value(ctx, a, bu)? {
                 Value::NodeSet(ns) => ns,
                 _ => Vec::new(),
             };
-            if let Value::NodeSet(more) = eval_expr(ctx, b, bu)? {
+            if let Value::NodeSet(more) = eval_value(ctx, b, bu)? {
                 out.extend(more);
             }
             out.sort_unstable();
@@ -516,8 +856,8 @@ fn eval_expr(ctx: &EvalCtx<'_>, e: &Expr, bu: &mut Budget) -> Result<Value, Eval
             Value::NodeSet(out)
         }
         Expr::Arith(op, a, b) => {
-            let l = eval_expr(ctx, a, bu)?.to_number(ctx.doc);
-            let r = eval_expr(ctx, b, bu)?.to_number(ctx.doc);
+            let l = eval_value(ctx, a, bu)?.to_number(ctx.doc);
+            let r = eval_value(ctx, b, bu)?.to_number(ctx.doc);
             Value::Num(match op {
                 ArithOp::Add => l + r,
                 ArithOp::Sub => l - r,
@@ -525,7 +865,7 @@ fn eval_expr(ctx: &EvalCtx<'_>, e: &Expr, bu: &mut Budget) -> Result<Value, Eval
                 ArithOp::Mod => l % r,
             })
         }
-        Expr::Neg(a) => Value::Num(-eval_expr(ctx, a, bu)?.to_number(ctx.doc)),
+        Expr::Neg(a) => Value::Num(-eval_value(ctx, a, bu)?.to_number(ctx.doc)),
     })
 }
 
@@ -539,7 +879,7 @@ fn eval_call(
         Func::Position => Value::Num(ctx.position as f64),
         Func::Last => Value::Num(ctx.size as f64),
         Func::Count => match args.first() {
-            Some(a) => match eval_expr(ctx, a, bu)? {
+            Some(a) => match eval_value(ctx, a, bu)? {
                 Value::NodeSet(ns) => Value::Num(ns.len() as f64),
                 _ => Value::Num(f64::NAN),
             },
@@ -560,19 +900,19 @@ fn eval_call(
             if args.is_empty() {
                 Value::Str(ctx.doc.text_value(ctx.node))
             } else {
-                Value::Str(eval_expr(ctx, &args[0], bu)?.to_string_value(ctx.doc))
+                Value::Str(eval_value(ctx, &args[0], bu)?.to_string_value(ctx.doc))
             }
         }
         Func::NumberFn => {
             if args.is_empty() {
                 Value::Num(crate::value::str_to_number(&ctx.doc.text_value(ctx.node)))
             } else {
-                Value::Num(eval_expr(ctx, &args[0], bu)?.to_number(ctx.doc))
+                Value::Num(eval_value(ctx, &args[0], bu)?.to_number(ctx.doc))
             }
         }
         Func::Not => {
             let v = match args.first() {
-                Some(a) => eval_expr(ctx, a, bu)?.to_bool(),
+                Some(a) => eval_value(ctx, a, bu)?.to_bool(),
                 None => false,
             };
             Value::Bool(!v)
@@ -583,14 +923,14 @@ fn eval_call(
             let s = if args.is_empty() {
                 ctx.doc.text_value(ctx.node)
             } else {
-                eval_expr(ctx, &args[0], bu)?.to_string_value(ctx.doc)
+                eval_value(ctx, &args[0], bu)?.to_string_value(ctx.doc)
             };
             Value::Str(s.split_whitespace().collect::<Vec<_>>().join(" "))
         }
         Func::Concat => {
             let mut out = String::new();
             for a in args {
-                out.push_str(&eval_expr(ctx, a, bu)?.to_string_value(ctx.doc));
+                out.push_str(&eval_value(ctx, a, bu)?.to_string_value(ctx.doc));
             }
             Value::Str(out)
         }
@@ -598,7 +938,7 @@ fn eval_call(
             let s = arg_string(ctx, args, 0, bu)?;
             let chars: Vec<char> = s.chars().collect();
             let start = match args.get(1) {
-                Some(a) => eval_expr(ctx, a, bu)?.to_number(ctx.doc),
+                Some(a) => eval_value(ctx, a, bu)?.to_number(ctx.doc),
                 None => 1.0,
             };
             let start_idx = if start.is_nan() {
@@ -608,7 +948,7 @@ fn eval_call(
             };
             let end_idx = match args.get(2) {
                 Some(a) => {
-                    let len = eval_expr(ctx, a, bu)?.to_number(ctx.doc);
+                    let len = eval_value(ctx, a, bu)?.to_number(ctx.doc);
                     if len.is_nan() || len <= 0.0 {
                         return Ok(Value::Str(String::new()));
                     }
@@ -657,7 +997,7 @@ fn eval_call(
         }
         Func::BooleanFn => {
             let v = match args.first() {
-                Some(a) => eval_expr(ctx, a, bu)?.to_bool(),
+                Some(a) => eval_value(ctx, a, bu)?.to_bool(),
                 None => false,
             };
             Value::Bool(v)
@@ -666,7 +1006,7 @@ fn eval_call(
         Func::Ceiling => Value::Num(arg_number(ctx, args, 0, bu)?.ceil()),
         Func::Round => Value::Num(arg_number(ctx, args, 0, bu)?.round()),
         Func::Sum => match args.first() {
-            Some(a) => match eval_expr(ctx, a, bu)? {
+            Some(a) => match eval_value(ctx, a, bu)? {
                 Value::NodeSet(ns) => Value::Num(
                     ns.iter().map(|&n| crate::value::str_to_number(&ctx.doc.text_value(n))).sum(),
                 ),
@@ -684,7 +1024,7 @@ fn arg_number(
     bu: &mut Budget,
 ) -> Result<f64, EvalError> {
     Ok(match args.get(i) {
-        Some(a) => eval_expr(ctx, a, bu)?.to_number(ctx.doc),
+        Some(a) => eval_value(ctx, a, bu)?.to_number(ctx.doc),
         None => f64::NAN,
     })
 }
@@ -696,7 +1036,7 @@ fn arg_string(
     bu: &mut Budget,
 ) -> Result<String, EvalError> {
     Ok(match args.get(i) {
-        Some(a) => eval_expr(ctx, a, bu)?.to_string_value(ctx.doc),
+        Some(a) => eval_value(ctx, a, bu)?.to_string_value(ctx.doc),
         None => String::new(),
     })
 }
@@ -705,10 +1045,8 @@ fn arg_string(
 /// (used by tools and tests). Unbudgeted.
 pub fn eval_condition(doc: &Document, node: NodeId, e: &Expr) -> bool {
     let ctx = EvalCtx { doc, node, position: 1, size: 1 };
-    let mut budget = Budget::new(EvalLimits::unlimited());
-    eval_expr(&ctx, e, &mut budget)
-        .expect("unlimited evaluation cannot exhaust a budget")
-        .to_bool()
+    let mut budget = Budget::new(EvalLimits::unlimited(), None);
+    eval_bool(&ctx, e, &mut budget).expect("unlimited evaluation cannot exhaust a budget")
 }
 
 /// Convenience: parse then select.
@@ -1025,6 +1363,49 @@ mod tests {
                 "{expr}"
             );
         }
+    }
+
+    #[test]
+    fn positional_predicates_are_recognized() {
+        let positional = |e: &str| is_positional(&crate::parser::parse_expr(e).unwrap());
+        for e in ["1", "last()", "position() = 2", "count(x)", "number(@n)", "@n + 1", "-1"] {
+            assert!(positional(e), "{e}");
+        }
+        for e in [r#"@a = "v""#, "x[1]", "not(x)", "x[last()]", "count(x) > 1", "true()"] {
+            assert!(!positional(e), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_successful_evaluation_draws_exactly_what_it_visited() {
+        let d = doc();
+        let p = parse_path(r#"//*[.//paper[@category="public"]]//flname"#).unwrap();
+        let limits = EvalLimits::default();
+        let big = SharedBudget::new(1_000_000);
+        let want = eval_path_shared(&d, d.root(), &p, &limits, &big).unwrap();
+        let drawn = 1_000_000 - big.remaining();
+        assert!(drawn > 0);
+        let exact = SharedBudget::new(drawn);
+        assert_eq!(eval_path_shared(&d, d.root(), &p, &limits, &exact).unwrap(), want);
+        assert_eq!(exact.remaining(), 0);
+        let short = SharedBudget::new(drawn - 1);
+        let e = eval_path_shared(&d, d.root(), &p, &limits, &short).unwrap_err();
+        assert_eq!(e, EvalError::NodeBudget { limit: drawn - 1 });
+    }
+
+    #[test]
+    fn a_long_walk_polls_its_token_between_chunks() {
+        // 2,000 siblings: a cancel that trips at the second poll stops
+        // the walk before it ends; the last poll alone would not.
+        let xml = format!("<r>{}</r>", "<a/>".repeat(2000));
+        let d = parse(&xml).unwrap();
+        let p = parse_path("//b").unwrap();
+        let limits = EvalLimits::default();
+        let token = xmlsec_xml::cancel::CancelToken::cancel_after_polls(1);
+        let pool = SharedBudget::with_cancel(u64::MAX, token);
+        let e = eval_path_shared(&d, d.root(), &p, &limits, &pool).unwrap_err();
+        assert!(e.is_cancelled());
+        assert!(pool.remaining() < u64::MAX, "the first chunk was drawn before the trip");
     }
 
     #[test]

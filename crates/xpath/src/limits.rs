@@ -62,18 +62,22 @@ impl Default for EvalLimits {
 ///
 /// [`EvalLimits::max_node_visits`] caps *one* evaluation; when a request
 /// evaluates many path expressions (one per authorization object) the
-/// engine wants a single request-wide pool instead, drawn down exactly
-/// (no chunked pre-allocation) so whether the budget trips depends only
-/// on the **total** work of the request, never on scheduling order. That
-/// makes a parallel evaluation trip on exactly the same inputs as a
-/// sequential one — the property the differential tests pin down.
+/// engine wants a single request-wide pool instead. Each evaluation
+/// draws from it in chunks of visits it has already made (every 256
+/// visits and once at its end), never ahead of them, so a successful
+/// evaluation has drawn exactly what it visited and whether the budget
+/// trips depends only on the **total** work of the request, never on
+/// scheduling order. That makes a parallel evaluation trip on exactly the
+/// same inputs as a sequential one — the property the differential tests
+/// pin down.
 #[derive(Debug)]
 pub struct SharedBudget {
     remaining: AtomicU64,
     limit: u64,
     /// Request-scoped cancellation: every `take` doubles as a
     /// cooperative checkpoint, so a cancelled request unwinds from the
-    /// evaluator's hot loop without any extra plumbing.
+    /// evaluator's hot loop within 256 visits without any extra
+    /// plumbing.
     cancel: Option<CancelToken>,
 }
 

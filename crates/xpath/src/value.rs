@@ -102,13 +102,12 @@ pub fn compare(doc: &Document, op: crate::ast::CmpOp, left: &Value, right: &Valu
         (NodeSet(a), other) | (other, NodeSet(a)) => {
             let flipped = matches!(right, NodeSet(_)) && !matches!(left, NodeSet(_));
             a.iter().any(|&x| {
-                let node_val = doc.text_value(x);
-                let (l, r): (Value, Value) = if flipped {
-                    (other.clone(), Str(node_val))
+                let node_val = Str(doc.text_value(x));
+                if flipped {
+                    compare_scalars(doc, op, other, &node_val)
                 } else {
-                    (Str(node_val), other.clone())
-                };
-                compare_scalars(doc, op, &l, &r)
+                    compare_scalars(doc, op, &node_val, other)
+                }
             })
         }
         _ => compare_scalars(doc, op, left, right),
