@@ -4,21 +4,19 @@
 //! meant to range over *every instance* of a DTD. Administrators
 //! therefore want to know, before any instance exists: *which element and
 //! attribute declarations can this authorization ever cover?* This module
-//! evaluates a path expression over the DTD graph (the tree of Figure
-//! 1(b), with recursion folded into a graph):
-//!
-//! - predicates are ignored — they can only *shrink* instance-level
-//!   selection, so the result is a sound over-approximation;
-//! - `//`, `ancestor::`, sibling axes etc. are interpreted over the
-//!   element-containment relation induced by content models;
-//! - an authorization whose coverage is empty is *dead*: no instance of
-//!   the DTD has a node it could ever select (usually a typo in the
-//!   path).
+//! holds the DTD graph (the tree of Figure 1(b), with recursion folded
+//! into a graph) and answers that question with the may side of the one
+//! schema-level path evaluator, [`select`](mod@crate::static_analysis::select),
+//! so coverage is a sound over-approximation of what the path selects on
+//! some instance. An authorization whose coverage is empty is *dead*: no
+//! instance of the DTD has a node it could ever select (usually a typo in
+//! the path).
 
+use crate::static_analysis::select::{select, Selection};
 use std::collections::{BTreeMap, BTreeSet};
 use xmlsec_authz::Authorization;
 use xmlsec_dtd::{ContentSpec, Dtd};
-use xmlsec_xpath::{Axis, NodeTest, PathExpr};
+use xmlsec_xpath::{NodeTest, PathExpr};
 
 /// A schema-level node a path can select.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -54,7 +52,10 @@ pub(crate) struct SchemaGraph<'d> {
 }
 
 impl<'d> SchemaGraph<'d> {
-    pub(crate) fn new(dtd: &'d Dtd, root: &'d str) -> Self {
+    /// The graph of `dtd` rooted at `root_element`, or `None` when the DTD
+    /// does not declare that element.
+    pub(crate) fn new(dtd: &'d Dtd, root_element: &str) -> Option<Self> {
+        let root = dtd.elements.get_key_value(root_element)?.0.as_str();
         let mut children: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         let mut parents: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for (name, decl) in &dtd.elements {
@@ -68,7 +69,15 @@ impl<'d> SchemaGraph<'d> {
             }
             children.insert(name.as_str(), kids);
         }
-        SchemaGraph { dtd, children, parents, root }
+        Some(SchemaGraph { dtd, children, parents, root })
+    }
+
+    /// The element declarations reachable from the root, root included,
+    /// in name order.
+    pub(crate) fn reachable(&self) -> Vec<&'d str> {
+        let mut set = self.descendants(self.root);
+        set.insert(self.root);
+        set.into_iter().collect()
     }
 
     pub(crate) fn kids(&self, e: &str) -> impl Iterator<Item = &'d str> + '_ {
@@ -80,25 +89,11 @@ impl<'d> SchemaGraph<'d> {
     }
 
     pub(crate) fn descendants(&self, e: &str) -> BTreeSet<&'d str> {
-        let mut out = BTreeSet::new();
-        let mut stack: Vec<&str> = self.kids(e).collect();
-        while let Some(x) = stack.pop() {
-            if out.insert(x) {
-                stack.extend(self.kids(x));
-            }
-        }
-        out
+        closure(&self.children, e)
     }
 
     pub(crate) fn ancestors(&self, e: &str) -> BTreeSet<&'d str> {
-        let mut out = BTreeSet::new();
-        let mut stack: Vec<&str> = self.pars(e).collect();
-        while let Some(x) = stack.pop() {
-            if out.insert(x) {
-                stack.extend(self.pars(x));
-            }
-        }
-        out
+        closure(&self.parents, e)
     }
 
     /// `true` when `target` is reachable from the graph root walking child
@@ -125,166 +120,42 @@ impl<'d> SchemaGraph<'d> {
     }
 }
 
-/// Context of schema evaluation: the virtual root or an element type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Ctx<'d> {
-    Root,
-    El(&'d str),
-}
-
-/// Computes the set of schema nodes `path` can select on instances of
-/// `dtd` rooted at `root_element`. Sound over-approximation (predicates
-/// ignored).
-pub fn schema_coverage(dtd: &Dtd, root_element: &str, path: &PathExpr) -> BTreeSet<SchemaNode> {
-    let Some(root) = dtd.elements.get_key_value(root_element).map(|(k, _)| k.as_str()) else {
-        return BTreeSet::new();
-    };
-    let g = SchemaGraph::new(dtd, root);
-    let mut current: BTreeSet<Ctx<'_>> =
-        if path.absolute { [Ctx::Root].into() } else { [Ctx::El(g.root)].into() };
-    let mut attrs: BTreeSet<SchemaNode> = BTreeSet::new();
-
-    for step in &path.steps {
-        let mut next: BTreeSet<Ctx<'_>> = BTreeSet::new();
-        attrs.clear(); // attributes are terminal; only the last step's survive
-        for &ctx in &current {
-            match step.axis {
-                Axis::Child => match ctx {
-                    Ctx::Root => {
-                        if name_matches(&step.test, g.root) {
-                            next.insert(Ctx::El(g.root));
-                        }
-                    }
-                    Ctx::El(e) => {
-                        for k in g.kids(e) {
-                            if name_matches(&step.test, k) {
-                                next.insert(Ctx::El(k));
-                            }
-                        }
-                    }
-                },
-                Axis::Descendant | Axis::DescendantOrSelf => {
-                    let mut set: BTreeSet<&str> = match ctx {
-                        Ctx::Root => {
-                            let mut s = g.descendants(g.root);
-                            s.insert(g.root);
-                            s
-                        }
-                        Ctx::El(e) => g.descendants(e),
-                    };
-                    if step.axis == Axis::DescendantOrSelf {
-                        if let Ctx::El(e) = ctx {
-                            set.insert(e);
-                        }
-                    }
-                    for d in set {
-                        if name_matches(&step.test, d) {
-                            next.insert(Ctx::El(d));
-                        }
-                    }
-                    if matches!(step.test, NodeTest::AnyNode) && ctx == Ctx::Root {
-                        next.insert(Ctx::Root);
-                    }
-                }
-                Axis::Parent => {
-                    if let Ctx::El(e) = ctx {
-                        if e == g.root && matches!(step.test, NodeTest::AnyNode) {
-                            next.insert(Ctx::Root);
-                        }
-                        for p in g.pars(e) {
-                            if name_matches(&step.test, p) {
-                                next.insert(Ctx::El(p));
-                            }
-                        }
-                    }
-                }
-                Axis::Ancestor | Axis::AncestorOrSelf => match ctx {
-                    Ctx::Root => {
-                        // The virtual document root has no ancestors; it is
-                        // its own ancestor-or-self.
-                        if step.axis == Axis::AncestorOrSelf
-                            && matches!(step.test, NodeTest::AnyNode)
-                        {
-                            next.insert(Ctx::Root);
-                        }
-                    }
-                    Ctx::El(e) => {
-                        let mut set = g.ancestors(e);
-                        if step.axis == Axis::AncestorOrSelf {
-                            set.insert(e);
-                        }
-                        for a in set {
-                            if name_matches(&step.test, a) {
-                                next.insert(Ctx::El(a));
-                            }
-                        }
-                        // The document root is an ancestor of every element
-                        // node; dropping it made downstream `/rootname`
-                        // steps falsely dead.
-                        if matches!(step.test, NodeTest::AnyNode) {
-                            next.insert(Ctx::Root);
-                        }
-                    }
-                },
-                Axis::SelfAxis => match ctx {
-                    Ctx::Root => {
-                        if matches!(step.test, NodeTest::AnyNode) {
-                            next.insert(Ctx::Root);
-                        }
-                    }
-                    Ctx::El(e) => {
-                        if name_matches(&step.test, e) {
-                            next.insert(Ctx::El(e));
-                        }
-                    }
-                },
-                Axis::FollowingSibling | Axis::PrecedingSibling => {
-                    if let Ctx::El(e) = ctx {
-                        // Approximation: siblings = other children of any
-                        // of e's parents.
-                        for p in g.pars(e) {
-                            for s in g.kids(p) {
-                                if name_matches(&step.test, s) {
-                                    next.insert(Ctx::El(s));
-                                }
-                            }
-                        }
-                    }
-                }
-                Axis::Attribute => {
-                    if let Ctx::El(e) = ctx {
-                        for def in g.dtd.attributes(e) {
-                            let matches = match &step.test {
-                                NodeTest::Name(n) => n == &def.name,
-                                NodeTest::Wildcard | NodeTest::AnyNode => true,
-                                NodeTest::Text => false,
-                            };
-                            if matches {
-                                attrs.insert(SchemaNode::Attribute {
-                                    element: e.to_string(),
-                                    attribute: def.name.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
+/// Everything reachable from `e` over one or more `edges`.
+fn closure<'d>(edges: &BTreeMap<&'d str, BTreeSet<&'d str>>, e: &str) -> BTreeSet<&'d str> {
+    let mut out = BTreeSet::new();
+    let mut stack = vec![e];
+    while let Some(x) = stack.pop() {
+        for &y in edges.get(x).into_iter().flatten() {
+            if out.insert(y) {
+                stack.push(y);
             }
-        }
-        current = next;
-        if current.is_empty() && attrs.is_empty() {
-            break;
-        }
-    }
-
-    let mut out = attrs;
-    for ctx in current {
-        if let Ctx::El(e) = ctx {
-            out.insert(SchemaNode::Element(e.to_string()));
         }
     }
     out
 }
 
+/// Computes the set of schema nodes `path` can select on instances of
+/// `dtd` rooted at `root_element`: the may side of the schema-level
+/// [`select`](mod@crate::static_analysis::select), so a sound
+/// over-approximation. Empty when the DTD does not declare the root.
+pub fn schema_coverage(dtd: &Dtd, root_element: &str, path: &PathExpr) -> BTreeSet<SchemaNode> {
+    SchemaGraph::new(dtd, root_element)
+        .map(|g| may_nodes(&select(&g, Some(path))))
+        .unwrap_or_default()
+}
+
+/// The declarations a selection may select.
+fn may_nodes(sel: &Selection) -> BTreeSet<SchemaNode> {
+    let elements = sel.elements.keys().map(|e| SchemaNode::Element(e.clone()));
+    let attributes = sel.attributes.keys().map(|(element, attribute)| SchemaNode::Attribute {
+        element: element.clone(),
+        attribute: attribute.clone(),
+    });
+    elements.chain(attributes).collect()
+}
+
+/// Whether a node test passes an element (or, on the attribute axis, an
+/// attribute) named `name`.
 pub(crate) fn name_matches(test: &NodeTest, name: &str) -> bool {
     match test {
         NodeTest::Name(n) => n == name,
@@ -303,27 +174,22 @@ pub struct AuthCoverage {
 }
 
 /// Analyzes a set of (typically schema-level) authorizations against a
-/// DTD: which declarations each can cover, flagging dead paths.
+/// DTD: which declarations each can cover, flagging dead paths (every
+/// path is dead when the DTD does not declare `root_element`).
 pub fn analyze_against_schema(
     dtd: &Dtd,
     root_element: &str,
     auths: &[Authorization],
 ) -> Vec<AuthCoverage> {
+    let g = SchemaGraph::new(dtd, root_element);
     auths
         .iter()
-        .map(|a| {
-            let covers = match &a.object.path {
-                Some(p) => schema_coverage(dtd, root_element, p),
-                None => {
-                    // Whole-document object = the root element.
-                    let mut s = BTreeSet::new();
-                    if dtd.element(root_element).is_some() {
-                        s.insert(SchemaNode::Element(root_element.to_string()));
-                    }
-                    s
-                }
-            };
-            AuthCoverage { authorization: a.to_string(), covers }
+        .map(|a| AuthCoverage {
+            authorization: a.to_string(),
+            covers: g
+                .as_ref()
+                .map(|g| may_nodes(&select(g, a.object.path.as_ref())))
+                .unwrap_or_default(),
         })
         .collect()
 }
@@ -486,6 +352,14 @@ mod tests {
         // Round trip through the cycle and back down.
         let p = parse_path("//label/ancestor::node()/part/label").unwrap();
         assert_eq!(schema_coverage(&dtd, "part", &p).len(), 1);
+    }
+
+    #[test]
+    fn steps_after_an_attribute_are_not_dead() {
+        assert_eq!(cover("/laboratory/@name/.."), vec!["<laboratory>"]);
+        assert_eq!(cover("//paper/@category/."), vec!["<paper>/@category"]);
+        assert_eq!(cover("//paper/@category/ancestor::project"), vec!["<project>"]);
+        assert_eq!(cover("//paper/@category/title"), Vec::<String>::new());
     }
 
     #[test]

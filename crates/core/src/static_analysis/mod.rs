@@ -174,21 +174,28 @@ enum Membership {
     Must,
 }
 
-impl AuthInfo<'_> {
-    fn element_membership(&self, e: &str) -> Membership {
-        match self.sel.elements.get(e) {
+impl Membership {
+    fn of(must: Option<&bool>) -> Membership {
+        match must {
             None => Membership::No,
             Some(true) => Membership::Must,
             Some(false) => Membership::May,
         }
     }
+}
+
+impl<'a> AuthInfo<'a> {
+    /// Analyzes `auth`, selecting its object over `g`.
+    fn new(g: &SchemaGraph<'_>, idx: usize, auth: &'a Authorization, schema: bool) -> Self {
+        AuthInfo { idx, auth, schema, sel: select(g, auth.object.path.as_ref()) }
+    }
+
+    fn element_membership(&self, e: &str) -> Membership {
+        Membership::of(self.sel.elements.get(e))
+    }
 
     fn attribute_membership(&self, e: &str, a: &str) -> Membership {
-        match self.sel.attributes.get(&(e.to_string(), a.to_string())) {
-            None => Membership::No,
-            Some(true) => Membership::Must,
-            Some(false) => Membership::May,
-        }
+        Membership::of(self.sel.attributes.get(&(e.to_string(), a.to_string())))
     }
 }
 
@@ -515,22 +522,13 @@ pub(crate) fn analyze_applicable(
     dir: &Directory,
     policy: PolicyConfig,
 ) -> Option<AppliedAnalysis> {
-    let root = dtd.elements.get_key_value(root_element).map(|(k, _)| k.as_str())?;
-    let g = SchemaGraph::new(dtd, root);
-    let mut reachable: Vec<&str> = vec![g.root];
-    reachable.extend(g.descendants(g.root));
-    reachable.sort_unstable();
-    reachable.dedup();
+    let g = SchemaGraph::new(dtd, root_element)?;
+    let reachable = g.reachable();
 
     let infos: Vec<AuthInfo<'_>> = auths
         .iter()
         .enumerate()
-        .map(|(idx, &(auth, schema))| AuthInfo {
-            idx,
-            auth,
-            schema,
-            sel: select(&g, auth.object.path.as_ref()),
-        })
+        .map(|(idx, &(auth, schema))| AuthInfo::new(&g, idx, auth, schema))
         .collect();
 
     let raw = applied_raw(&g, &reachable, infos.iter().collect(), dir, policy);
@@ -647,7 +645,7 @@ pub fn analyze_policy(
         findings: Vec::new(),
         skipped_non_read: 0,
     };
-    let Some(root) = dtd.elements.get_key_value(root_element).map(|(k, _)| k.as_str()) else {
+    let Some(g) = SchemaGraph::new(dtd, root_element) else {
         report.findings.push(Finding::new(
             Severity::Error,
             "unknown-root",
@@ -655,11 +653,7 @@ pub fn analyze_policy(
         ));
         return report;
     };
-    let g = SchemaGraph::new(dtd, root);
-    let mut reachable: Vec<&str> = vec![g.root];
-    reachable.extend(g.descendants(g.root));
-    reachable.sort_unstable();
-    reachable.dedup();
+    let reachable = g.reachable();
 
     let infos: Vec<AuthInfo<'_>> = auths
         .iter()
@@ -673,7 +667,7 @@ pub fn analyze_policy(
         })
         .map(|(idx, auth)| {
             let schema = auth.object.uri == dtd_uri || auth.object.uri.ends_with(".dtd");
-            AuthInfo { idx, auth, schema, sel: select(&g, auth.object.path.as_ref()) }
+            AuthInfo::new(&g, idx, auth, schema)
         })
         .collect();
 

@@ -1,15 +1,26 @@
-//! Must/may selection of schema nodes by authorization object paths.
+//! The schema-level path evaluator: must/may selection of schema nodes
+//! by authorization object paths.
 //!
-//! [`schema_coverage`](crate::analysis::schema_coverage) answers *which
-//! declarations can this path select on some instance* (the may set).
-//! The analyzer additionally needs the **must** direction: which
-//! declarations are selected *in every conforming instance, at every
-//! node of that type*. Precisely, `must(d)` here means: on every
-//! instance, **every** existing node of declaration `d` is selected by
-//! the path. (This quantifies over existing nodes — it is vacuously true
-//! on instances with no `d` node, which is exactly the strength the
-//! decision table needs, since table cells also quantify over existing
-//! nodes.)
+//! `select` is the one place a path is evaluated over the DTD graph.
+//! Its **may** side answers *which declarations can this path select on
+//! some instance*; [`schema_coverage`](crate::analysis::schema_coverage)
+//! and the dead-path findings read exactly that. The decision tables,
+//! compiled read policies and the static write pre-flight additionally
+//! need the **must** direction: which declarations are selected *in
+//! every conforming instance, at every node of that type*. Precisely,
+//! `must(d)` here means: on every instance, **every** existing node of
+//! declaration `d` is selected by the path. (This quantifies over
+//! existing nodes — it is vacuously true on instances with no `d` node,
+//! which is exactly the strength the decision table needs, since table
+//! cells also quantify over existing nodes.)
+//!
+//! Contexts mirror the concrete evaluator's nodes: the virtual document
+//! root, elements, attributes, and character data (text, comments,
+//! processing instructions). An attribute or character-data context has
+//! no children, attributes or siblings of its own, but a later step can
+//! keep it (`.`, `descendant-or-self::node()`) or climb to its owner
+//! element and beyond (`..`, `ancestor::`), so `@id/..` selects the
+//! element carrying `id`. Elements reached by climbing are mays.
 //!
 //! May stays an over-approximation, must an under-approximation; both
 //! err toward the middle verdict "instance-dependent", never toward a
@@ -17,6 +28,7 @@
 
 use crate::analysis::{name_matches, SchemaGraph};
 use std::collections::{BTreeMap, BTreeSet};
+use xmlsec_dtd::ContentSpec;
 use xmlsec_xpath::{Axis, NodeTest, PathExpr};
 
 /// Why a path's may and must sets differ (the instance-dependence
@@ -63,11 +75,17 @@ impl Selection {
     }
 }
 
-/// Evaluation context: the virtual document root or an element type,
-/// with a must flag.
+/// Evaluation context: the virtual document root, element types and
+/// attribute declarations, each with a must flag, and the element types
+/// whose character-data children (text, comments, processing
+/// instructions) are selected. Character data is no declaration, so it
+/// never reaches the result and carries no must flag, but a later step
+/// can climb out of it.
 #[derive(Debug, Clone, Default)]
 struct CtxSet<'d> {
     els: BTreeMap<&'d str, bool>,
+    attrs: BTreeMap<(&'d str, &'d str), bool>,
+    chars: BTreeSet<&'d str>,
     root_may: bool,
     root_must: bool,
 }
@@ -75,6 +93,11 @@ struct CtxSet<'d> {
 impl<'d> CtxSet<'d> {
     fn add_el(&mut self, e: &'d str, must: bool) {
         let m = self.els.entry(e).or_insert(false);
+        *m = *m || must;
+    }
+
+    fn add_attr(&mut self, e: &'d str, a: &'d str, must: bool) {
+        let m = self.attrs.entry((e, a)).or_insert(false);
         *m = *m || must;
     }
 
@@ -88,15 +111,38 @@ impl<'d> CtxSet<'d> {
     }
 
     fn is_empty(&self) -> bool {
-        self.els.is_empty() && !self.root_may
+        self.els.is_empty() && self.attrs.is_empty() && self.chars.is_empty() && !self.root_may
     }
 
     fn clear_musts(&mut self) {
-        for m in self.els.values_mut() {
+        for m in self.els.values_mut().chain(self.attrs.values_mut()) {
             *m = false;
         }
         self.root_must = false;
     }
+}
+
+/// Whether a test passes character data: `text()` passes text nodes,
+/// `node()` every node.
+fn passes_chars(test: &NodeTest) -> bool {
+    matches!(test, NodeTest::Text | NodeTest::AnyNode)
+}
+
+/// Whether a test on a non-attribute axis (`self`, the or-self axes)
+/// passes the attribute named `a`: the concrete evaluator matches
+/// `node()` and the attribute's own name there, never `*`.
+fn passes_attribute(test: &NodeTest, a: &str) -> bool {
+    match test {
+        NodeTest::Name(n) => n == a,
+        NodeTest::AnyNode => true,
+        NodeTest::Wildcard | NodeTest::Text => false,
+    }
+}
+
+/// Whether nodes of element type `e` can have character-data children.
+/// Any content but `EMPTY` admits comments and processing instructions.
+fn may_hold_chars(g: &SchemaGraph<'_>, e: &str) -> bool {
+    !g.dtd.element(e).is_some_and(|d| matches!(d.content, ContentSpec::Empty))
 }
 
 /// Must-selection for a `descendant::` step: every `d`-node is a proper
@@ -134,7 +180,6 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
         // that element only when the type cannot nest.
         current.add_el(g.root, g.pars(g.root).next().is_none());
     }
-    let mut attrs: BTreeMap<(String, String), bool> = BTreeMap::new();
     let mut dependency: Option<DependencySource> = None;
     let note = |d: DependencySource, dep: &mut Option<DependencySource>| {
         if *dep != Some(DependencySource::Predicate) {
@@ -144,7 +189,6 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
 
     for step in &path.steps {
         let mut next = CtxSet::default();
-        attrs.clear(); // attributes are terminal; only the last step's survive
         let cur_must = current.must_els();
 
         match step.axis {
@@ -158,6 +202,9 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
                         if name_matches(&step.test, k) {
                             may.insert(k);
                         }
+                    }
+                    if passes_chars(&step.test) && may_hold_chars(g, e) {
+                        next.chars.insert(e);
                     }
                 }
                 for k in may {
@@ -175,9 +222,9 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
                     may.extend(g.descendants(g.root));
                     may.insert(g.root);
                     if matches!(step.test, NodeTest::AnyNode) {
-                        // Over-approximation kept from `schema_coverage`:
-                        // the root context survives; it is a must only
-                        // for the or-self reading.
+                        // Over-approximation: the root context survives
+                        // `descendant::node()` too, as a may; only the
+                        // or-self reading makes it a must.
                         next.add_root(step.axis == Axis::DescendantOrSelf && current.root_must);
                     }
                 }
@@ -186,6 +233,12 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
                     if step.axis == Axis::DescendantOrSelf {
                         may.insert(e);
                     }
+                }
+                if passes_chars(&step.test) {
+                    // Character data below a context sits in the context
+                    // element itself or in a descendant element.
+                    let holders = may.iter().chain(current.els.keys()).copied();
+                    next.chars.extend(holders.filter(|&h| may_hold_chars(g, h)));
                 }
                 for d in may {
                     if !name_matches(&step.test, d) {
@@ -260,31 +313,66 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
                 }
             }
             Axis::FollowingSibling | Axis::PrecedingSibling => {
-                for &e in current.els.keys() {
-                    for p in g.pars(e) {
-                        for s in g.kids(p) {
-                            if name_matches(&step.test, s) {
-                                next.add_el(s, false);
-                            }
+                // Approximation: siblings = the children of any parent
+                // of a context node, character data included.
+                let parents = current.els.keys().flat_map(|&e| g.pars(e));
+                for p in parents.chain(current.chars.iter().copied()) {
+                    for s in g.kids(p) {
+                        if name_matches(&step.test, s) {
+                            next.add_el(s, false);
                         }
+                    }
+                    if passes_chars(&step.test) && may_hold_chars(g, p) {
+                        next.chars.insert(p);
                     }
                 }
             }
             Axis::Attribute => {
                 for (&e, &m) in &current.els {
                     for def in g.dtd.attributes(e) {
-                        let matches = match &step.test {
-                            NodeTest::Name(n) => n == &def.name,
-                            NodeTest::Wildcard | NodeTest::AnyNode => true,
-                            NodeTest::Text => false,
-                        };
-                        if matches {
+                        if name_matches(&step.test, &def.name) {
                             // Attribute nodes of must-selected elements
                             // are all selected (quantifying over the
                             // attributes that exist).
-                            attrs.insert((e.to_string(), def.name.clone()), m);
+                            next.add_attr(e, &def.name, m);
                         }
                     }
+                }
+            }
+        }
+
+        // Attributes and character data have no children, attributes or
+        // siblings: only the self and upward directions leave them. A
+        // self step keeps a node its test passes; climbing reaches the
+        // owner element first, then (on the ancestor axes) the owner's
+        // ancestors and the document root. Climbed-to elements are never
+        // musts: only owners that hold such a node are selected.
+        let keeps_self =
+            matches!(step.axis, Axis::SelfAxis | Axis::DescendantOrSelf | Axis::AncestorOrSelf);
+        let mut owners: BTreeSet<&str> = BTreeSet::new();
+        for (&(e, a), &m) in &current.attrs {
+            if keeps_self && passes_attribute(&step.test, a) {
+                next.add_attr(e, a, m);
+            }
+            owners.insert(e);
+        }
+        for &e in &current.chars {
+            if keeps_self && passes_chars(&step.test) {
+                next.chars.insert(e);
+            }
+            owners.insert(e);
+        }
+        if matches!(step.axis, Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf) {
+            for e in owners {
+                let mut up = BTreeSet::from([e]);
+                if step.axis != Axis::Parent {
+                    up.extend(g.ancestors(e));
+                    if matches!(step.test, NodeTest::AnyNode) {
+                        next.add_root(false);
+                    }
+                }
+                for a in up.into_iter().filter(|a| name_matches(&step.test, a)) {
+                    next.add_el(a, false);
                 }
             }
         }
@@ -292,14 +380,11 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
         if !step.predicates.is_empty() {
             // A predicate can drop any subset of the selected nodes.
             next.clear_musts();
-            for m in attrs.values_mut() {
-                *m = false;
-            }
             note(DependencySource::Predicate, &mut dependency);
         }
 
         current = next;
-        if current.is_empty() && attrs.is_empty() {
+        if current.is_empty() {
             break;
         }
     }
@@ -310,8 +395,8 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
             note(DependencySource::Structure, &mut dependency);
         }
     }
-    for ((e, a), m) in &attrs {
-        sel.attributes.insert((e.clone(), a.clone()), *m);
+    for ((e, a), m) in &current.attrs {
+        sel.attributes.insert(((*e).to_string(), (*a).to_string()), *m);
         if !*m {
             note(DependencySource::Structure, &mut dependency);
         }
@@ -328,14 +413,8 @@ mod tests {
 
     fn selection(dtd_src: &str, root: &str, path: &str) -> Selection {
         let dtd = parse_dtd(dtd_src).unwrap();
-        let g = SchemaGraph::new(&dtd, root);
-        let sel = select(&g, Some(&parse_path(path).unwrap()));
-        // must ⊆ may by construction; sanity-check the may side against
-        // the original coverage pass.
-        let cov = crate::analysis::schema_coverage(&dtd, root, &parse_path(path).unwrap());
-        let may: usize = sel.elements.len() + sel.attributes.len();
-        assert_eq!(may, cov.len(), "{path}: may side must agree with schema_coverage");
-        sel
+        let g = SchemaGraph::new(&dtd, root).unwrap();
+        select(&g, Some(&parse_path(path).unwrap()))
     }
 
     const LAB: &str = r#"
@@ -420,11 +499,11 @@ mod tests {
     #[test]
     fn whole_document_objects_select_the_document_element() {
         let dtd = parse_dtd(LAB).unwrap();
-        let g = SchemaGraph::new(&dtd, "laboratory");
+        let g = SchemaGraph::new(&dtd, "laboratory").unwrap();
         let s = select(&g, None);
         assert_eq!(s.elements.get("laboratory"), Some(&true));
         let rec = parse_dtd("<!ELEMENT part (part*)>").unwrap();
-        let g2 = SchemaGraph::new(&rec, "part");
+        let g2 = SchemaGraph::new(&rec, "part").unwrap();
         let s2 = select(&g2, None);
         assert_eq!(s2.elements.get("part"), Some(&false), "nested parts are not the document");
     }
@@ -438,5 +517,73 @@ mod tests {
         // ancestor-or-self keeps the self part's must.
         let s3 = selection(LAB, "laboratory", "//paper/ancestor-or-self::paper");
         assert_eq!(s3.elements.get("paper"), Some(&true));
+    }
+
+    #[test]
+    fn steps_after_an_attribute_climb_to_its_owner() {
+        let els = |s: &Selection| s.elements.clone().into_iter().collect::<Vec<_>>();
+        // `..` and `parent::` reach the owner element, as a may (only
+        // owners holding the attribute are selected).
+        let s = selection(LAB, "laboratory", "//paper/@category/..");
+        assert_eq!(els(&s), vec![("paper".to_string(), false)]);
+        assert!(s.attributes.is_empty());
+        assert_eq!(s.dependency, Some(DependencySource::Structure));
+        let s = selection(LAB, "laboratory", "//paper/@category/parent::paper");
+        assert_eq!(els(&s), vec![("paper".to_string(), false)]);
+        assert!(selection(LAB, "laboratory", "//paper/@category/parent::title").is_dead());
+        // The ancestor axes continue past the owner to the document root.
+        let s = selection(LAB, "laboratory", "//paper/@category/ancestor::*");
+        let names: Vec<String> = s.elements.into_keys().collect();
+        assert_eq!(names, ["laboratory", "paper", "project"]);
+        let s = selection(LAB, "laboratory", "//paper/@category/ancestor::node()/laboratory");
+        assert_eq!(s.elements.get("laboratory"), Some(&false));
+    }
+
+    #[test]
+    fn self_steps_keep_an_attribute_and_other_axes_drop_it() {
+        let category = ("paper".to_string(), "category".to_string());
+        // `.`, `descendant-or-self::node()` and a self step naming the
+        // attribute keep it, must flag included.
+        for path in [
+            "//paper/@category/.",
+            "//paper/@category/self::category",
+            "//paper/@category/descendant-or-self::node()",
+            "//paper/@category/ancestor-or-self::node()/self::node()",
+        ] {
+            let s = selection(LAB, "laboratory", path);
+            assert_eq!(s.attributes.get(&category), Some(&true), "{path}");
+        }
+        // Attributes have no children, attributes or siblings, and the
+        // concrete evaluator never passes one through `*`.
+        for path in [
+            "//paper/@category/*",
+            "//paper/@category/node()",
+            "//paper/@category//title",
+            "//paper/@category/@category",
+            "//paper/@category/following-sibling::node()",
+            "//paper/@category/self::*",
+            "//paper/@category/descendant::node()",
+        ] {
+            assert!(selection(LAB, "laboratory", path).is_dead(), "{path}");
+        }
+    }
+
+    #[test]
+    fn steps_after_character_data_climb_to_its_element() {
+        // `title` holds only text, so only a character-data context can
+        // lead back to it.
+        let s = selection(LAB, "laboratory", "//title/text()/..");
+        assert_eq!(s.elements.get("title"), Some(&false));
+        let s = selection(LAB, "laboratory", "//paper/title/node()/parent::*");
+        assert_eq!(s.elements.get("title"), Some(&false));
+        let s = selection(LAB, "laboratory", "//title/node()/ancestor::paper");
+        assert_eq!(s.elements.get("paper"), Some(&false));
+        // Character data is a sibling of its element siblings.
+        let s = selection(LAB, "laboratory", "//project/text()/following-sibling::paper");
+        assert_eq!(s.elements.get("paper"), Some(&false));
+        // An EMPTY element has no character data to climb out of.
+        let empty = "<!ELEMENT doc (br)><!ELEMENT br EMPTY>";
+        assert!(selection(empty, "doc", "//br/node()/..").is_dead());
+        assert_eq!(selection(empty, "doc", "/doc/node()/..").elements.get("doc"), Some(&false));
     }
 }

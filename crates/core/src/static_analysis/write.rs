@@ -158,26 +158,17 @@ pub(crate) fn write_table(
     policy: PolicyConfig,
 ) -> WriteTable {
     let mut out = WriteTable { root: root_element.to_string(), ..WriteTable::default() };
-    let Some(root) = dtd.elements.get_key_value(root_element).map(|(k, _)| k.as_str()) else {
+    let Some(g) = SchemaGraph::new(dtd, root_element) else {
         return out;
     };
-    let g = SchemaGraph::new(dtd, root);
-    let mut reachable: Vec<&str> = vec![g.root];
-    reachable.extend(g.descendants(g.root));
-    reachable.sort_unstable();
-    reachable.dedup();
+    let reachable = g.reachable();
 
     let writes: Vec<(&Authorization, bool)> =
         auths.iter().copied().filter(|(a, _)| a.action == Action::Write).collect();
     let infos: Vec<AuthInfo<'_>> = writes
         .iter()
         .enumerate()
-        .map(|(idx, &(auth, schema))| AuthInfo {
-            idx,
-            auth,
-            schema,
-            sel: select(&g, auth.object.path.as_ref()),
-        })
+        .map(|(idx, &(auth, schema))| AuthInfo::new(&g, idx, auth, schema))
         .collect();
     let raw = applied_raw(&g, &reachable, infos.iter().collect(), dir, policy);
 
@@ -363,10 +354,9 @@ pub fn classify_batch(dtd: &Dtd, table: &WriteTable, ops: &[UpdateOp]) -> BatchV
     if ops.is_empty() || table.elements.is_empty() {
         return BatchVerdict::Dynamic;
     }
-    let Some(root) = dtd.elements.get_key_value(&table.root).map(|(k, _)| k.as_str()) else {
+    let Some(g) = SchemaGraph::new(dtd, &table.root) else {
         return BatchVerdict::Dynamic;
     };
-    let g = SchemaGraph::new(dtd, root);
 
     // Conformance flag: while true, the document the op runs against is
     // known to satisfy the two invariants the cells assume (declared
@@ -583,7 +573,7 @@ pub fn analyze_policy_writes(
         findings: Vec::new(),
         skipped_non_write: auths.iter().filter(|a| a.action != Action::Write).count(),
     };
-    let Some(root) = dtd.elements.get_key_value(root_element).map(|(k, _)| k.as_str()) else {
+    let Some(g) = SchemaGraph::new(dtd, root_element) else {
         report.findings.push(Finding::new(
             Severity::Error,
             "unknown-root",
@@ -591,11 +581,7 @@ pub fn analyze_policy_writes(
         ));
         return report;
     };
-    let g = SchemaGraph::new(dtd, root);
-    let mut reachable: Vec<&str> = vec![g.root];
-    reachable.extend(g.descendants(g.root));
-    reachable.sort_unstable();
-    reachable.dedup();
+    let reachable = g.reachable();
 
     let pairs: Vec<(&Authorization, bool)> = auths
         .iter()
@@ -608,12 +594,7 @@ pub fn analyze_policy_writes(
         .iter()
         .enumerate()
         .filter(|(_, (a, _))| a.action == Action::Read)
-        .map(|(idx, &(auth, schema))| AuthInfo {
-            idx,
-            auth,
-            schema,
-            sel: select(&g, auth.object.path.as_ref()),
-        })
+        .map(|(idx, &(auth, schema))| AuthInfo::new(&g, idx, auth, schema))
         .collect();
 
     // Elements lying under (or at) a recursive declaration: a write

@@ -11,9 +11,11 @@
 //!   enforces the request-line and header-block caps (431) as bytes
 //!   arrive, [`parse_head`] reads the headers the demo honours, and a
 //!   `POST` waits for its `Content-Length` framed body.
-//! - **Routing.** One check order for every request: `/metrics` first,
-//!   then the request line (400); for a `POST`, then `Content-Length`
-//!   (411/413), then the body, then the op batch (400 naming its line).
+//! - **Routing.** One check order for every request: a malformed or
+//!   conflicting `Content-Length` first (400), then `/metrics`, then the
+//!   request line (400); for a `POST`, then a missing or oversized
+//!   `Content-Length` (411/413), then the body, then the op batch (400
+//!   naming its line).
 //!   What is left is a [`Job`]: a view, a secure query or an update.
 //! - **The cache-only probe.** [`Core::cached`] answers a view from
 //!   already-computed state (a warm hit, a 304, or the probe's error)
@@ -113,8 +115,19 @@ struct Head {
     line: String,
     if_none_match: Option<String>,
     deadline_ms: Option<u64>,
-    content_length: Option<usize>,
+    /// The declared body length: `Ok(None)` when absent, `Err(())` when
+    /// a value is not `1*DIGIT` or two copies disagree (RFC 9112 §6.3).
+    content_length: Result<Option<usize>, ()>,
     keep_alive: bool,
+}
+
+/// A `Content-Length` value: `1*DIGIT`, saturating past `usize::MAX`
+/// (still a length, and far over any body cap).
+fn parse_length(value: &str) -> Result<usize, ()> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(());
+    }
+    Ok(value.parse().unwrap_or(usize::MAX))
 }
 
 /// Parses a complete head. With `persistent` false (the pool) the
@@ -128,7 +141,7 @@ fn parse_head(head: &str, persistent: bool) -> Head {
         .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.1"));
     let mut if_none_match = None;
     let mut deadline_ms = None;
-    let mut content_length = None;
+    let mut content_length = Ok(None);
     let mut ka_header: Option<bool> = None;
     for h in it {
         if h.is_empty() {
@@ -145,7 +158,11 @@ fn parse_head(head: &str, persistent: bool) -> Head {
                 // request.
                 deadline_ms = value.parse().ok();
             } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().ok();
+                content_length =
+                    content_length.and_then(|seen| match (seen, parse_length(value)?) {
+                        (Some(seen), l) if seen != l => Err(()),
+                        (_, l) => Ok(Some(l)),
+                    });
             } else if name.eq_ignore_ascii_case("connection") {
                 let v = value.to_ascii_lowercase();
                 if v.contains("keep-alive") {
@@ -249,9 +266,12 @@ fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    std::str::from_utf8(h).ok().and_then(|h| u8::from_str_radix(h, 16).ok())
-                });
+                // Exactly two hex digits: `from_str_radix` alone would
+                // also take a sign, decoding `%+1` to 0x01.
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                    .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
                 match hex {
                     Some(b) => {
                         out.push(b);
@@ -389,6 +409,11 @@ impl Core {
         };
         let head = parse_head(&String::from_utf8_lossy(&buf[..len]), self.persistent);
         let ka = head.keep_alive;
+        // Unknowable framing is refused first, whatever the method or
+        // target: where such a request ends cannot be told.
+        let Ok(content_length) = head.content_length else {
+            return refuse(len, 400, "Bad Request", "malformed Content-Length\n");
+        };
 
         // Observability endpoint, before any document handling and for
         // any method: the whole process shares one registry.
@@ -418,7 +443,7 @@ impl Core {
         let Some(client) = parse_update_request_line(&head.line, peer_ip) else {
             return refuse(len, 400, "Bad Request", "malformed update request\n");
         };
-        let body_len = match head.content_length {
+        let body_len = match content_length {
             None => return refuse(len, 411, "Length Required", "Content-Length required\n"),
             Some(l) if l > MAX_UPDATE_BODY => {
                 xmlsec_xml::limit_rejected("update_body");
@@ -752,7 +777,7 @@ mod tests {
     /// Bytes biased towards framing: request-line and header fragments,
     /// both line terminators, and arbitrary single bytes.
     fn framing_bytes() -> impl Strategy<Value = Vec<u8>> {
-        prop::collection::vec((0u8..8, any::<u8>()), 0..48).prop_map(|parts| {
+        prop::collection::vec((0u8..9, any::<u8>()), 0..48).prop_map(|parts| {
             let mut out = Vec::new();
             for (kind, b) in parts {
                 match kind {
@@ -762,6 +787,7 @@ mod tests {
                     3 => out.push(b'\r'),
                     4 => out.extend_from_slice(b"Content-Length: 4"),
                     5 => out.extend_from_slice(b"Connection: keep-alive"),
+                    6 => out.extend_from_slice(b"POST /update?doc=doc.xml&user=tom HTTP/1.1"),
                     _ => out.push(b),
                 }
             }
@@ -777,6 +803,45 @@ mod tests {
             let _ = scan_head(&bytes, caps.0, caps.1);
             let _ = parse_head(&String::from_utf8_lossy(&bytes), true);
             let _ = parse_head(&String::from_utf8_lossy(&bytes), false);
+        }
+
+        /// The request core on hostile bytes: no panic, never more
+        /// consumed than buffered, and `Incomplete` only while no
+        /// complete head fits the caps or a `POST` still awaits the body
+        /// its head declares.
+        #[test]
+        fn route_frames_hostile_bytes(
+            framed in framing_bytes(),
+            raw in prop::collection::vec(any::<u8>(), 0..160),
+            caps in (0usize..160, 0usize..160),
+        ) {
+            let mut core = core();
+            core.cfg.max_request_line = caps.0;
+            core.cfg.max_header_bytes = caps.1;
+            // Each buffer as sent, and cut right after its head.
+            let mut bufs = vec![framed, raw];
+            for i in 0..bufs.len() {
+                if let HeadScan::Complete(len) = scan_head(&bufs[i], caps.0, caps.1) {
+                    bufs.push(bufs[i][..len].to_vec());
+                }
+            }
+            for buf in &bufs {
+                match core.route(buf, "127.0.0.1") {
+                    Step::Reply { consumed, .. } | Step::Job { consumed, .. } => {
+                        prop_assert!(consumed <= buf.len(), "consumed {} of {:?}", consumed, buf);
+                    }
+                    Step::Incomplete => match scan_head(buf, caps.0, caps.1) {
+                        HeadScan::Incomplete => {}
+                        HeadScan::Complete(len) => {
+                            let head = parse_head(&String::from_utf8_lossy(&buf[..len]), false);
+                            let awaits_body = head.line.starts_with("POST ")
+                                && matches!(head.content_length, Ok(Some(l)) if len + l > buf.len());
+                            prop_assert!(awaits_body, "a complete head left waiting: {:?}", buf);
+                        }
+                        refused => prop_assert!(false, "{:?} left waiting: {:?}", refused, buf),
+                    },
+                }
+            }
         }
 
         #[test]
@@ -848,7 +913,7 @@ mod tests {
         assert_eq!(h.line, "GET /x HTTP/1.1");
         assert_eq!(h.if_none_match.as_deref(), Some("\"t\""));
         assert_eq!(h.deadline_ms, Some(25));
-        assert_eq!(h.content_length, Some(7));
+        assert_eq!(h.content_length, Ok(Some(7)));
         assert!(h.keep_alive, "HTTP/1.1 defaults to keep-alive");
         assert!(!parse_head("GET /x HTTP/1.1\r\n\r\n", false).keep_alive, "the pool never does");
         let h = parse_head(
@@ -857,6 +922,54 @@ mod tests {
         );
         assert!(h.keep_alive);
         assert_eq!(h.deadline_ms, None, "advisory header, ignored when unparsable");
+        assert_eq!(h.content_length, Ok(None));
+    }
+
+    #[test]
+    fn parse_head_refuses_a_malformed_or_conflicting_length() {
+        let length = |headers: &str| {
+            parse_head(&format!("POST /x HTTP/1.1\r\n{headers}\r\n"), true).content_length
+        };
+        assert_eq!(length("Content-Length: 007\r\n"), Ok(Some(7)));
+        assert_eq!(
+            length("Content-Length: 4\r\ncontent-length: 4\r\n"),
+            Ok(Some(4)),
+            "copies agree"
+        );
+        assert_eq!(length("Content-Length: 99999999999999999999999\r\n"), Ok(Some(usize::MAX)));
+        for bad in ["+5", "-5", " ", "5 5", "4, 4", "0x10", "5\u{b5}", "\u{661}"] {
+            assert_eq!(length(&format!("Content-Length: {bad}\r\n")), Err(()), "{bad:?}");
+        }
+        assert_eq!(
+            length("Content-Length: 4\r\nContent-Length: 5\r\n"),
+            Err(()),
+            "copies disagree"
+        );
+        assert_eq!(
+            length("Content-Length: x\r\nContent-Length: 5\r\n"),
+            Err(()),
+            "a bad copy sticks"
+        );
+    }
+
+    #[test]
+    fn a_malformed_or_conflicting_length_is_400_for_every_request() {
+        let core = core();
+        let update = "POST /update?doc=doc.xml&user=tom&pass=pw HTTP/1.0";
+        for head in [
+            format!("{update}\r\nContent-Length: +5\r\n\r\nhello"),
+            format!("{update}\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello"),
+            "GET /doc.xml?user=tom&pass=pw HTTP/1.0\r\nContent-Length: -1\r\n\r\n".to_string(),
+            "GET /metrics HTTP/1.0\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\n".to_string(),
+        ] {
+            let Step::Reply { reply, consumed } = core.route(head.as_bytes(), "127.0.0.1") else {
+                panic!("refused inline: {head:?}")
+            };
+            assert_eq!(reply.after, After::Linger, "{head:?}");
+            assert!(consumed <= head.len());
+            let text = String::from_utf8(reply.bytes).unwrap();
+            assert!(text.starts_with("HTTP/1.0 400") && text.contains("Content-Length"), "{text}");
+        }
     }
 
     #[test]
@@ -866,6 +979,9 @@ mod tests {
         assert_eq!(percent_decode("plain"), "plain");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
         assert_eq!(percent_decode("trail%2"), "trail%2");
+        // A sign is not a hex digit: `%` stays literal, `+` is a space.
+        assert_eq!(percent_decode("%+1%-1"), "% 1%-1");
+        assert_eq!(percent_decode("%4a%4B"), "JK", "either case");
     }
 
     fn core() -> Core {

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use xmlsec::authz::{AuthType, Authorization, ObjectSpec, Sign};
 use xmlsec::core::{
-    analyze_policy, compile, compute_view_engine, label_document, Cell, EngineOptions, Parallelism,
-    ResourceLimits, SchemaNode, Verdict,
+    analyze_policy, compile, compute_view_engine, label_document, schema_coverage, Cell,
+    EngineOptions, Parallelism, ResourceLimits, SchemaNode, Verdict,
 };
 use xmlsec::prelude::*;
 use xmlsec::xml::NodeData;
@@ -70,7 +70,7 @@ const DOC_DTD: &str = r#"<!ELEMENT doc (meta?, sec*)>
 <!ELEMENT title (#PCDATA)>
 <!ELEMENT note (#PCDATA)>"#;
 
-const DOC_PATHS: [Option<&str>; 8] = [
+const DOC_PATHS: [Option<&str>; 10] = [
     None,
     Some("/doc"),
     Some("//sec"),
@@ -79,6 +79,8 @@ const DOC_PATHS: [Option<&str>; 8] = [
     Some("/doc/meta"),
     Some(r#"//sec[./@level="1"]"#),
     Some("//sec/@level"),
+    Some("//sec/@level/.."),
+    Some("/doc/@id/."),
 ];
 
 /// Recursive DTD: `part` nests under itself without bound.
@@ -86,7 +88,7 @@ const PART_DTD: &str = r#"<!ELEMENT part (label, part*)>
 <!ATTLIST part id CDATA #IMPLIED>
 <!ELEMENT label (#PCDATA)>"#;
 
-const PART_PATHS: [Option<&str>; 7] = [
+const PART_PATHS: [Option<&str>; 8] = [
     None,
     Some("/part"),
     Some("//part"),
@@ -94,6 +96,7 @@ const PART_PATHS: [Option<&str>; 7] = [
     Some("/part/part"),
     Some(r#"//part[./@id="p"]"#),
     Some("//part/label"),
+    Some("/part/@id/.."),
 ];
 
 /// One generated authorization: indices into the pools.
@@ -164,6 +167,77 @@ fn part_instance(shape: &[u8]) -> String {
     let mut out = String::new();
     build(shape, &mut 0, 0, &mut out);
     out
+}
+
+/// Every declared name of `DOC_DTD`, elements and attributes, for the
+/// coverage oracle's node tests.
+const DOC_NAMES: [&str; 7] = ["doc", "meta", "sec", "title", "note", "id", "level"];
+
+/// Every declared name of `PART_DTD`.
+const PART_NAMES: [&str; 3] = ["part", "label", "id"];
+
+const AXES: [&str; 10] = [
+    "child",
+    "descendant",
+    "descendant-or-self",
+    "parent",
+    "ancestor",
+    "ancestor-or-self",
+    "self",
+    "attribute",
+    "following-sibling",
+    "preceding-sibling",
+];
+
+/// One generated path: a prefix pick (`/`, relative, `//`) and its
+/// steps as (axis, node test, predicate) picks.
+type PathSpec = (usize, Vec<(usize, usize, usize)>);
+
+fn build_path(&(prefix, ref steps): &PathSpec, names: &[&str]) -> String {
+    let steps: Vec<String> = steps
+        .iter()
+        .map(|&(axis, test, pred)| {
+            let test = match test % (names.len() + 3) {
+                i if i < names.len() => names[i],
+                i if i == names.len() => "*",
+                i if i == names.len() + 1 => "node()",
+                _ => "text()",
+            };
+            let pred = ["", "[1]", "[last()]"][pred % 3];
+            format!("{}::{test}{pred}", AXES[axis % AXES.len()])
+        })
+        .collect();
+    format!("{}{}", ["/", "", "//"][prefix % 3], steps.join("/"))
+}
+
+/// The coverage oracle: every element or attribute the concrete XPath
+/// evaluator selects on a valid instance must have its declaration in
+/// `schema_coverage`, which is independent of the labeling engine the
+/// other properties compare against.
+fn check_coverage(dtd_text: &str, root: &str, xml: &str, paths: &[String]) {
+    let dtd = parse_dtd(dtd_text).expect("test DTD parses");
+    let doc = parse(xml).expect("generated instance parses");
+    let violations = xmlsec::dtd::Validator::new(&dtd).validate(&doc);
+    assert!(violations.is_empty(), "generator must emit valid instances: {violations:?}");
+    for path in paths {
+        let parsed = xmlsec::xpath::parse_path(path).expect("generated path parses");
+        let covers = schema_coverage(&dtd, root, &parsed);
+        for n in xmlsec::xpath::select(&doc, &parsed) {
+            let node = match &doc.node(n).data {
+                NodeData::Element { name, .. } => SchemaNode::Element(name.clone()),
+                NodeData::Attr { name, .. } => SchemaNode::Attribute {
+                    element: doc
+                        .parent(n)
+                        .and_then(|p| doc.element_name(p))
+                        .expect("an attribute has an owner element")
+                        .to_string(),
+                    attribute: name.clone(),
+                },
+                _ => continue,
+            };
+            assert!(covers.contains(&node), "{path} selects {node} on {xml}, coverage {covers:?}");
+        }
+    }
 }
 
 /// The completeness rule the engine's prune step applies.
@@ -412,5 +486,31 @@ proptest! {
     ) {
         let auths = build_auths(&specs, &PART_PATHS);
         check_compiled_case(PART_DTD, "part", &part_instance(&shape), &auths);
+    }
+
+    /// Non-recursive DTD: schema coverage contains every declaration
+    /// the concrete evaluator selects, for paths over every axis and
+    /// node test, steps past attributes and character data included.
+    #[test]
+    fn coverage_contains_concrete_selection_on_nonrecursive_dtd(
+        specs in prop::collection::vec(
+            (0..3usize, prop::collection::vec((0..10usize, 0..10usize, 0..3usize), 1..=4)),
+            1..=24),
+        shape in prop::collection::vec(0u8..64, 1..=4),
+    ) {
+        let paths: Vec<String> = specs.iter().map(|p| build_path(p, &DOC_NAMES)).collect();
+        check_coverage(DOC_DTD, "doc", &doc_instance(&shape), &paths);
+    }
+
+    /// Recursive DTD: the same oracle over the cyclic schema graph.
+    #[test]
+    fn coverage_contains_concrete_selection_on_recursive_dtd(
+        specs in prop::collection::vec(
+            (0..3usize, prop::collection::vec((0..10usize, 0..6usize, 0..3usize), 1..=4)),
+            1..=24),
+        shape in prop::collection::vec(0u8..64, 1..=8),
+    ) {
+        let paths: Vec<String> = specs.iter().map(|p| build_path(p, &PART_NAMES)).collect();
+        check_coverage(PART_DTD, "part", &part_instance(&shape), &paths);
     }
 }

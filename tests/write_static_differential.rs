@@ -76,7 +76,7 @@ const DOC_DTD: &str = r#"<!ELEMENT doc (meta?, sec*)>
 <!ELEMENT title (#PCDATA)>
 <!ELEMENT note (#PCDATA)>"#;
 
-const DOC_PATHS: [Option<&str>; 8] = [
+const DOC_PATHS: [Option<&str>; 10] = [
     None,
     Some("/doc"),
     Some("//sec"),
@@ -85,11 +85,13 @@ const DOC_PATHS: [Option<&str>; 8] = [
     Some("/doc/meta"),
     Some(r#"//sec[./@level="1"]"#),
     Some("//sec/@level"),
+    Some("//sec/@level/.."),
+    Some("/doc/@id/."),
 ];
 
-/// Op-target pool for `doc`: live paths, attribute paths, a predicate,
-/// and a dead path.
-const DOC_TARGETS: [&str; 9] = [
+/// Op-target pool for `doc`: live paths, attribute paths, a step past
+/// an attribute, a predicate, and a dead path.
+const DOC_TARGETS: [&str; 10] = [
     "/doc",
     "/doc/meta",
     "//sec",
@@ -97,6 +99,7 @@ const DOC_TARGETS: [&str; 9] = [
     "//note",
     "//sec/@level",
     "/doc/@id",
+    "//sec/@level/..",
     r#"//sec[./@level="1"]"#,
     "/nothing/here",
 ];
@@ -111,7 +114,7 @@ const PART_DTD: &str = r#"<!ELEMENT part (label, part*)>
 <!ATTLIST part id CDATA #IMPLIED>
 <!ELEMENT label (#PCDATA)>"#;
 
-const PART_PATHS: [Option<&str>; 7] = [
+const PART_PATHS: [Option<&str>; 8] = [
     None,
     Some("/part"),
     Some("//part"),
@@ -119,10 +122,19 @@ const PART_PATHS: [Option<&str>; 7] = [
     Some("/part/part"),
     Some(r#"//part[./@id="p"]"#),
     Some("//part/label"),
+    Some("/part/@id/.."),
 ];
 
-const PART_TARGETS: [&str; 7] =
-    ["/part", "//part", "//label", "/part/part", "//part/@id", r#"//part[./@id="p"]"#, "/nope"];
+const PART_TARGETS: [&str; 8] = [
+    "/part",
+    "//part",
+    "//label",
+    "/part/part",
+    "//part/@id",
+    "/part/@id/..",
+    r#"//part[./@id="p"]"#,
+    "/nope",
+];
 
 const PART_NAMES: [&str; 4] = ["part", "label", "id", "bogus"];
 
