@@ -20,7 +20,9 @@
 //! guaranteed-denied batch refused from the compiled write table vs the
 //! same denial paid through dynamic write labeling), and B20 (the
 //! authorization-object evaluation a served request starts its labeling
-//! with) — and writes them as
+//! with), and B21 (the DOM arena: parse, clone and drop of the four
+//! `cold_read` document sizes, with allocations counted by this
+//! binary's allocator) — and writes them as
 //! flat JSON at
 //! the repo root (`BENCH_<n+1>.json` by default, one past the highest
 //! checked-in point, so the series extends without workflow edits) —
@@ -60,10 +62,16 @@
 //! - B20's object-evaluation time is a `*_ms` key in the 15% drift gate;
 //! - B19's guaranteed-deny rejection (answered from the compiled write
 //!   table, before any parsing or labeling) is less than 5x faster than
-//!   the same denial paid through full dynamic write labeling.
+//!   the same denial paid through full dynamic write labeling;
+//! - B21's parse of any `cold_read` document makes more than 16
+//!   allocations, or its DOM holds more than 64 heap bytes per node.
+//!   Both are counts, not times, so the gate fires the same on any
+//!   runner; B21's times are `_us` keys, outside the drift gate.
 //!
 //! Usage: `bench_smoke [--quick] [--out BENCH_3.json]`
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -90,7 +98,7 @@ use xmlsec_workload::laboratory::{
     LAB_DTD_URI,
 };
 use xmlsec_workload::{run_open_loop, OpenLoopConfig};
-use xmlsec_xml::{serialize, SerializeOptions};
+use xmlsec_xml::{parse, serialize, SerializeOptions};
 use xmlsec_xpath::{eval_path_shared, EvalLimits, SharedBudget};
 
 /// Allowed slowdown vs the checked-in baseline before the gate trips.
@@ -113,6 +121,46 @@ const UPDATE_READ_SPEEDUP_GATE: f64 = 3.0;
 /// Required speedup of the static guaranteed-deny rejection over the
 /// dynamic write-labeling denial of the same batch (B19).
 const DENY_SPEEDUP_GATE: f64 = 5.0;
+/// Most allocations one parse of a `cold_read` document may make (B21).
+const PARSE_ALLOCS_GATE: u64 = 16;
+/// Most heap bytes a parsed `cold_read` document may hold per node (B21).
+const BYTES_PER_NODE_GATE: f64 = 64.0;
+
+/// Counts this thread's allocations and the bytes they hold, for B21.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static HELD_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn note(allocations: u64, bytes: i64) {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = HELD_BYTES.try_with(|n| n.set(n.get() + bytes));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// counting touches only thread-local `Cell`s, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(1, layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(1, new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 struct Config {
     batches: usize,
@@ -457,6 +505,67 @@ fn b20_object_eval_ms(cfg: &Config) -> f64 {
     })
 }
 
+/// B21 measurements of one `cold_read` document.
+struct DomStages {
+    name: &'static str,
+    nodes: usize,
+    parse_us: f64,
+    clone_us: f64,
+    drop_us: f64,
+    parse_allocs: u64,
+    bytes_per_node: f64,
+}
+
+/// B21 — the DOM arena on the four `cold_read` document sizes (48- and
+/// 192-unit laboratory and ward documents): median µs per parse, clone
+/// and drop, plus the allocations one parse makes and the heap bytes
+/// its document holds per node, from this binary's counting allocator.
+fn b21_dom(cfg: &Config) -> Vec<DomStages> {
+    let docs = [
+        ("lab48", xmlsec_workload::laboratory_scaled(48, 21)),
+        ("lab192", xmlsec_workload::laboratory_scaled(192, 21)),
+        ("ward48", hospital_scaled(48, 21)),
+        ("ward192", hospital_scaled(192, 21)),
+    ];
+    let us = |ms: f64| ms * 1e3;
+    docs.iter()
+        .map(|(name, doc)| {
+            let xml = serialize(doc, &SerializeOptions::canonical());
+            let parse_us = us(time_ms(cfg, || {
+                black_box(parse(&xml).expect("generated XML parses"));
+            }));
+            let (a0, b0) = (ALLOCATIONS.with(Cell::get), HELD_BYTES.with(Cell::get));
+            let parsed = parse(&xml).expect("generated XML parses");
+            let (a1, b1) = (ALLOCATIONS.with(Cell::get), HELD_BYTES.with(Cell::get));
+            // Clone and drop timed apart, each copy freed before the next
+            // is made, as a commit frees the revision it replaces.
+            let (mut clones, mut drops) = (Vec::new(), Vec::new());
+            for _ in 0..cfg.batches {
+                let (mut clone, mut dropped) = (Duration::ZERO, Duration::ZERO);
+                for _ in 0..cfg.iters {
+                    let t = Instant::now();
+                    let copy = black_box(parsed.clone());
+                    let t1 = Instant::now();
+                    drop(copy);
+                    dropped += t1.elapsed();
+                    clone += t1 - t;
+                }
+                clones.push(clone / cfg.iters as u32);
+                drops.push(dropped / cfg.iters as u32);
+            }
+            DomStages {
+                name,
+                nodes: parsed.arena_len(),
+                parse_us,
+                clone_us: us(median_ms(clones)),
+                drop_us: us(median_ms(drops)),
+                parse_allocs: a1 - a0,
+                bytes_per_node: (b1 - b0) as f64 / parsed.arena_len() as f64,
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -790,6 +899,41 @@ fn main() {
     let b20_object_eval_ms = b20_object_eval_ms(&cfg);
     eprintln!("  b20_object_eval_ms = {b20_object_eval_ms:.4}");
 
+    // B21 — the DOM arena: parse, clone and drop per document size.
+    let b21 = b21_dom(&cfg);
+    for d in &b21 {
+        let per_node = |us: f64| us * 1e3 / d.nodes as f64;
+        eprintln!(
+            "  b21 {}: {} nodes, parse {:.1}us ({:.0}ns/node, {} allocs), clone {:.1}us \
+             ({:.1}ns/node), drop {:.2}us, {:.1} B/node",
+            d.name,
+            d.nodes,
+            d.parse_us,
+            per_node(d.parse_us),
+            d.parse_allocs,
+            d.clone_us,
+            per_node(d.clone_us),
+            d.drop_us,
+            d.bytes_per_node,
+        );
+    }
+    let b21_json: String = b21
+        .iter()
+        .map(|d| {
+            format!(
+                "  \"b21_{n}_parse_us\": {:.2},\n  \"b21_{n}_clone_us\": {:.2},\n  \
+                 \"b21_{n}_drop_us\": {:.3},\n  \"b21_{n}_parse_allocs\": {},\n  \
+                 \"b21_{n}_bytes_per_node\": {:.2},\n",
+                d.parse_us,
+                d.clone_us,
+                d.drop_us,
+                d.parse_allocs,
+                d.bytes_per_node,
+                n = d.name,
+            )
+        })
+        .collect();
+
     let regression_gated = !no_gate && baseline_path(&out).is_some();
 
     let json = format!(
@@ -832,7 +976,8 @@ fn main() {
          \"b19_static_deny_ms\": {b19_static_deny_ms:.5},\n  \
          \"b20_object_eval_ms\": {b20_object_eval_ms:.4},\n  \
          \"b19_dynamic_deny_ms\": {b19_dynamic_deny_ms:.4},\n  \
-         \"b19_deny_speedup\": {b19_deny_speedup:.4},\n  \
+         \"b19_deny_speedup\": {b19_deny_speedup:.4},\n\
+         {b21_json}  \
          \"regression_gated\": {}\n}}\n",
         if b12_gated { 1 } else { 0 },
         if regression_gated { 1 } else { 0 },
@@ -938,6 +1083,24 @@ fn main() {
              the dynamic denial ({b19_static_deny_ms:.4}ms vs {b19_dynamic_deny_ms:.4}ms); the \
              gate is {DENY_SPEEDUP_GATE}x"
         ));
+    }
+
+    if !no_gate {
+        for d in &b21 {
+            if d.parse_allocs > PARSE_ALLOCS_GATE {
+                failures.push(format!(
+                    "B21 parse of {} made {} allocations; the gate is {PARSE_ALLOCS_GATE}",
+                    d.name, d.parse_allocs
+                ));
+            }
+            if d.bytes_per_node > BYTES_PER_NODE_GATE {
+                failures.push(format!(
+                    "B21 parsed {} holds {:.1} heap bytes per node; the gate is \
+                     {BYTES_PER_NODE_GATE}",
+                    d.name, d.bytes_per_node
+                ));
+            }
+        }
     }
 
     if failures.is_empty() {

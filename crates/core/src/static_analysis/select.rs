@@ -129,14 +129,10 @@ fn passes_chars(test: &NodeTest) -> bool {
 }
 
 /// Whether a test on a non-attribute axis (`self`, the or-self axes)
-/// passes the attribute named `a`: the concrete evaluator matches
-/// `node()` and the attribute's own name there, never `*`.
-fn passes_attribute(test: &NodeTest, a: &str) -> bool {
-    match test {
-        NodeTest::Name(n) => n == a,
-        NodeTest::AnyNode => true,
-        NodeTest::Wildcard | NodeTest::Text => false,
-    }
+/// passes an attribute. The principal node type of those axes is
+/// element, so a name test or `*` never does; only `node()` does.
+fn passes_attribute(test: &NodeTest) -> bool {
+    matches!(test, NodeTest::AnyNode)
 }
 
 /// Whether nodes of element type `e` can have character-data children.
@@ -351,7 +347,7 @@ pub(crate) fn select(g: &SchemaGraph<'_>, path: Option<&PathExpr>) -> Selection 
             matches!(step.axis, Axis::SelfAxis | Axis::DescendantOrSelf | Axis::AncestorOrSelf);
         let mut owners: BTreeSet<&str> = BTreeSet::new();
         for (&(e, a), &m) in &current.attrs {
-            if keeps_self && passes_attribute(&step.test, a) {
+            if keeps_self && passes_attribute(&step.test) {
                 next.add_attr(e, a, m);
             }
             owners.insert(e);
@@ -542,20 +538,23 @@ mod tests {
     #[test]
     fn self_steps_keep_an_attribute_and_other_axes_drop_it() {
         let category = ("paper".to_string(), "category".to_string());
-        // `.`, `descendant-or-self::node()` and a self step naming the
-        // attribute keep it, must flag included.
+        // `.`, `descendant-or-self::node()` and `self::node()` keep it,
+        // must flag included.
         for path in [
             "//paper/@category/.",
-            "//paper/@category/self::category",
             "//paper/@category/descendant-or-self::node()",
             "//paper/@category/ancestor-or-self::node()/self::node()",
         ] {
             let s = selection(LAB, "laboratory", path);
             assert_eq!(s.attributes.get(&category), Some(&true), "{path}");
         }
-        // Attributes have no children, attributes or siblings, and the
-        // concrete evaluator never passes one through `*`.
+        // Attributes have no children, attributes or siblings, and a name
+        // test or `*` on a non-attribute axis tests for elements (the
+        // axis's principal node type), so it never passes an attribute.
         for path in [
+            "//paper/@category/self::category",
+            "//paper/@category/ancestor-or-self::category",
+            "//paper/@category/descendant-or-self::category",
             "//paper/@category/*",
             "//paper/@category/node()",
             "//paper/@category//title",

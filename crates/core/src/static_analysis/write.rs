@@ -219,7 +219,12 @@ pub(crate) fn write_table(
     for &e in &reachable {
         let node = SchemaNode::Element(e.to_string());
         let (signs, nv) = node_verdict(&node);
-        let delete = if e == g.root {
+        // Only the document element itself cannot be deleted or
+        // replaced. When the root type can nest, its other nodes can:
+        // their verdicts follow the usual checks, and a selected document
+        // element fails with the same kind error on both paths.
+        let only_the_root = e == g.root && g.pars(e).next().is_none();
+        let delete = if only_the_root {
             Verdict::Deny // the document element cannot be deleted
         } else if closure_ok[e] {
             Verdict::Allow
@@ -231,7 +236,7 @@ pub(crate) fn write_table(
                     .to_string(),
             }
         };
-        let replace = if e == g.root {
+        let replace = if only_the_root {
             Verdict::Deny // the document element cannot be replaced
         } else if closure_ok[e]
             && g.pars(e).all(|p| {

@@ -106,6 +106,8 @@ pub enum UpdateError {
     /// The request was cancelled mid-batch (deadline, client gone, or
     /// explicit); the document is untouched.
     Cancelled(CancelReason),
+    /// The op would grow the document past its buffers' `u32` offsets.
+    TooLarge(String),
 }
 
 impl fmt::Display for UpdateError {
@@ -118,6 +120,7 @@ impl fmt::Display for UpdateError {
             UpdateError::WrongNodeKind(n) => write!(f, "operation not applicable to {n}"),
             UpdateError::Engine(e) => write!(f, "write labeling exceeded limits: {e}"),
             UpdateError::Cancelled(r) => write!(f, "update cancelled: {r}"),
+            UpdateError::TooLarge(e) => write!(f, "update too large: {e}"),
         }
     }
 }
@@ -315,6 +318,7 @@ fn apply_one(
                     return Err(UpdateError::NotAuthorized(describe(work, n)));
                 }
             }
+            ensure_room(work, nodes.len(), text.len(), 1)?;
             for n in nodes {
                 for c in work.children(n).to_vec() {
                     if work.is_text(c) {
@@ -340,6 +344,7 @@ fn apply_one(
                     return Err(UpdateError::NotAuthorized(describe(work, auth_node)));
                 }
             }
+            ensure_room(work, nodes.len(), name.len() + value.len(), 1)?;
             for n in nodes {
                 work.set_attribute(n, name, value).expect("target checked to be an element");
                 outcome.dirty.push(n);
@@ -352,6 +357,7 @@ fn apply_one(
             for &n in &nodes {
                 check_insert_parent(work, n, &granted)?;
             }
+            ensure_room(work, nodes.len(), name.len(), 1)?;
             for n in nodes {
                 let new = work.append_element(n, name);
                 outcome.dirty.push(new);
@@ -365,6 +371,7 @@ fn apply_one(
             for &n in &nodes {
                 check_insert_parent(work, n, &granted)?;
             }
+            ensure_room(work, nodes.len(), frag.buffer_bytes(), frag.arena_len())?;
             for n in nodes {
                 let new = work.import_subtree(n, &frag, frag.root());
                 outcome.dirty.push(new);
@@ -389,6 +396,7 @@ fn apply_one(
                     return Err(UpdateError::NotAuthorized(describe(work, p)));
                 }
             }
+            ensure_room(work, nodes.len(), frag.buffer_bytes(), frag.arena_len())?;
             for n in nodes {
                 if !work.contains(n) {
                     continue; // removed with an earlier target's subtree
@@ -422,6 +430,19 @@ fn apply_one(
         }
     }
     Ok(changed)
+}
+
+/// Refuses an op that adds up to `bytes` of text and `nodes` nodes at
+/// each of `targets` nodes when that could outgrow the document's `u32`
+/// buffer offsets, before anything is applied.
+fn ensure_room(
+    work: &Document,
+    targets: usize,
+    bytes: usize,
+    nodes: usize,
+) -> Result<(), UpdateError> {
+    work.ensure_room(targets.saturating_mul(bytes), targets.saturating_mul(nodes))
+        .map_err(|e| UpdateError::TooLarge(e.to_string()))
 }
 
 fn check_insert_parent(

@@ -622,12 +622,12 @@ impl LabelCtx<'_> {
     /// The compiled exact label for attribute `a` of element `parent_el`.
     fn compiled_attribute(&self, a: NodeId, parent_el: NodeId, memo: &mut Memo) -> Option<Label> {
         let cp = self.compiled?;
-        let NodeData::Attr { name: attr, .. } = &self.doc.node(a).data else { return None };
+        let NodeData::Attr { name: attr, .. } = self.doc.node(a).data else { return None };
         let exact = self
             .doc
             .element_name(parent_el)
             .and_then(|e| cp.attributes.get(e))
-            .and_then(|m| m.get(attr.as_str()))
+            .and_then(|m| m.get(attr))
             .and_then(|c| c.exact);
         match exact {
             Some(lab) => {
@@ -919,9 +919,8 @@ fn label_fast_path(
         }
         let attr_cells = cp.attributes.get(name);
         for &a in doc.attributes(n) {
-            let NodeData::Attr { name: attr, .. } = &doc.node(a).data else { continue };
-            let Some(rep) =
-                attr_cells.and_then(|m| m.get(attr.as_str())).and_then(|c| c.representative)
+            let NodeData::Attr { name: attr, .. } = doc.node(a).data else { continue };
+            let Some(rep) = attr_cells.and_then(|m| m.get(attr)).and_then(|c| c.representative)
             else {
                 return Ok(None);
             };
@@ -1015,24 +1014,17 @@ pub fn prune_document(doc: &mut Document, labeling: &Labeling, policy: PolicyCon
 }
 
 /// Detaches every node below `n` that `keep` rejects, children before
-/// their parent.
+/// their parent, filtering each kept range in place.
 fn detach_hidden(doc: &mut Document, n: NodeId, keep: &[bool], removed: &mut usize) {
-    let hidden: Vec<NodeId> =
-        doc.attributes(n).iter().copied().filter(|a| !keep[a.index()]).collect();
-    for a in hidden {
-        doc.detach(a);
-        *removed += 1;
-    }
-    let children: Vec<NodeId> = doc.children(n).to_vec();
-    for c in children {
+    // Pruning below a child filters only that child's own range, so
+    // `n`'s children stay where they are until `n`'s own filter.
+    for i in 0..doc.children(n).len() {
+        let c = doc.children(n)[i];
         if doc.is_element(c) {
             detach_hidden(doc, c, keep, removed);
         }
-        if !keep[c.index()] {
-            doc.detach(c);
-            *removed += 1;
-        }
     }
+    *removed += doc.retain(n, |m| keep[m.index()]);
 }
 
 /// Renders the view of `doc` under `labeling` and `policy` straight to

@@ -114,11 +114,11 @@ impl<'d> Validator<'d> {
         // --- attributes -------------------------------------------------
         let defs = self.dtd.attributes(name);
         for &attr in doc.attributes(el) {
-            let NodeData::Attr { name: an, value } = &doc.node(attr).data else { continue };
-            let Some(def) = defs.iter().find(|d| &d.name == an) else {
+            let NodeData::Attr { name: an, value } = doc.node(attr).data else { continue };
+            let Some(def) = defs.iter().find(|d| d.name == an) else {
                 errors.push(ValidityError::UndeclaredAttribute {
                     element: name.to_string(),
-                    attribute: an.clone(),
+                    attribute: an.to_string(),
                 });
                 continue;
             };
@@ -127,14 +127,14 @@ impl<'d> Validator<'d> {
                     if !xmlsec_xml::name::is_valid_name(value) {
                         errors.push(ValidityError::InvalidTokenValue {
                             element: name.to_string(),
-                            attribute: an.clone(),
-                            value: value.clone(),
+                            attribute: an.to_string(),
+                            value: value.to_string(),
                         });
-                    } else if !ids.insert(value.clone()) {
-                        errors.push(ValidityError::DuplicateId(value.clone()));
+                    } else if !ids.insert(value.to_string()) {
+                        errors.push(ValidityError::DuplicateId(value.to_string()));
                     }
                 }
-                AttType::IdRef => idrefs.push(value.clone()),
+                AttType::IdRef => idrefs.push(value.to_string()),
                 AttType::IdRefs => {
                     idrefs.extend(value.split_whitespace().map(str::to_string));
                 }
@@ -142,8 +142,8 @@ impl<'d> Validator<'d> {
                     if !xmlsec_xml::name::is_valid_nmtoken(value) {
                         errors.push(ValidityError::InvalidTokenValue {
                             element: name.to_string(),
-                            attribute: an.clone(),
-                            value: value.clone(),
+                            attribute: an.to_string(),
+                            value: value.to_string(),
                         });
                     }
                 }
@@ -153,8 +153,8 @@ impl<'d> Validator<'d> {
                     {
                         errors.push(ValidityError::InvalidTokenValue {
                             element: name.to_string(),
-                            attribute: an.clone(),
-                            value: value.clone(),
+                            attribute: an.to_string(),
+                            value: value.to_string(),
                         });
                     }
                 }
@@ -162,20 +162,20 @@ impl<'d> Validator<'d> {
                     if !allowed.iter().any(|v| v == value) {
                         errors.push(ValidityError::InvalidEnumValue {
                             element: name.to_string(),
-                            attribute: an.clone(),
-                            value: value.clone(),
+                            attribute: an.to_string(),
+                            value: value.to_string(),
                         });
                     }
                 }
                 AttType::Cdata | AttType::Entity | AttType::Entities => {}
             }
             if let DefaultDecl::Fixed(expected) = &def.default {
-                if value != expected {
+                if value != expected.as_str() {
                     errors.push(ValidityError::FixedValueMismatch {
                         element: name.to_string(),
-                        attribute: an.clone(),
+                        attribute: an.to_string(),
                         expected: expected.clone(),
-                        found: value.clone(),
+                        found: value.to_string(),
                     });
                 }
             }
@@ -204,11 +204,11 @@ impl<'d> Validator<'d> {
             }
             ContentSpec::Mixed(allowed) => {
                 for &c in doc.children(el) {
-                    if let NodeData::Element { name: cn, .. } = &doc.node(c).data {
+                    if let NodeData::Element { name: cn, .. } = doc.node(c).data {
                         if !allowed.iter().any(|a| a == cn) {
                             errors.push(ValidityError::ContentModelMismatch {
                                 element: name.to_string(),
-                                found: vec![cn.clone()],
+                                found: vec![cn.to_string()],
                                 model: decl.content.to_string(),
                             });
                         }
@@ -219,7 +219,7 @@ impl<'d> Validator<'d> {
                 let mut child_names: Vec<&str> = Vec::new();
                 let mut has_text = false;
                 for &c in doc.children(el) {
-                    match &doc.node(c).data {
+                    match doc.node(c).data {
                         NodeData::Element { name: cn, .. } => child_names.push(cn),
                         NodeData::Text(t) if !t.trim().is_empty() => has_text = true,
                         _ => {}

@@ -12,10 +12,11 @@
 //!   arrive, [`parse_head`] reads the headers the demo honours, and a
 //!   `POST` waits for its `Content-Length` framed body.
 //! - **Routing.** One check order for every request: a malformed or
-//!   conflicting `Content-Length` first (400), then `/metrics`, then the
-//!   request line (400); for a `POST`, then a missing or oversized
-//!   `Content-Length` (411/413), then the body, then the op batch (400
-//!   naming its line).
+//!   conflicting `Content-Length` first (400), then a body on anything
+//!   but an update (400: its bytes must not be read as the next
+//!   request), then `/metrics`, then the request line (400); for a
+//!   `POST`, then a missing or oversized `Content-Length` (411/413),
+//!   then the body, then the op batch (400 naming its line).
 //!   What is left is a [`Job`]: a view, a secure query or an update.
 //! - **The cache-only probe.** [`Core::cached`] answers a view from
 //!   already-computed state (a warm hit, a 304, or the probe's error)
@@ -415,16 +416,30 @@ impl Core {
             return refuse(len, 400, "Bad Request", "malformed Content-Length\n");
         };
 
+        // Only an update reads a body. Anywhere else the declared bytes
+        // would be read as the next request, so a front end framing by
+        // `Content-Length` would see one request where we see two.
+        let target = head.line.split_whitespace().nth(1).unwrap_or("");
+        let metrics = target == "/metrics" || target.starts_with("/metrics?");
+        let update = head.line.starts_with("POST ") && !metrics;
+        if !update && matches!(content_length, Some(l) if l > 0) {
+            return refuse(
+                len,
+                400,
+                "Bad Request",
+                "a request body is accepted only on an update\n",
+            );
+        }
+
         // Observability endpoint, before any document handling and for
         // any method: the whole process shares one registry.
-        let target = head.line.split_whitespace().nth(1).unwrap_or("");
-        if target == "/metrics" || target.starts_with("/metrics?") {
+        if metrics {
             let body = telemetry::global().render_prometheus();
             let bytes = render_response(200, "OK", "text/plain; version=0.0.4", &body, &[], ka);
             return Step::Reply { consumed: len, reply: Reply::new(bytes, ka) };
         }
 
-        if !head.line.starts_with("POST ") {
+        if !update {
             let Some((client, query)) = parse_request_line(&head.line, peer_ip) else {
                 let reply = Reply::plain(400, "Bad Request", "malformed request line\n", ka);
                 return Step::Reply { consumed: len, reply };
@@ -826,7 +841,23 @@ mod tests {
                 }
             }
             for buf in &bufs {
-                match core.route(buf, "127.0.0.1") {
+                let step = core.route(buf, "127.0.0.1");
+                // Unless the connection closes, the next request starts
+                // after every body byte the head declared.
+                let lingers =
+                    matches!(&step, Step::Reply { reply, .. } if reply.after == After::Linger);
+                let answered = match &step {
+                    Step::Reply { consumed, .. } | Step::Job { consumed, .. } => Some(*consumed),
+                    Step::Incomplete => None,
+                };
+                if let (Some(consumed), false) = (answered, lingers) {
+                    if let HeadScan::Complete(len) = scan_head(buf, caps.0, caps.1) {
+                        let head = parse_head(&String::from_utf8_lossy(&buf[..len]), false);
+                        let body = head.content_length.ok().flatten().unwrap_or(0);
+                        prop_assert!(consumed >= len + body, "body left unread: {:?}", buf);
+                    }
+                }
+                match step {
                     Step::Reply { consumed, .. } | Step::Job { consumed, .. } => {
                         prop_assert!(consumed <= buf.len(), "consumed {} of {:?}", consumed, buf);
                     }
@@ -970,6 +1001,32 @@ mod tests {
             let text = String::from_utf8(reply.bytes).unwrap();
             assert!(text.starts_with("HTTP/1.0 400") && text.contains("Content-Length"), "{text}");
         }
+    }
+
+    #[test]
+    fn a_body_outside_an_update_is_refused_not_read_as_the_next_request() {
+        let core = core();
+        let smuggled = "GET /cold.xml?user=tom&pass=pw HTTP/1.1\r\n\r\n";
+        for first in [
+            "GET /doc.xml?user=tom&pass=pw HTTP/1.1",
+            "GET /metrics HTTP/1.1",
+            "POST /metrics HTTP/1.1",
+            "HEAD /doc.xml?user=tom&pass=pw HTTP/1.1",
+        ] {
+            let head = format!("{first}\r\nContent-Length: {}\r\n\r\n", smuggled.len());
+            let buf = format!("{head}{smuggled}");
+            let Step::Reply { reply, consumed } = core.route(buf.as_bytes(), "127.0.0.1") else {
+                panic!("{first:?} with a body was routed as a job")
+            };
+            assert_eq!((consumed, reply.after), (head.len(), After::Linger), "{first:?}");
+            let text = String::from_utf8(reply.bytes).unwrap();
+            assert!(text.starts_with("HTTP/1.0 400") && text.contains("update"), "{text}");
+        }
+        // An empty body declared outright is no body at all.
+        let zero = "GET /doc.xml?user=tom&pass=pw HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+        assert!(
+            matches!(core.route(zero.as_bytes(), "127.0.0.1"), Step::Job { consumed, .. } if consumed == zero.len())
+        );
     }
 
     #[test]

@@ -1122,6 +1122,7 @@ impl SecureServer {
         let outcome = apply_updates_in_place(&mut doc, ops, ctx, cancel).map_err(|e| match e {
             UpdateError::Cancelled(r) => ServerError::Cancelled(r),
             UpdateError::Engine(err) => ServerError::LimitExceeded(err.to_string()),
+            UpdateError::TooLarge(err) => ServerError::LimitExceeded(err),
             other => ServerError::UpdateDenied(other.to_string()),
         })?;
 

@@ -1,13 +1,67 @@
-//! Arena-based DOM.
+//! Arena-based DOM in three flat buffers.
 //!
 //! The paper's security processor (its §7) represents documents as DOM
-//! Level 1 object trees. We use a **generational-index arena**: a
-//! [`Document`] owns a single `Vec` of slots, every link is a [`NodeId`]
-//! carrying both the slot index and the slot's generation, and freed
-//! slots go on a free list for reuse. This matches the paper's tree
-//! model exactly — elements are internal nodes, attributes and text
-//! values are leaves attached to their element — while keeping
-//! traversals allocation-free and cache-friendly.
+//! Level 1 object trees. We use a **generational-index arena**: every
+//! link is a [`NodeId`] carrying both a slot index and the slot's
+//! generation, and freed slots go on a free list for reuse. This matches
+//! the paper's tree model exactly — elements are internal nodes,
+//! attributes and text values are leaves attached to their element —
+//! while keeping traversals allocation-free and cache-friendly.
+//!
+//! # Layout
+//!
+//! A [`Document`] is three flat buffers plus its free list:
+//!
+//! - `slots`: one fixed-size (36-byte) slot per node, holding its
+//!   generation, its parent's index, its kind, and spans into the other
+//!   two buffers;
+//! - `text`: one `String` holding every element and attribute name,
+//!   attribute value, text, comment and PI body, each addressed by a
+//!   `(u32 offset, u32 len)` span;
+//! - `links`: one `Vec<NodeId>` holding each element's attributes and
+//!   then its children as one contiguous range, addressed by a start, an
+//!   attribute count, a child count and a capacity.
+//!
+//! So a parse makes O(1) allocations instead of a few per node, `Clone`
+//! is three `memcpy`s, and `Drop` is three frees. [`Document::node`]
+//! hands out a borrowed [`Node`] view whose [`NodeData`] carries `&str`
+//! and `&[NodeId]` into these buffers.
+//!
+//! # Invariants
+//!
+//! - Every span of an occupied slot lies inside `text` on `char`
+//!   boundaries (only whole `&str`s are ever appended).
+//! - An element's range `links[start .. start + cap]` belongs to it alone:
+//!   the first `attrs` entries are its attribute ids, the next `children`
+//!   its child ids, and the rest (`cap - attrs - children`) is reserved
+//!   slack. Ranges of occupied slots never overlap.
+//! - A range is grown in place while it ends at the end of `links` or has
+//!   slack; otherwise it is relocated to the end with doubled capacity.
+//!   Detaching a node shrinks its parent's range in place.
+//!
+//! # Compaction
+//!
+//! Mutations never write into the middle of `text`: a replaced attribute
+//! value or the strings of a freed subtree become *dead* bytes, and a
+//! relocated or freed link range becomes dead links. Both are counted,
+//! and a buffer is rebuilt from its live spans as soon as its dead part
+//! exceeds its live part. So a document committed 10k times stays within
+//! about twice the size of a fresh parse of its bytes. Detached (pruned
+//! but not freed) nodes stay live: their ids remain valid.
+//!
+//! # Offsets are `u32`
+//!
+//! Spans, ranges and slot indices are `u32`. A parse cannot outgrow
+//! them: no buffer holds more entries than the input has bytes, and an
+//! input past `u32::MAX` bytes is refused with
+//! [`XmlErrorKind::LimitExceeded`]. Growth by mutation is checked with
+//! [`Document::ensure_room`], which the update path calls before each
+//! operation, so growth past `u32::MAX` is a typed
+//! [`LimitKind::ArenaBytes`] error there, never a wrap or a panic. The
+//! plain appenders are for documents built by trusted code; they panic
+//! rather than wrap if a buffer ever outgrew `u32` offsets.
+//!
+//! # Generations
 //!
 //! The generation in each id is what makes in-place *updates* safe: when
 //! a subtree is removed ([`Document::remove_subtree`]) its slots are
@@ -21,6 +75,7 @@
 //! own authorization 6-tuples and XPath can address them.
 
 use crate::error::{Pos, Result, XmlError, XmlErrorKind};
+use crate::limits::LimitKind;
 use crate::name::is_valid_name;
 use std::fmt;
 
@@ -69,55 +124,94 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// The payload of a node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeData {
+/// The payload of a node, borrowed from its [`Document`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeData<'a> {
     /// An element: `<name attr...>children</name>`.
     Element {
         /// Tag name.
-        name: String,
+        name: &'a str,
         /// Attribute nodes, in document order. Each is a `NodeData::Attr`.
-        attrs: Vec<NodeId>,
+        attrs: &'a [NodeId],
         /// Child nodes (elements, text, comments, PIs), in document order.
-        children: Vec<NodeId>,
+        children: &'a [NodeId],
     },
     /// An attribute `name="value"` of its parent element.
     Attr {
         /// Attribute name.
-        name: String,
+        name: &'a str,
         /// Attribute value, already unescaped.
-        value: String,
+        value: &'a str,
     },
     /// Character data (entity references already resolved).
-    Text(String),
+    Text(&'a str),
     /// A comment `<!-- ... -->`.
-    Comment(String),
+    Comment(&'a str),
     /// A processing instruction `<?target data?>`.
     Pi {
         /// PI target.
-        target: String,
+        target: &'a str,
         /// PI data (may be empty).
-        data: String,
+        data: &'a str,
     },
 }
 
-/// A node in the arena: payload plus a parent link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Node {
-    /// Parent node; `None` only for the document element.
+/// A borrowed view of one node: payload plus a parent link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Node<'a> {
+    /// Parent node; `None` for the document element and detached nodes.
     pub parent: Option<NodeId>,
     /// Payload.
-    pub data: NodeData,
+    pub data: NodeData<'a>,
 }
 
-/// One arena slot: the current generation plus the occupying node, if
-/// any. A vacant slot's index is on the free list; its generation has
-/// already been bumped past every id ever handed out for it.
-#[derive(Debug, Clone)]
+/// A `(offset, len)` window into [`Document`]'s `text` buffer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    off: u32,
+    len: u32,
+}
+
+/// What a slot holds besides its first string (`Slot::name`).
+#[derive(Debug, Clone, Copy)]
+enum Payload {
+    /// A freed slot, on the free list.
+    Vacant,
+    /// `links[start .. start + attrs]` are the attributes,
+    /// `links[start + attrs ..][.. children]` the children, and the
+    /// range reserves `cap` entries in all.
+    Element {
+        start: u32,
+        attrs: u32,
+        children: u32,
+        cap: u32,
+    },
+    Attr {
+        value: Span,
+    },
+    Text,
+    Comment,
+    Pi {
+        data: Span,
+    },
+}
+
+/// One arena slot. `name` is the element or attribute name, the PI
+/// target, or the body of a text or comment node.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     gen: u32,
-    node: Option<Node>,
+    /// Parent slot index, or [`NO_PARENT`].
+    parent: u32,
+    name: Span,
+    payload: Payload,
 }
+
+const NO_PARENT: u32 = u32::MAX;
+/// Fills reserved link slack; never read as a live id.
+const NO_LINK: NodeId = NodeId { idx: u32::MAX, gen: u32::MAX };
+/// The largest offset, length or index a buffer may reach.
+const MAX_OFFSET: usize = u32::MAX as usize;
 
 /// Captured `<!DOCTYPE ...>` information.
 ///
@@ -137,12 +231,13 @@ pub struct Doctype {
     pub internal_subset: Option<String>,
 }
 
-/// An XML document as a generational arena of nodes.
+/// An XML document as a generational arena of nodes (see the module
+/// docs for its layout).
 ///
 /// Invariants maintained by the mutation API:
-/// - `root` is an `Element` with `parent == None`;
-/// - every other reachable node's `parent` is the node that lists it in
-///   `attrs`/`children`;
+/// - `root` is an `Element` with no parent;
+/// - every other reachable node's parent is the node that lists it among
+///   its attributes or children;
 /// - attribute names are unique per element;
 /// - a live [`NodeId`]'s generation matches its slot's generation, and a
 ///   freed slot's generation exceeds every id ever issued for it.
@@ -154,7 +249,13 @@ pub struct Doctype {
 #[derive(Debug, Clone)]
 pub struct Document {
     slots: Vec<Slot>,
+    text: String,
+    links: Vec<NodeId>,
     free: Vec<u32>,
+    /// Bytes of `text` no occupied slot refers to.
+    dead_text: usize,
+    /// Entries of `links` outside every occupied element's range.
+    dead_links: usize,
     root: NodeId,
     /// DOCTYPE declaration, if the source had one.
     pub doctype: Option<Doctype>,
@@ -176,6 +277,23 @@ fn stale_node_id(id: NodeId, slot_gen: u32, vacant: bool) -> ! {
     panic!("stale NodeId {id}: slot was recycled (generation now {slot_gen})");
 }
 
+#[cold]
+#[inline(never)]
+fn offsets_overflow() -> ! {
+    panic!("document buffers outgrew u32 offsets (the update path checks Document::ensure_room)");
+}
+
+/// Appends `s` to `text`, returning its span.
+#[inline]
+fn push_span(text: &mut String, s: &str) -> Span {
+    let off = text.len();
+    if off + s.len() > MAX_OFFSET {
+        offsets_overflow();
+    }
+    text.push_str(s);
+    Span { off: off as u32, len: s.len() as u32 }
+}
+
 impl Document {
     /// Creates a document whose root element is named `root_name`.
     ///
@@ -183,22 +301,29 @@ impl Document {
     /// Panics if `root_name` is not a valid XML name.
     pub fn new(root_name: &str) -> Self {
         assert!(is_valid_name(root_name), "invalid root element name {root_name:?}");
-        let root = Node {
-            parent: None,
-            data: NodeData::Element {
-                name: root_name.to_string(),
-                attrs: Vec::new(),
-                children: Vec::new(),
-            },
-        };
-        Document {
-            slots: vec![Slot { gen: 0, node: Some(root) }],
+        Document::with_root(root_name, 1, root_name.len(), 0)
+    }
+
+    /// A document holding only its root element `name`, with room for
+    /// `slots` nodes, `text` bytes and `links` links. The caller has
+    /// validated `name`.
+    pub(crate) fn with_root(name: &str, slots: usize, text: usize, links: usize) -> Document {
+        let mut doc = Document {
+            slots: Vec::with_capacity(slots.max(1)),
+            text: String::with_capacity(text.max(name.len())),
+            links: Vec::with_capacity(links),
             free: Vec::new(),
+            dead_text: 0,
+            dead_links: 0,
             root: NodeId::new(0, 0),
             doctype: None,
             last_alloc: NodeId::new(0, 0),
             ids_preordered: true,
-        }
+        };
+        let name = push_span(&mut doc.text, name);
+        let payload = Payload::Element { start: 0, attrs: 0, children: 0, cap: 0 };
+        doc.slots.push(Slot { gen: 0, parent: NO_PARENT, name, payload });
+        doc
     }
 
     /// `true` while arena ids enumerate the tree in document order
@@ -246,19 +371,47 @@ impl Document {
         self.free.len()
     }
 
+    /// Bytes the document's buffers use (by length, live and dead),
+    /// excluding the DOCTYPE strings.
+    pub fn buffer_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot>()
+            + self.text.len()
+            + self.links.len() * std::mem::size_of::<NodeId>()
+            + self.free.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Checks that `bytes` more text and `nodes` more nodes (with their
+    /// links, including the relocation of every range they join) fit
+    /// under the buffers' `u32` offsets. The update path calls this
+    /// before each operation, so its growth is a typed error instead of
+    /// a panic.
+    pub fn ensure_room(&self, bytes: usize, nodes: usize) -> Result<()> {
+        let links = self.links.len().saturating_mul(2).saturating_add(nodes.saturating_mul(5));
+        let fits = self.text.len().saturating_add(bytes) <= MAX_OFFSET
+            && links <= MAX_OFFSET
+            && self.slots.len().saturating_add(nodes) < MAX_OFFSET;
+        if fits {
+            Ok(())
+        } else {
+            Err(XmlError::new(XmlErrorKind::LimitExceeded(LimitKind::ArenaBytes), Pos::START))
+        }
+    }
+
     /// Whether `id` is live in this arena: its slot is occupied and the
     /// generations match. Detached-but-not-freed nodes are live.
     pub fn contains(&self, id: NodeId) -> bool {
         self.slots
             .get(id.index())
-            .is_some_and(|s| s.gen == id.generation() && s.node.is_some())
+            .is_some_and(|s| s.gen == id.generation() && !matches!(s.payload, Payload::Vacant))
     }
 
     /// The live id occupying slot `index`, if any. The inverse of
     /// [`NodeId::index`] for tools that enumerate the arena.
     pub fn node_id_at(&self, index: usize) -> Option<NodeId> {
         let slot = self.slots.get(index)?;
-        slot.node.as_ref()?;
+        if matches!(slot.payload, Payload::Vacant) {
+            return None;
+        }
         Some(NodeId::new(index as u32, slot.gen))
     }
 
@@ -268,51 +421,180 @@ impl Document {
         self.slots.get(index).map(|s| s.gen)
     }
 
-    /// Immutable access to a node.
+    /// The occupied slot `id` names.
+    ///
+    /// # Panics
+    /// Panics if `id` is stale.
+    #[inline]
+    fn slot(&self, id: NodeId) -> &Slot {
+        let slot = &self.slots[id.index()];
+        let vacant = matches!(slot.payload, Payload::Vacant);
+        if slot.gen != id.generation() || vacant {
+            stale_node_id(id, slot.gen, vacant);
+        }
+        slot
+    }
+
+    #[inline]
+    fn str_at(&self, s: Span) -> &str {
+        let (from, to) = (s.off as usize, s.off as usize + s.len as usize);
+        debug_assert!(self.text.is_char_boundary(from) && self.text.is_char_boundary(to));
+        let bytes = &self.text.as_bytes()[from..to];
+        // SAFETY: every span of an occupied slot was made by `push_span`
+        // from a whole `&str` (compaction copies whole spans), so both its
+        // ends are char boundaries of the UTF-8 `text`. Skipping the two
+        // boundary checks of `&text[from..to]` makes serializing about 15%
+        // faster; the bounds check stays.
+        unsafe { std::str::from_utf8_unchecked(bytes) }
+    }
+
+    /// The id of a live slot's parent.
+    #[inline]
+    fn parent_of(&self, slot: &Slot) -> Option<NodeId> {
+        (slot.parent != NO_PARENT)
+            .then(|| NodeId::new(slot.parent, self.slots[slot.parent as usize].gen))
+    }
+
+    /// Borrowed view of a node.
     ///
     /// # Panics
     /// Panics if `id` is stale: its slot was freed (and possibly
     /// recycled) since the id was issued.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        let slot = &self.slots[id.index()];
-        match &slot.node {
-            Some(n) if slot.gen == id.generation() => n,
-            other => stale_node_id(id, slot.gen, other.is_none()),
-        }
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        let slot = self.slot(id);
+        let name = self.str_at(slot.name);
+        let data = match slot.payload {
+            Payload::Element { start, attrs, children, .. } => {
+                let (start, attrs) = (start as usize, attrs as usize);
+                NodeData::Element {
+                    name,
+                    attrs: &self.links[start..start + attrs],
+                    children: &self.links[start + attrs..start + attrs + children as usize],
+                }
+            }
+            Payload::Attr { value } => NodeData::Attr { name, value: self.str_at(value) },
+            Payload::Text => NodeData::Text(name),
+            Payload::Comment => NodeData::Comment(name),
+            Payload::Pi { data } => NodeData::Pi { target: name, data: self.str_at(data) },
+            Payload::Vacant => unreachable!("slot() refuses vacant slots"),
+        };
+        Node { parent: self.parent_of(slot), data }
     }
 
-    /// Mutable access to a node.
-    ///
-    /// # Panics
-    /// Panics if `id` is stale (see [`Document::node`]).
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        let slot = &mut self.slots[id.index()];
-        if slot.gen != id.generation() || slot.node.is_none() {
-            let vacant = slot.node.is_none();
-            stale_node_id(id, slot.gen, vacant);
-        }
-        slot.node.as_mut().expect("occupancy checked above")
-    }
-
-    fn alloc(&mut self, node: Node) -> NodeId {
+    /// Allocates a slot for `data` under `parent`, copying its strings
+    /// into `text`, without linking it into any range (an element starts
+    /// with an empty one). The parser links each node when its parent
+    /// closes ([`Document::close_in_order`]); it never frees, so its ids
+    /// come out in document order and stay a preorder unchecked.
+    pub(crate) fn alloc(&mut self, parent: Option<NodeId>, data: NodeData<'_>) -> NodeId {
+        let text = &mut self.text;
+        let (name, payload) = match data {
+            NodeData::Element { name, .. } => {
+                (name, Payload::Element { start: 0, attrs: 0, children: 0, cap: 0 })
+            }
+            NodeData::Attr { name, value } => {
+                (name, Payload::Attr { value: push_span(text, value) })
+            }
+            NodeData::Text(t) => (t, Payload::Text),
+            NodeData::Comment(t) => (t, Payload::Comment),
+            NodeData::Pi { target, data } => (target, Payload::Pi { data: push_span(text, data) }),
+        };
+        let name = push_span(text, name);
+        let parent = parent.map_or(NO_PARENT, |p| p.idx);
         let id = match self.free.pop() {
             Some(idx) => {
                 // A recycled (low) index can never extend a preorder.
                 self.ids_preordered = false;
                 let slot = &mut self.slots[idx as usize];
-                debug_assert!(slot.node.is_none(), "free list held an occupied slot");
-                slot.node = Some(node);
+                debug_assert!(
+                    matches!(slot.payload, Payload::Vacant),
+                    "free list held a live slot"
+                );
+                *slot = Slot { gen: slot.gen, parent, name, payload };
                 NodeId::new(idx, slot.gen)
             }
             None => {
-                let idx = u32::try_from(self.slots.len()).expect("arena overflow");
-                self.slots.push(Slot { gen: 0, node: Some(node) });
-                NodeId::new(idx, 0)
+                let idx = self.slots.len();
+                if idx >= NO_PARENT as usize {
+                    offsets_overflow();
+                }
+                self.slots.push(Slot { gen: 0, parent, name, payload });
+                NodeId::new(idx as u32, 0)
             }
         };
         self.last_alloc = id;
+        id
+    }
+
+    /// `(start, attrs, children, cap)` of element slot `idx`.
+    #[inline]
+    fn range(&self, idx: usize) -> (usize, usize, usize, usize) {
+        match self.slots[idx].payload {
+            Payload::Element { start, attrs, children, cap } => {
+                (start as usize, attrs as usize, children as usize, cap as usize)
+            }
+            other => panic!("cannot link nodes under a non-element node: {other:?}"),
+        }
+    }
+
+    #[inline]
+    fn set_range(&mut self, idx: usize, start: usize, attrs: usize, children: usize, cap: usize) {
+        self.slots[idx].payload = Payload::Element {
+            start: start as u32,
+            attrs: attrs as u32,
+            children: children as u32,
+            cap: cap as u32,
+        };
+    }
+
+    /// Makes room for one more link in element `idx`'s range: in place
+    /// while it has slack or ends at the end of `links`, else by moving
+    /// it to the end with doubled capacity.
+    fn reserve_link(&mut self, idx: usize) {
+        let (start, attrs, children, cap) = self.range(idx);
+        let used = attrs + children;
+        if used < cap {
+            return;
+        }
+        if start + cap == self.links.len() {
+            if self.links.len() >= MAX_OFFSET {
+                offsets_overflow();
+            }
+            self.links.push(NO_LINK);
+            self.set_range(idx, start, attrs, children, cap + 1);
+            return;
+        }
+        let new_start = self.links.len();
+        let new_cap = (used * 2).max(4);
+        if new_start + new_cap > MAX_OFFSET {
+            offsets_overflow();
+        }
+        self.links.extend_from_within(start..start + used);
+        self.links.resize(new_start + new_cap, NO_LINK);
+        self.dead_links += cap;
+        self.set_range(idx, new_start, attrs, children, new_cap);
+    }
+
+    /// Links `id` as the last child of element `parent`.
+    fn push_child(&mut self, parent: NodeId, id: NodeId) {
+        self.reserve_link(parent.index());
+        let (start, attrs, children, cap) = self.range(parent.index());
+        self.links[start + attrs + children] = id;
+        self.set_range(parent.index(), start, attrs, children + 1, cap);
+    }
+
+    /// Appends a new `data` node under `parent` and links it.
+    fn append(&mut self, parent: NodeId, data: NodeData<'_>) -> NodeId {
+        self.slot(parent);
+        self.ids_preordered &= self.append_keeps_preorder(parent);
+        let id = self.alloc(Some(parent), data);
+        self.push_child(parent, id);
+        if let Payload::Element { .. } = self.slots[id.index()].payload {
+            // Start the new element's (empty) range after its own link.
+            self.set_range(id.index(), self.links.len(), 0, 0, 0);
+        }
+        self.maybe_compact();
         id
     }
 
@@ -323,57 +605,43 @@ impl Document {
     /// Creates a new element named `name` and appends it to `parent`'s children.
     pub fn append_element(&mut self, parent: NodeId, name: &str) -> NodeId {
         debug_assert!(is_valid_name(name), "invalid element name {name:?}");
-        self.ids_preordered &= self.append_keeps_preorder(parent);
-        let id = self.alloc(Node {
-            parent: Some(parent),
-            data: NodeData::Element {
-                name: name.to_string(),
-                attrs: Vec::new(),
-                children: Vec::new(),
-            },
-        });
-        self.children_mut(parent).push(id);
-        id
+        self.append(parent, NodeData::Element { name, attrs: &[], children: &[] })
     }
 
     /// Appends a text node to `parent`.
     pub fn append_text(&mut self, parent: NodeId, text: &str) -> NodeId {
-        self.ids_preordered &= self.append_keeps_preorder(parent);
-        let id = self.alloc(Node { parent: Some(parent), data: NodeData::Text(text.to_string()) });
-        self.children_mut(parent).push(id);
-        id
+        self.append(parent, NodeData::Text(text))
     }
 
     /// Appends a comment node to `parent`.
     pub fn append_comment(&mut self, parent: NodeId, text: &str) -> NodeId {
-        self.ids_preordered &= self.append_keeps_preorder(parent);
-        let id =
-            self.alloc(Node { parent: Some(parent), data: NodeData::Comment(text.to_string()) });
-        self.children_mut(parent).push(id);
-        id
+        self.append(parent, NodeData::Comment(text))
     }
 
     /// Appends a processing instruction to `parent`.
     pub fn append_pi(&mut self, parent: NodeId, target: &str, data: &str) -> NodeId {
-        self.ids_preordered &= self.append_keeps_preorder(parent);
-        let id = self.alloc(Node {
-            parent: Some(parent),
-            data: NodeData::Pi { target: target.to_string(), data: data.to_string() },
-        });
-        self.children_mut(parent).push(id);
-        id
+        self.append(parent, NodeData::Pi { target, data })
     }
 
     /// Sets (or replaces) attribute `name` on `element`, returning the
-    /// attribute node id.
+    /// attribute node id. A replaced value's old bytes become dead.
     ///
     /// Returns an error if `element` is not an element.
     pub fn set_attribute(&mut self, element: NodeId, name: &str, value: &str) -> Result<NodeId> {
         debug_assert!(is_valid_name(name), "invalid attribute name {name:?}");
+        if !self.is_element(element) {
+            return Err(XmlError::new(
+                XmlErrorKind::MalformedAttribute(name.to_string()),
+                Pos::START,
+            ));
+        }
         if let Some(existing) = self.attribute_node(element, name) {
-            if let NodeData::Attr { value: v, .. } = &mut self.node_mut(existing).data {
-                *v = value.to_string();
+            let new = push_span(&mut self.text, value);
+            if let Payload::Attr { value: old } = &mut self.slots[existing.index()].payload {
+                self.dead_text += old.len as usize;
+                *old = new;
             }
+            self.maybe_compact();
             return Ok(existing);
         }
         // A new attribute keeps preorder while its element has no
@@ -385,66 +653,37 @@ impl Document {
             && (element == self.last_alloc
                 || (self.parent(self.last_alloc) == Some(element)
                     && self.is_attribute(self.last_alloc)));
-        let id = self.alloc(Node {
-            parent: Some(element),
-            data: NodeData::Attr { name: name.to_string(), value: value.to_string() },
-        });
-        match &mut self.node_mut(element).data {
-            NodeData::Element { attrs, .. } => {
-                attrs.push(id);
-                Ok(id)
-            }
-            _ => Err(XmlError::new(XmlErrorKind::MalformedAttribute(name.to_string()), Pos::START)),
-        }
+        let id = self.alloc(Some(element), NodeData::Attr { name, value });
+        // Insert after the existing attributes, shifting the children.
+        let el = element.index();
+        self.reserve_link(el);
+        let (start, attrs, children, cap) = self.range(el);
+        let at = start + attrs;
+        self.links.copy_within(at..at + children, at + 1);
+        self.links[at] = id;
+        self.set_range(el, start, attrs + 1, children, cap);
+        self.maybe_compact();
+        Ok(id)
     }
 
     // ------------------------------------------------------------------
-    // In-order construction (the parser's appenders)
+    // In-order construction (the parser's builder, with `alloc`)
     // ------------------------------------------------------------------
 
-    /// A document holding only its root element `name`, with arena room
-    /// for `capacity` nodes. The caller has validated `name`.
-    pub(crate) fn with_root(name: String, capacity: usize) -> Document {
-        let mut slots = Vec::with_capacity(capacity.max(1));
-        let root = NodeData::Element { name, attrs: Vec::new(), children: Vec::new() };
-        slots.push(Slot { gen: 0, node: Some(Node { parent: None, data: root }) });
-        Document {
-            slots,
-            free: Vec::new(),
-            root: NodeId::new(0, 0),
-            doctype: None,
-            last_alloc: NodeId::new(0, 0),
-            ids_preordered: true,
-        }
+    /// Gives element `el` its final range: `links` (its attributes, then
+    /// its children) copied to the end of the link buffer.
+    #[inline]
+    pub(crate) fn close_in_order(&mut self, el: NodeId, links: &[NodeId], attrs: usize) {
+        let start = self.links.len();
+        self.links.extend_from_slice(links);
+        self.set_range(el.index(), start, attrs, links.len() - attrs, links.len());
     }
 
-    /// Appends `data` as the last child of `parent` (or, for an
-    /// attribute, as the last attribute of element `parent`) in a fresh
-    /// slot. Sound only while the document is built in document order
-    /// (attributes right after their element, before its children) with
-    /// unique attribute names — which is how the parser calls it — so
-    /// arena ids stay a preorder without being checked and no
-    /// duplicate-attribute lookup is made.
-    pub(crate) fn push_in_order(&mut self, parent: NodeId, data: NodeData) -> NodeId {
-        let is_attr = matches!(data, NodeData::Attr { .. });
-        let idx = u32::try_from(self.slots.len()).expect("arena overflow");
-        let id = NodeId::new(idx, 0);
-        self.slots
-            .push(Slot { gen: 0, node: Some(Node { parent: Some(parent), data }) });
-        self.last_alloc = id;
-        match &mut self.node_mut(parent).data {
-            NodeData::Element { attrs, .. } if is_attr => attrs.push(id),
-            NodeData::Element { children, .. } => children.push(id),
-            other => panic!("cannot append to non-element node: {other:?}"),
-        }
-        id
-    }
-
-    fn children_mut(&mut self, id: NodeId) -> &mut Vec<NodeId> {
-        match &mut self.node_mut(id).data {
-            NodeData::Element { children, .. } => children,
-            other => panic!("cannot append children to non-element node: {other:?}"),
-        }
+    /// Releases the capacity a parse reserved beyond what it used.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
+        self.text.shrink_to_fit();
+        self.links.shrink_to_fit();
     }
 
     // ------------------------------------------------------------------
@@ -453,51 +692,55 @@ impl Document {
 
     /// Element/tag name, or `None` for non-elements.
     pub fn element_name(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).data {
-            NodeData::Element { name, .. } => Some(name),
-            _ => None,
-        }
+        let slot = self.slot(id);
+        matches!(slot.payload, Payload::Element { .. }).then(|| self.str_at(slot.name))
     }
 
     /// The name of a node usable in path expressions: the tag name for
     /// elements, the attribute name for attributes, `None` otherwise.
     pub fn node_name(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).data {
-            NodeData::Element { name, .. } | NodeData::Attr { name, .. } => Some(name),
-            _ => None,
-        }
+        let slot = self.slot(id);
+        matches!(slot.payload, Payload::Element { .. } | Payload::Attr { .. })
+            .then(|| self.str_at(slot.name))
     }
 
     /// Returns `true` if `id` is an element.
     #[inline]
     pub fn is_element(&self, id: NodeId) -> bool {
-        matches!(self.node(id).data, NodeData::Element { .. })
+        matches!(self.slot(id).payload, Payload::Element { .. })
     }
 
     /// Returns `true` if `id` is an attribute node.
     #[inline]
     pub fn is_attribute(&self, id: NodeId) -> bool {
-        matches!(self.node(id).data, NodeData::Attr { .. })
+        matches!(self.slot(id).payload, Payload::Attr { .. })
     }
 
     /// Returns `true` if `id` is a text node.
     #[inline]
     pub fn is_text(&self, id: NodeId) -> bool {
-        matches!(self.node(id).data, NodeData::Text(_))
+        matches!(self.slot(id).payload, Payload::Text)
     }
 
     /// Child nodes of an element (empty slice otherwise).
+    #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        match &self.node(id).data {
-            NodeData::Element { children, .. } => children,
+        match self.slot(id).payload {
+            Payload::Element { start, attrs, children, .. } => {
+                let from = (start + attrs) as usize;
+                &self.links[from..from + children as usize]
+            }
             _ => &[],
         }
     }
 
     /// Attribute nodes of an element (empty slice otherwise).
+    #[inline]
     pub fn attributes(&self, id: NodeId) -> &[NodeId] {
-        match &self.node(id).data {
-            NodeData::Element { attrs, .. } => attrs,
+        match self.slot(id).payload {
+            Payload::Element { start, attrs, .. } => {
+                &self.links[start as usize..(start + attrs) as usize]
+            }
             _ => &[],
         }
     }
@@ -510,29 +753,26 @@ impl Document {
     /// Parent of `id`.
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
+        self.parent_of(self.slot(id))
     }
 
     /// The attribute node named `name` on `element`, if any.
     pub fn attribute_node(&self, element: NodeId, name: &str) -> Option<NodeId> {
-        self.attributes(element).iter().copied().find(|&a| match &self.node(a).data {
-            NodeData::Attr { name: n, .. } => n == name,
-            _ => false,
-        })
+        self.attributes(element)
+            .iter()
+            .copied()
+            .find(|&a| self.str_at(self.slots[a.index()].name) == name)
     }
 
     /// The value of attribute `name` on `element`, if present.
     pub fn attribute(&self, element: NodeId, name: &str) -> Option<&str> {
-        self.attribute_node(element, name).and_then(|a| match &self.node(a).data {
-            NodeData::Attr { value, .. } => Some(value.as_str()),
-            _ => None,
-        })
+        self.attribute_node(element, name).and_then(|a| self.attr_value(a))
     }
 
     /// The value of an attribute node.
     pub fn attr_value(&self, attr: NodeId) -> Option<&str> {
-        match &self.node(attr).data {
-            NodeData::Attr { value, .. } => Some(value.as_str()),
+        match self.slot(attr).payload {
+            Payload::Attr { value } => Some(self.str_at(value)),
             _ => None,
         }
     }
@@ -540,9 +780,9 @@ impl Document {
     /// Concatenated text of all descendant text nodes (XPath's
     /// string-value of an element), or the value for attribute/text nodes.
     pub fn text_value(&self, id: NodeId) -> String {
-        match &self.node(id).data {
-            NodeData::Attr { value, .. } => value.clone(),
-            NodeData::Text(t) => t.clone(),
+        match self.node(id).data {
+            NodeData::Attr { value, .. } => value.to_string(),
+            NodeData::Text(t) => t.to_string(),
             NodeData::Comment(_) | NodeData::Pi { .. } => String::new(),
             NodeData::Element { .. } => {
                 let mut out = String::new();
@@ -554,7 +794,7 @@ impl Document {
 
     fn collect_text(&self, id: NodeId, out: &mut String) {
         for &c in self.children(id) {
-            match &self.node(c).data {
+            match self.node(c).data {
                 NodeData::Text(t) => out.push_str(t),
                 NodeData::Element { .. } => self.collect_text(c, out),
                 _ => {}
@@ -600,7 +840,7 @@ impl Document {
 
     /// Position key of `id` under its parent: attributes sort before
     /// child nodes (they are written inside the start tag), each by
-    /// slot index.
+    /// position.
     fn sibling_key(&self, id: NodeId) -> (u8, usize) {
         let Some(p) = self.parent(id) else { return (0, 0) };
         if self.is_attribute(id) {
@@ -672,31 +912,56 @@ impl Document {
     // ------------------------------------------------------------------
 
     /// Detaches `id` from its parent (it stays in the arena, unreachable,
-    /// and its id remains valid).
+    /// and its id remains valid). The parent's range shrinks in place.
     ///
     /// Detaching the root is not allowed and is a no-op returning `false`.
     pub fn detach(&mut self, id: NodeId) -> bool {
-        let Some(p) = self.node(id).parent else { return false };
+        let Some(p) = self.parent(id) else { return false };
         let is_attr = self.is_attribute(id);
-        match &mut self.node_mut(p).data {
-            NodeData::Element { attrs, children, .. } => {
-                if is_attr {
-                    attrs.retain(|&a| a != id);
-                } else {
-                    children.retain(|&c| c != id);
-                }
-            }
-            _ => return false,
+        let (start, attrs, children, cap) = self.range(p.index());
+        let (from, len) = if is_attr { (start, attrs) } else { (start + attrs, children) };
+        let Some(pos) = self.links[from..from + len].iter().position(|&x| x == id) else {
+            return false;
+        };
+        self.links.copy_within(from + pos + 1..start + attrs + children, from + pos);
+        if is_attr {
+            self.set_range(p.index(), start, attrs - 1, children, cap);
+        } else {
+            self.set_range(p.index(), start, attrs, children - 1, cap);
         }
-        self.node_mut(id).parent = None;
+        self.slots[id.index()].parent = NO_PARENT;
         true
+    }
+
+    /// Detaches every attribute and child of `element` that `keep`
+    /// rejects, filtering its range in place. Returns how many were
+    /// detached.
+    pub fn retain(&mut self, element: NodeId, mut keep: impl FnMut(NodeId) -> bool) -> usize {
+        if !self.is_element(element) {
+            return 0;
+        }
+        let (start, attrs, children, cap) = self.range(element.index());
+        let (mut kept, mut kept_attrs) = (start, 0);
+        for i in start..start + attrs + children {
+            let id = self.links[i];
+            if keep(id) {
+                self.links[kept] = id;
+                kept += 1;
+                kept_attrs += usize::from(i < start + attrs);
+            } else {
+                self.slots[id.index()].parent = NO_PARENT;
+            }
+        }
+        self.set_range(element.index(), start, kept_attrs, kept - start - kept_attrs, cap);
+        start + attrs + children - kept
     }
 
     /// Detaches `id` from its parent and frees its whole subtree
     /// (including attribute nodes): the slots are vacated, their
     /// generations bumped, and their indices recycled through the free
-    /// list. Every id into the subtree becomes stale. Returns the number
-    /// of nodes freed; removing the root is refused (returns 0).
+    /// list; their bytes and ranges become dead. Every id into the
+    /// subtree becomes stale. Returns the number of nodes freed; removing
+    /// the root is refused (returns 0).
     ///
     /// This is the update path's deletion primitive — unlike
     /// [`Document::detach`], the arena does not grow monotonically under
@@ -709,26 +974,40 @@ impl Document {
         let mut freed = 0usize;
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
-            if let NodeData::Element { attrs, children, .. } = &self.node(n).data {
-                stack.extend(attrs.iter().copied());
-                stack.extend(children.iter().copied());
+            if let Payload::Element { start, attrs, children, .. } = self.slot(n).payload {
+                let (start, end) = (start as usize, (start + attrs + children) as usize);
+                stack.extend_from_slice(&self.links[start..end]);
             }
             self.free_slot(n);
             freed += 1;
         }
+        self.maybe_compact();
         freed
     }
 
     /// Vacates one slot: bumps its generation (staling every outstanding
-    /// id for it) and recycles the index.
+    /// id for it), counts its bytes and range as dead, and recycles the
+    /// index.
     fn free_slot(&mut self, id: NodeId) {
         let slot = &mut self.slots[id.index()];
         assert!(
-            slot.gen == id.generation() && slot.node.is_some(),
+            slot.gen == id.generation() && !matches!(slot.payload, Payload::Vacant),
             "freeing through a stale NodeId {id}"
         );
-        slot.node = None;
-        slot.gen = slot.gen.wrapping_add(1);
+        self.dead_text += slot.name.len as usize;
+        match slot.payload {
+            Payload::Attr { value: s } | Payload::Pi { data: s } => {
+                self.dead_text += s.len as usize
+            }
+            Payload::Element { cap, .. } => self.dead_links += cap as usize,
+            _ => {}
+        }
+        *slot = Slot {
+            gen: slot.gen.wrapping_add(1),
+            parent: NO_PARENT,
+            name: Span::default(),
+            payload: Payload::Vacant,
+        };
         self.free.push(id.index() as u32);
         // `last_alloc` must always be live (preorder bookkeeping walks
         // its ancestor chain); fall back to the root, which is sound:
@@ -739,37 +1018,71 @@ impl Document {
         }
     }
 
+    /// Rebuilds a buffer from its live spans once its dead part exceeds
+    /// its live part.
+    fn maybe_compact(&mut self) {
+        if self.dead_text > self.text.len() - self.dead_text {
+            let mut text = String::with_capacity(self.text.len() - self.dead_text);
+            for slot in &mut self.slots {
+                let copy = |s: Span, text: &mut String| {
+                    push_span(text, &self.text[s.off as usize..(s.off + s.len) as usize])
+                };
+                match &mut slot.payload {
+                    Payload::Vacant => continue,
+                    Payload::Attr { value: s } | Payload::Pi { data: s } => {
+                        *s = copy(*s, &mut text)
+                    }
+                    _ => {}
+                }
+                slot.name = copy(slot.name, &mut text);
+            }
+            self.text = text;
+            self.dead_text = 0;
+        }
+        if self.dead_links > self.links.len() - self.dead_links {
+            let mut links = Vec::with_capacity(self.links.len() - self.dead_links);
+            for slot in &mut self.slots {
+                if let Payload::Element { start, attrs, children, cap } = &mut slot.payload {
+                    let from = *start as usize;
+                    *start = links.len() as u32;
+                    links
+                        .extend_from_slice(&self.links[from..from + (*attrs + *children) as usize]);
+                    *cap = *attrs + *children;
+                }
+            }
+            self.links = links;
+            self.dead_links = 0;
+        }
+    }
+
     /// Deep-copies the subtree rooted at `src_id` in `src` into `self`,
     /// appending it under `parent`. Returns the new root of the copy.
+    /// Each copied element gets an exact-size range, and its nodes are
+    /// allocated in document order.
     pub fn import_subtree(&mut self, parent: NodeId, src: &Document, src_id: NodeId) -> NodeId {
-        match &src.node(src_id).data {
-            NodeData::Element { name, .. } => {
-                let name = name.clone();
-                let new_el = self.append_element(parent, &name);
-                for &a in src.attributes(src_id) {
-                    if let NodeData::Attr { name, value } = &src.node(a).data {
-                        let (n, v) = (name.clone(), value.clone());
-                        self.set_attribute(new_el, &n, &v).expect("new node is an element");
-                    }
-                }
-                for &c in src.children(src_id) {
-                    self.import_subtree(new_el, src, c);
-                }
-                new_el
-            }
-            NodeData::Text(t) => {
-                let t = t.clone();
-                self.append_text(parent, &t)
-            }
-            NodeData::Comment(t) => {
-                let t = t.clone();
-                self.append_comment(parent, &t)
-            }
-            NodeData::Pi { target, data } => {
-                let (t, d) = (target.clone(), data.clone());
-                self.append_pi(parent, &t, &d)
-            }
-            NodeData::Attr { .. } => panic!("cannot import an attribute as a subtree"),
+        let data = src.node(src_id).data;
+        assert!(!matches!(data, NodeData::Attr { .. }), "cannot import an attribute as a subtree");
+        let id = self.append(parent, data);
+        self.copy_links(id, src, src_id);
+        self.maybe_compact();
+        id
+    }
+
+    /// Copies the attributes and children of `src_id` under the fresh
+    /// element copy `id` (no-op for leaves).
+    fn copy_links(&mut self, id: NodeId, src: &Document, src_id: NodeId) {
+        let NodeData::Element { attrs, children, .. } = src.node(src_id).data else { return };
+        let start = self.links.len();
+        let n = attrs.len() + children.len();
+        if start + n > MAX_OFFSET {
+            offsets_overflow();
+        }
+        self.links.resize(start + n, NO_LINK);
+        self.set_range(id.index(), start, attrs.len(), children.len(), n);
+        for (i, &s) in attrs.iter().chain(children).enumerate() {
+            let c = self.alloc(Some(id), src.node(s).data);
+            self.links[start + i] = c;
+            self.copy_links(c, src, s);
         }
     }
 
@@ -789,10 +1102,10 @@ impl Document {
         let pos = self.children(parent).iter().position(|&c| c == target)?;
         self.remove_subtree(target);
         let new_id = self.import_subtree(parent, src, src_id);
-        let children = self.children_mut(parent);
-        let last = children.pop().expect("import_subtree appended the new root");
-        debug_assert_eq!(last, new_id);
-        children.insert(pos, new_id);
+        let (start, attrs, children, _) = self.range(parent.index());
+        let kids = &mut self.links[start + attrs..start + attrs + children];
+        debug_assert_eq!(kids.last(), Some(&new_id));
+        kids[pos..].rotate_right(1);
         Some(new_id)
     }
 
@@ -800,25 +1113,16 @@ impl Document {
     /// children in order, text). Doctype is ignored.
     pub fn structurally_equal(&self, other: &Document) -> bool {
         fn eq(a: &Document, an: NodeId, b: &Document, bn: NodeId) -> bool {
-            match (&a.node(an).data, &b.node(bn).data) {
-                (NodeData::Element { name: n1, .. }, NodeData::Element { name: n2, .. }) => {
-                    if n1 != n2 {
-                        return false;
-                    }
-                    let (aa, ba) = (a.attributes(an), b.attributes(bn));
-                    if aa.len() != ba.len() {
-                        return false;
-                    }
-                    for (&x, &y) in aa.iter().zip(ba) {
-                        if a.node(x).data != b.node(y).data {
-                            return false;
-                        }
-                    }
-                    let (ac, bc) = (a.children(an), b.children(bn));
-                    if ac.len() != bc.len() {
-                        return false;
-                    }
-                    ac.iter().zip(bc).all(|(&x, &y)| eq(a, x, b, y))
+            match (a.node(an).data, b.node(bn).data) {
+                (
+                    NodeData::Element { name: n1, attrs: aa, children: ac },
+                    NodeData::Element { name: n2, attrs: ba, children: bc },
+                ) => {
+                    n1 == n2
+                        && aa.len() == ba.len()
+                        && aa.iter().zip(ba).all(|(&x, &y)| a.node(x).data == b.node(y).data)
+                        && ac.len() == bc.len()
+                        && ac.iter().zip(bc).all(|(&x, &y)| eq(a, x, b, y))
                 }
                 (x, y) => x == y,
             }
@@ -872,6 +1176,11 @@ mod tests {
     }
 
     #[test]
+    fn slots_stay_small() {
+        assert_eq!(std::mem::size_of::<Slot>(), 36);
+    }
+
+    #[test]
     fn construction_and_navigation() {
         let d = sample();
         let root = d.root();
@@ -894,6 +1203,26 @@ mod tests {
     }
 
     #[test]
+    fn late_attribute_lands_before_the_children() {
+        let mut d = sample();
+        let p1 = d.child_elements(d.root()).next().unwrap();
+        let kids = d.children(p1).to_vec();
+        let late = d.set_attribute(p1, "late", "x").unwrap();
+        assert_eq!(d.attributes(p1).len(), 2);
+        assert_eq!(d.attributes(p1)[1], late);
+        assert_eq!(d.children(p1), &kids[..]);
+        assert!(!d.ids_preordered());
+    }
+
+    #[test]
+    fn set_attribute_on_a_leaf_is_an_error() {
+        let mut d = sample();
+        let p1 = d.child_elements(d.root()).next().unwrap();
+        let text = d.children(p1)[1];
+        assert!(d.set_attribute(text, "k", "v").is_err());
+    }
+
+    #[test]
     fn text_value_concatenates_descendants() {
         let mut d = Document::new("a");
         let b = d.append_element(d.root(), "b");
@@ -909,7 +1238,7 @@ mod tests {
         let d = sample();
         let names: Vec<String> = d
             .preorder(d.root())
-            .map(|id| match &d.node(id).data {
+            .map(|id| match d.node(id).data {
                 NodeData::Element { name, .. } => format!("<{name}>"),
                 NodeData::Attr { name, .. } => format!("@{name}"),
                 _ => "?".into(),
@@ -948,6 +1277,23 @@ mod tests {
         let a = d.attribute_node(p1, "name").unwrap();
         assert!(d.detach(a));
         assert_eq!(d.attribute(p1, "name"), None);
+        assert_eq!(d.children(p1).len(), 2, "children keep their place");
+    }
+
+    #[test]
+    fn retain_filters_ranges_in_place() {
+        let mut d = sample();
+        let p1 = d.child_elements(d.root()).next().unwrap();
+        let name = d.attribute_node(p1, "name").unwrap();
+        let text = d.children(p1)[1];
+        assert_eq!(d.retain(p1, |n| n != name && n != text), 2);
+        assert_eq!(d.attributes(p1), &[] as &[NodeId]);
+        assert_eq!(d.children(p1).len(), 1);
+        assert_eq!((d.parent(name), d.parent(text)), (None, None));
+        // A later append reuses the slack the filter left.
+        let before = d.buffer_bytes();
+        d.append_text(p1, "t");
+        assert_eq!(d.buffer_bytes(), before + 36 + 1);
     }
 
     #[test]
@@ -959,6 +1305,7 @@ mod tests {
         assert_eq!(dst.element_name(new_root), Some("project"));
         assert_eq!(dst.attribute(new_root, "name"), Some("p1"));
         assert_eq!(dst.text_value(new_root), "text");
+        assert!(dst.ids_preordered());
     }
 
     #[test]
@@ -991,6 +1338,42 @@ mod tests {
             .map(|id| d.element_name(id).unwrap().to_string())
             .collect();
         assert_eq!(names, vec!["project", "paper", "project"]);
+    }
+
+    #[test]
+    fn repeated_replacement_compacts_the_text() {
+        let mut d = Document::new("a");
+        let root = d.root();
+        for i in 0..1000 {
+            d.set_attribute(root, "k", &format!("value {i}")).unwrap();
+            assert!(d.dead_text <= d.text.len() - d.dead_text);
+        }
+        assert_eq!(d.attribute(root, "k"), Some("value 999"));
+        assert!(d.text.len() < 64, "{} bytes kept", d.text.len());
+    }
+
+    #[test]
+    fn relocated_ranges_are_compacted() {
+        let mut d = Document::new("a");
+        let (x, y) = (d.append_element(d.root(), "x"), d.append_element(d.root(), "y"));
+        for _ in 0..200 {
+            let t = d.append_text(x, "1");
+            d.append_text(y, "2");
+            d.remove_subtree(t);
+            assert!(d.dead_links <= d.links.len() - d.dead_links);
+        }
+        assert_eq!(d.children(x).len(), 0);
+        assert_eq!(d.children(y).len(), 200);
+        assert!(d.text_value(y).bytes().all(|b| b == b'2'));
+    }
+
+    #[test]
+    fn growth_past_u32_offsets_is_a_typed_error() {
+        let d = sample();
+        assert!(d.ensure_room(1 << 20, 1 << 10).is_ok());
+        let e = d.ensure_room(MAX_OFFSET, 1).unwrap_err();
+        assert_eq!(e.kind, XmlErrorKind::LimitExceeded(LimitKind::ArenaBytes));
+        assert!(d.ensure_room(0, MAX_OFFSET / 4).is_err());
     }
 
     // ---- generational-arena behaviors ------------------------------------

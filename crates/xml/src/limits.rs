@@ -39,6 +39,9 @@ pub enum LimitKind {
     /// Entity/character-reference resolution produced more than
     /// [`Limits::max_entity_expansion`] characters.
     EntityExpansion,
+    /// A mutation would grow one of a document's buffers past its `u32`
+    /// offsets (see [`crate::dom::Document::ensure_room`]).
+    ArenaBytes,
 }
 
 impl LimitKind {
@@ -49,6 +52,7 @@ impl LimitKind {
             LimitKind::Depth => "depth",
             LimitKind::Nodes => "nodes",
             LimitKind::EntityExpansion => "entity_expansion",
+            LimitKind::ArenaBytes => "arena_bytes",
         }
     }
 }
@@ -118,6 +122,7 @@ mod tests {
         assert_eq!(LimitKind::Depth.as_str(), "depth");
         assert_eq!(LimitKind::Nodes.as_str(), "nodes");
         assert_eq!(LimitKind::EntityExpansion.as_str(), "entity_expansion");
+        assert_eq!(LimitKind::ArenaBytes.as_str(), "arena_bytes");
         assert_eq!(LimitKind::Depth.to_string(), "depth");
     }
 

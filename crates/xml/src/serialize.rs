@@ -115,16 +115,16 @@ fn write_node(
     depth: usize,
     out: &mut String,
 ) {
-    match &doc.node(id).data {
-        NodeData::Element { name, .. } => {
+    match doc.node(id).data {
+        NodeData::Element { name, attrs, children } => {
             indent(opts, depth, out);
             out.push('<');
             out.push_str(name);
-            for &a in doc.attributes(id) {
-                if let NodeData::Attr { name, value } = &doc.node(a).data {
-                    if !keep(a) {
-                        continue;
-                    }
+            for &a in attrs {
+                if !keep(a) {
+                    continue;
+                }
+                if let NodeData::Attr { name, value } = doc.node(a).data {
                     out.push(' ');
                     out.push_str(name);
                     out.push_str("=\"");
@@ -132,7 +132,6 @@ fn write_node(
                     out.push('"');
                 }
             }
-            let children = doc.children(id);
             let mut kept = children.iter().copied().filter(|&c| keep(c)).peekable();
             if kept.peek().is_none() {
                 out.push_str("/>");
@@ -144,8 +143,9 @@ fn write_node(
             let inline =
                 opts.indent.is_none() || children.iter().any(|&c| doc.is_text(c) && keep(c));
             if inline {
+                let canonical = SerializeOptions::canonical();
                 for c in kept {
-                    write_inline(doc, c, keep, out);
+                    write_node(doc, c, &canonical, keep, 0, out);
                 }
             } else {
                 for c in kept {
@@ -158,15 +158,6 @@ fn write_node(
             out.push_str("</");
             out.push_str(name);
             out.push('>');
-        }
-        _ => write_inline(doc, id, keep, out),
-    }
-}
-
-fn write_inline(doc: &Document, id: NodeId, keep: &impl Fn(NodeId) -> bool, out: &mut String) {
-    match &doc.node(id).data {
-        NodeData::Element { .. } => {
-            write_node(doc, id, &SerializeOptions::canonical(), keep, 0, out)
         }
         NodeData::Text(t) => escape_text_into(t, out),
         NodeData::Comment(t) => {

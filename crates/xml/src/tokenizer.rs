@@ -123,6 +123,9 @@ pub struct Tokenizer<'a> {
     expanded: usize,
     /// Cap on `expanded` (the billion-laughs guard).
     max_expansion: usize,
+    /// Strings handed back through [`Tokenizer::recycle`], reused for the
+    /// next values with references to resolve.
+    spare: Vec<String>,
 }
 
 impl<'a> Tokenizer<'a> {
@@ -141,19 +144,46 @@ impl<'a> Tokenizer<'a> {
             at: 0,
             expanded: 0,
             max_expansion: limits.max_entity_expansion,
+            spare: Vec::new(),
         }
     }
 
     /// Returns the next token, or `Ok(None)` at end of input.
     pub fn next_token(&mut self) -> Result<Option<Token<'a>>> {
+        let mut attrs = Vec::new();
+        let mut tok = self.next_token_into(&mut attrs)?;
+        if let Some(Token::StartTag { attrs: a, .. }) = &mut tok {
+            *a = attrs;
+        }
+        Ok(tok)
+    }
+
+    /// Like [`Tokenizer::next_token`], but a start tag's attributes are
+    /// written into the caller's reused `attrs` (cleared first) and its
+    /// token carries none, so the tree builder makes no allocation per
+    /// tag.
+    #[inline]
+    pub(crate) fn next_token_into(
+        &mut self,
+        attrs: &mut Vec<(&'a str, Cow<'a, str>)>,
+    ) -> Result<Option<Token<'a>>> {
         match self.bytes.get(self.at) {
             None => Ok(None),
-            Some(b'<') => self.read_markup().map(Some),
+            Some(b'<') => self.read_markup(attrs).map(Some),
             Some(_) => {
                 let at = self.at;
                 let value = self.read_text_until(b'<', false)?;
                 Ok(Some(Token::Text { value, at }))
             }
+        }
+    }
+
+    /// Takes back a resolved value's `String` once the caller has copied
+    /// it, so resolving references costs no allocation per value.
+    pub(crate) fn recycle(&mut self, value: Cow<'a, str>) {
+        if let Cow::Owned(mut s) = value {
+            s.clear();
+            self.spare.push(s);
         }
     }
 
@@ -256,7 +286,11 @@ impl<'a> Tokenizer<'a> {
                 _ => {
                     let amp = self.at;
                     let c = self.read_reference()?;
-                    let s = owned.get_or_insert_with(|| String::with_capacity(rest.len().min(64)));
+                    let s = owned.get_or_insert_with(|| {
+                        self.spare
+                            .pop()
+                            .unwrap_or_else(|| String::with_capacity(rest.len().min(64)))
+                    });
                     s.push_str(&self.input[run..amp]);
                     s.push(c);
                     run = self.at;
@@ -301,7 +335,7 @@ impl<'a> Tokenizer<'a> {
         Ok(c)
     }
 
-    fn read_markup(&mut self) -> Result<Token<'a>> {
+    fn read_markup(&mut self, attrs: &mut Vec<(&'a str, Cow<'a, str>)>) -> Result<Token<'a>> {
         let at = self.at;
         debug_assert_eq!(self.bytes[at], b'<');
         if self.starts_with(b"<!--") {
@@ -327,20 +361,25 @@ impl<'a> Tokenizer<'a> {
         // Start tag.
         self.at += 1; // consume '<'
         let name = self.read_name()?;
-        let mut attrs: Vec<(&'a str, Cow<'a, str>)> = Vec::new();
+        attrs.clear();
         loop {
             self.skip_ws();
             match self.peek() {
                 Some('>') => {
                     self.at += 1;
-                    return Ok(Token::StartTag { name, attrs, self_closing: false, at });
+                    return Ok(Token::StartTag {
+                        name,
+                        attrs: Vec::new(),
+                        self_closing: false,
+                        at,
+                    });
                 }
                 Some('/') => {
                     self.at += 1;
                     if !self.eat(b">") {
                         return Err(self.err(XmlErrorKind::UnexpectedChar('/'), self.at));
                     }
-                    return Ok(Token::StartTag { name, attrs, self_closing: true, at });
+                    return Ok(Token::StartTag { name, attrs: Vec::new(), self_closing: true, at });
                 }
                 Some(c) if is_name_start_char(c) => {
                     let (an, av) = self.read_attribute()?;

@@ -593,7 +593,7 @@ fn axis<'p>(
         Axis::Attribute => {
             for &a in doc.attributes(n) {
                 b.visit()?;
-                let matches = match (test, &doc.node(a).data) {
+                let matches = match (test, doc.node(a).data) {
                     (NodeTest::Name(want), NodeData::Attr { name, .. }) => name == want,
                     (NodeTest::Wildcard | NodeTest::AnyNode, NodeData::Attr { .. }) => true,
                     _ => false,
@@ -628,7 +628,7 @@ fn descend<'p>(
     Ok(false)
 }
 
-/// Applies the element/text name test to a non-attribute-axis candidate.
+/// Applies the node test to a non-attribute-axis candidate.
 fn offer<'p>(
     doc: &Document,
     n: NodeId,
@@ -636,9 +636,10 @@ fn offer<'p>(
     b: &mut Budget<'p>,
     emit: Emit<'_, 'p>,
 ) -> Result<bool, EvalError> {
-    let ok = match (test, &doc.node(n).data) {
+    // The principal node type of every axis but `attribute` is element,
+    // so a name test never passes an attribute here; `node()` does.
+    let ok = match (test, doc.node(n).data) {
         (NodeTest::Name(want), NodeData::Element { name, .. }) => name == want,
-        (NodeTest::Name(want), NodeData::Attr { name, .. }) => name == want,
         (NodeTest::Wildcard, NodeData::Element { .. }) => true,
         (NodeTest::Text, NodeData::Text(_)) => true,
         (NodeTest::AnyNode, _) => true,
@@ -803,7 +804,7 @@ fn node_compares(op: CmpOp, node: &str, scalar: Scalar<'_>, flipped: bool) -> bo
 /// The XPath string-value of `n`, borrowed from the document unless an
 /// element's text is spread over several text nodes.
 fn string_value(doc: &Document, n: NodeId) -> Cow<'_, str> {
-    match &doc.node(n).data {
+    match doc.node(n).data {
         NodeData::Attr { value, .. } => Cow::Borrowed(value),
         NodeData::Text(t) => Cow::Borrowed(t),
         NodeData::Comment(_) | NodeData::Pi { .. } => Cow::Borrowed(""),
@@ -819,8 +820,8 @@ fn string_value(doc: &Document, n: NodeId) -> Cow<'_, str> {
 fn sole_text(doc: &Document, n: NodeId) -> Option<Option<&str>> {
     let mut found = None;
     for &c in doc.children(n) {
-        let t = match &doc.node(c).data {
-            NodeData::Text(t) => Some(t.as_str()),
+        let t = match doc.node(c).data {
+            NodeData::Text(t) => Some(t),
             NodeData::Element { .. } => sole_text(doc, c)?,
             _ => None,
         };

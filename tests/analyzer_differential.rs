@@ -70,7 +70,7 @@ const DOC_DTD: &str = r#"<!ELEMENT doc (meta?, sec*)>
 <!ELEMENT title (#PCDATA)>
 <!ELEMENT note (#PCDATA)>"#;
 
-const DOC_PATHS: [Option<&str>; 10] = [
+const DOC_PATHS: [Option<&str>; 13] = [
     None,
     Some("/doc"),
     Some("//sec"),
@@ -81,6 +81,10 @@ const DOC_PATHS: [Option<&str>; 10] = [
     Some("//sec/@level"),
     Some("//sec/@level/.."),
     Some("/doc/@id/."),
+    // A name test on a non-attribute axis never passes an attribute.
+    Some("/doc/@id/self::id"),
+    Some("//sec/@level/ancestor-or-self::level"),
+    Some("//sec/@level/descendant-or-self::node()"),
 ];
 
 /// Recursive DTD: `part` nests under itself without bound.
@@ -88,7 +92,7 @@ const PART_DTD: &str = r#"<!ELEMENT part (label, part*)>
 <!ATTLIST part id CDATA #IMPLIED>
 <!ELEMENT label (#PCDATA)>"#;
 
-const PART_PATHS: [Option<&str>; 8] = [
+const PART_PATHS: [Option<&str>; 10] = [
     None,
     Some("/part"),
     Some("//part"),
@@ -97,6 +101,8 @@ const PART_PATHS: [Option<&str>; 8] = [
     Some(r#"//part[./@id="p"]"#),
     Some("//part/label"),
     Some("/part/@id/.."),
+    Some("//part/@id/descendant-or-self::id"),
+    Some("//part/@id/ancestor-or-self::part"),
 ];
 
 /// One generated authorization: indices into the pools.
@@ -223,15 +229,15 @@ fn check_coverage(dtd_text: &str, root: &str, xml: &str, paths: &[String]) {
         let parsed = xmlsec::xpath::parse_path(path).expect("generated path parses");
         let covers = schema_coverage(&dtd, root, &parsed);
         for n in xmlsec::xpath::select(&doc, &parsed) {
-            let node = match &doc.node(n).data {
-                NodeData::Element { name, .. } => SchemaNode::Element(name.clone()),
+            let node = match doc.node(n).data {
+                NodeData::Element { name, .. } => SchemaNode::Element(name.to_string()),
                 NodeData::Attr { name, .. } => SchemaNode::Attribute {
                     element: doc
                         .parent(n)
                         .and_then(|p| doc.element_name(p))
                         .expect("an attribute has an owner element")
                         .to_string(),
-                    attribute: name.clone(),
+                    attribute: name.to_string(),
                 },
                 _ => continue,
             };
@@ -311,11 +317,11 @@ fn check_case(dtd_text: &str, root: &str, xml: &str, auths: &[Authorization]) {
                 };
                 check(SchemaNode::Element(name.to_string()), n);
                 for &a in doc.attributes(n) {
-                    if let NodeData::Attr { name: attr, .. } = &doc.node(a).data {
+                    if let NodeData::Attr { name: attr, .. } = doc.node(a).data {
                         check(
                             SchemaNode::Attribute {
                                 element: name.to_string(),
-                                attribute: attr.clone(),
+                                attribute: attr.to_string(),
                             },
                             a,
                         );

@@ -296,7 +296,8 @@ fn check_case(dtd_text: &str, root: &str, xml: &str, auths: &[Authorization], op
                 BatchVerdict::Deny { op, reason } => assert!(
                     dynamic.is_err(),
                     "static deny (op {op}: {reason}) but the dynamic path committed \
-                     for {requester} (policy {policy:?}, doc {xml}, ops {ops:?})"
+                     for {requester} (policy {policy:?}, doc {xml}, ops {ops:?}, auths {})",
+                    auths.iter().map(|a| a.to_string()).collect::<Vec<_>>().join("; ")
                 ),
                 BatchVerdict::Allow => {
                     let mut pre_doc = doc.clone();
@@ -390,5 +391,34 @@ proptest! {
         let auths = build_auths(&specs, &PART_PATHS);
         let ops = build_ops(&op_specs, &PART_TARGETS, &PART_NAMES, &PART_FRAGMENTS);
         check_case(PART_DTD, "part", &part_instance(&shape), &auths, &ops);
+    }
+}
+
+/// A case a 1,500-case run of the recursive property found: the root
+/// type `part` nests, so `/part/part` is an ordinary `part`, and the
+/// pre-flight must not deny its replacement or deletion as if it were
+/// the document element. Here the one write grant reaches it through
+/// the root's `id`, so the dynamic path commits.
+#[test]
+fn nested_nodes_of_the_root_type_are_not_the_document_element() {
+    let grant = Authorization::new(
+        Subject::new("Staff", "10.0.*", "*").expect("subject"),
+        ObjectSpec::with_path("d.xml", r#"//part[./@id="p"]"#).expect("path"),
+        Sign::Plus,
+        AuthType::Recursive,
+    )
+    .with_action(Action::Write);
+    let xml = r#"<part id="p"><label>x</label><part><label>x</label></part></part>"#;
+    for op in [
+        UpdateOp::ReplaceSubtree { target: "/part/part".into(), xml: "<label>l</label>".into() },
+        UpdateOp::Delete { target: "/part/part".into() },
+    ] {
+        let dtd = parse_dtd(PART_DTD).expect("test DTD parses");
+        let dir = directory();
+        let cp = compile(&dtd, "part", &[&grant], &[], &dir, PolicyConfig::paper_default())
+            .expect("root is declared");
+        let verdict = classify_batch(&dtd, &cp.writes, std::slice::from_ref(&op));
+        assert_eq!(verdict, BatchVerdict::Dynamic, "{op:?}");
+        check_case(PART_DTD, "part", xml, std::slice::from_ref(&grant), &[op]);
     }
 }

@@ -9,6 +9,8 @@
 //! and evaluates that text.
 //!
 //! The grammar covers `/`, `//`, `*`, names, `@a`, `text()`, `.`, `..`,
+//! `self::`, `ancestor-or-self::` and `descendant-or-self::` name tests
+//! (which pass only elements, even from an attribute context),
 //! `=` and `!=` against literals (attributes that may be missing
 //! included), `and`, `or`, `not()`, and inner relative paths, plus the
 //! position-dependent predicates `[1]`, `[last()]`, `[position()=2]` and
@@ -46,6 +48,12 @@ enum Test {
     Parent,
     /// `.` (self::node()).
     Dot,
+    /// `self::name`.
+    SelfName(&'static str),
+    /// `ancestor-or-self::name`.
+    AncestorOrSelf(&'static str),
+    /// `descendant-or-self::name`.
+    DescendantOrSelf(&'static str),
 }
 
 #[derive(Debug, Clone)]
@@ -96,6 +104,9 @@ impl fmt::Display for Path {
                 Test::Attr(a) => write!(f, "@{a}")?,
                 Test::Parent => f.write_str("..")?,
                 Test::Dot => f.write_str(".")?,
+                Test::SelfName(n) => write!(f, "self::{n}")?,
+                Test::AncestorOrSelf(n) => write!(f, "ancestor-or-self::{n}")?,
+                Test::DescendantOrSelf(n) => write!(f, "descendant-or-self::{n}")?,
             }
             for p in &s.preds {
                 write!(f, "[{p}]")?;
@@ -156,13 +167,22 @@ fn random_doc(rng: &mut SmallRng) -> (String, Document) {
 }
 
 fn random_test(rng: &mut SmallRng) -> Test {
-    match rng.gen_range(0..10) {
+    // Either kind of name: an attribute's name on a non-attribute axis
+    // must still select nothing.
+    let any_name = |rng: &mut SmallRng| match rng.gen_range(0..NAMES.len() + ATTRS.len()) {
+        i if i < NAMES.len() => NAMES[i],
+        i => ATTRS[i - NAMES.len()],
+    };
+    match rng.gen_range(0..13) {
         0..=2 => Test::Name(NAMES[rng.gen_range(0..NAMES.len())]),
         3 => Test::Star,
         4 => Test::Text,
         5..=7 => Test::Attr(ATTRS[rng.gen_range(0..ATTRS.len())]),
         8 => Test::Parent,
-        _ => Test::Dot,
+        9 => Test::Dot,
+        10 => Test::SelfName(any_name(rng)),
+        11 => Test::AncestorOrSelf(any_name(rng)),
+        _ => Test::DescendantOrSelf(any_name(rng)),
     }
 }
 
@@ -181,8 +201,9 @@ fn random_inner(rng: &mut SmallRng, nest: usize) -> Path {
 fn random_step(rng: &mut SmallRng, nest: usize, deep: bool) -> Step {
     let test = random_test(rng);
     // `..` and `.` carry no predicates: the evaluator never tests one on
-    // the virtual root, which `..` and `.` can reach.
-    let takes_preds = !matches!(test, Test::Parent | Test::Dot);
+    // the virtual root, which `..` and `.` can reach. Nor do the named
+    // self axes, whose positions this oracle does not model.
+    let takes_preds = matches!(test, Test::Name(_) | Test::Star | Test::Text | Test::Attr(_));
     let mut preds = Vec::new();
     if takes_preds && nest < 2 {
         // Positional predicates after `//` are the fusion's edge cases,
@@ -246,9 +267,9 @@ enum Ctx {
 }
 
 fn string_value(doc: &Document, n: NodeId) -> String {
-    match &doc.node(n).data {
-        NodeData::Attr { value, .. } => value.clone(),
-        NodeData::Text(t) => t.clone(),
+    match doc.node(n).data {
+        NodeData::Attr { value, .. } => value.to_string(),
+        NodeData::Text(t) => t.to_string(),
         NodeData::Element { children, .. } => {
             children.iter().map(|&c| string_value(doc, c)).collect::<Vec<_>>().concat()
         }
@@ -262,8 +283,8 @@ fn descendant_or_self(doc: &Document, c: Ctx, out: &mut Vec<Ctx>) {
     out.push(c);
     let kids: Vec<NodeId> = match c {
         Ctx::Root => vec![doc.root()],
-        Ctx::Node(n) => match &doc.node(n).data {
-            NodeData::Element { children, .. } => children.clone(),
+        Ctx::Node(n) => match doc.node(n).data {
+            NodeData::Element { children, .. } => children.to_vec(),
             _ => Vec::new(),
         },
     };
@@ -278,17 +299,17 @@ fn axis_nodes(doc: &Document, c: Ctx, test: &Test) -> Vec<Ctx> {
     let children = |c: Ctx| -> Vec<NodeId> {
         match c {
             Ctx::Root => vec![doc.root()],
-            Ctx::Node(n) => match &doc.node(n).data {
-                NodeData::Element { children, .. } => children.clone(),
+            Ctx::Node(n) => match doc.node(n).data {
+                NodeData::Element { children, .. } => children.to_vec(),
                 _ => Vec::new(),
             },
         }
     };
-    let data = |n: NodeId| &doc.node(n).data;
+    let data = |n: NodeId| doc.node(n).data;
     match test {
         Test::Name(want) => children(c)
             .into_iter()
-            .filter(|&k| matches!(data(k), NodeData::Element { name, .. } if name == want))
+            .filter(|&k| matches!(data(k), NodeData::Element { name, .. } if name == *want))
             .map(Ctx::Node)
             .collect(),
         Test::Star => children(c)
@@ -307,7 +328,7 @@ fn axis_nodes(doc: &Document, c: Ctx, test: &Test) -> Vec<Ctx> {
                 NodeData::Element { attrs, .. } => attrs
                     .iter()
                     .copied()
-                    .filter(|&a| matches!(data(a), NodeData::Attr { name, .. } if name == want))
+                    .filter(|&a| matches!(data(a), NodeData::Attr { name, .. } if name == *want))
                     .map(Ctx::Node)
                     .collect(),
                 _ => Vec::new(),
@@ -318,7 +339,29 @@ fn axis_nodes(doc: &Document, c: Ctx, test: &Test) -> Vec<Ctx> {
             Ctx::Node(n) => vec![doc.node(n).parent.map_or(Ctx::Root, Ctx::Node)],
         },
         Test::Dot => vec![c],
+        // The principal node type of the self, ancestor and descendant
+        // axes is element: a name test there admits only elements of
+        // that name, never an attribute or text node, and never the
+        // virtual root.
+        Test::SelfName(want) => {
+            vec![c].into_iter().filter(|&k| is_element_named(doc, k, want)).collect()
+        }
+        Test::AncestorOrSelf(want) => std::iter::successors(Some(c), |&k| match k {
+            Ctx::Root => None,
+            Ctx::Node(n) => Some(doc.node(n).parent.map_or(Ctx::Root, Ctx::Node)),
+        })
+        .filter(|&k| is_element_named(doc, k, want))
+        .collect(),
+        Test::DescendantOrSelf(want) => {
+            let mut all = Vec::new();
+            descendant_or_self(doc, c, &mut all);
+            all.into_iter().filter(|&k| is_element_named(doc, k, want)).collect()
+        }
     }
+}
+
+fn is_element_named(doc: &Document, c: Ctx, want: &str) -> bool {
+    matches!(c, Ctx::Node(n) if matches!(doc.node(n).data, NodeData::Element { name, .. } if name == want))
 }
 
 fn eval_path(doc: &Document, start: Ctx, path: &Path) -> BTreeSet<Ctx> {
