@@ -11,7 +11,8 @@
 //! - [`naive`] — an independent declarative evaluator used as a
 //!   differential-testing oracle and benchmark baseline;
 //! - [`processor`] — the four-step server-side security processor
-//!   (parse → label → prune → unparse) with DTD loosening (§7);
+//!   (parse → label → prune → unparse) with DTD loosening (§7), split
+//!   into a per-document parse and a per-request render;
 //! - [`schema`] — DTDs prepared once per stored schema for that
 //!   pipeline.
 //!
@@ -62,7 +63,8 @@ pub use limits::ResourceLimits;
 pub use naive::{compute_view_naive, naive_final_sign};
 pub use par::Parallelism;
 pub use processor::{
-    AccessRequest, DocumentSource, ProcessError, ProcessOutput, ProcessorOptions, SecurityProcessor,
+    AccessRequest, DocumentSource, ParsedSource, ProcessError, ProcessOutput, ProcessorOptions,
+    RenderedView, SecurityProcessor,
 };
 pub use schema::PreparedSchema;
 pub use static_analysis::write::{

@@ -11,6 +11,14 @@
 //!
 //! The output carries the view document, its text, and the loosened DTD
 //! text, ready to be "transmitted to the user who requested access".
+//!
+//! The cycle splits at the requester: [`SecurityProcessor::parse_source`]
+//! is step 1, which depends only on the document, and
+//! [`SecurityProcessor::render`] is steps 2–4 over the borrowed parsed
+//! tree, rendering the pruned view straight to text. A server parses each
+//! stored revision once and renders every miss from it;
+//! [`SecurityProcessor::process`] runs both on a private parse and also
+//! prunes that copy, for callers that want the view as a DOM.
 
 use crate::compile::{CompiledCache, CompiledPolicy};
 use crate::decision::policy_fingerprint;
@@ -19,7 +27,9 @@ use crate::limits::ResourceLimits;
 use crate::par::Parallelism;
 use crate::schema::PreparedSchema;
 use crate::stages;
-use crate::view::{compute_view_fingerprinted, EngineOptions, ViewStats};
+use crate::view::{
+    label_run, prune_document, render_view, EngineOptions, Labeling, Run, ViewStats,
+};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use xmlsec_authz::{Action, Authorization, AuthorizationBase, PolicyConfig};
@@ -27,7 +37,7 @@ use xmlsec_dtd::{loosen, normalize, Validator, ValidityError};
 use xmlsec_subjects::{Directory, Requester};
 use xmlsec_telemetry as telemetry;
 use xmlsec_xml::cancel::{CancelReason, CancelToken};
-use xmlsec_xml::{parse_cancellable, serialize, Document, ParseOptions, SerializeOptions};
+use xmlsec_xml::{parse_cancellable, Document, ParseOptions, SerializeOptions};
 
 /// Counts every full pipeline execution. Cache hits and HTTP 304
 /// short-circuits never reach [`SecurityProcessor::process`], so the
@@ -184,8 +194,9 @@ pub struct AccessRequest {
 pub struct DocumentSource<'a> {
     /// The document text.
     pub xml: &'a str,
-    /// The DTD text, if the document has a schema. Parsed per request;
-    /// ignored when [`DocumentSource::schema`] is set.
+    /// The DTD text, if the document has a schema. Parsed with the
+    /// document ([`SecurityProcessor::parse_source`]); ignored when
+    /// [`DocumentSource::schema`] is set.
     pub dtd: Option<&'a str>,
     /// URI under which schema-level authorizations are registered
     /// (`dtd(URI)` in the algorithm).
@@ -197,6 +208,34 @@ pub struct DocumentSource<'a> {
     /// it in the first time it validates; the owner resets it whenever
     /// the document or its DTD changes.
     pub schema_valid: Option<&'a OnceLock<bool>>,
+}
+
+/// A document after step 1 of the pipeline
+/// ([`SecurityProcessor::parse_source`]): parsed under the XML limits and
+/// normalized against its schema. Steps 2–4 only borrow it, so a
+/// repository can parse a stored revision once and serve every request
+/// on that revision from the same DOM.
+#[derive(Debug, Clone)]
+pub struct ParsedSource {
+    /// The parsed, DTD-normalized document.
+    pub doc: Document,
+    /// The schema step 1 parsed itself — from [`DocumentSource::dtd`] or
+    /// the document's internal subset — when the source carried no
+    /// prepared [`DocumentSource::schema`].
+    pub schema: Option<PreparedSchema>,
+}
+
+/// A view rendered from a borrowed [`ParsedSource`]
+/// ([`SecurityProcessor::render`]): what a server transmits, without a
+/// pruned copy of the tree.
+#[derive(Debug, Clone)]
+pub struct RenderedView {
+    /// The unparsed view.
+    pub xml: String,
+    /// The loosened DTD text, when the source had a DTD.
+    pub loosened_dtd: Option<String>,
+    /// Labeling statistics; `pruned_nodes` is 0, as nothing is pruned.
+    pub stats: ViewStats,
 }
 
 /// The processor's output: the view and its transmitted artifacts.
@@ -291,26 +330,51 @@ impl SecurityProcessor {
     /// evaluator's budget checkpoints and the labeling walks; clones of
     /// it cancel the in-flight compute, e.g. when the client disconnects.
     /// A `None` token never cancels.
+    ///
+    /// This is [`SecurityProcessor::parse_source`] followed by
+    /// [`SecurityProcessor::render`]; the parsed document is this call's
+    /// own, so it is then pruned in place to hand the view out as a DOM
+    /// too.
     pub fn process_cancellable(
         &self,
         request: &AccessRequest,
         source: &DocumentSource<'_>,
         cancel: Option<&CancelToken>,
     ) -> Result<ProcessOutput, ProcessError> {
-        let _process_span = telemetry::trace::span("processor.process");
-        pipeline_runs().inc();
-        // A stage-boundary checkpoint always consults the wall clock, so
-        // a blown deadline is observed between stages even when no hot
-        // loop ran long enough to poll.
-        let checkpoint = || match cancel {
-            Some(t) => t.check().map_err(|c| ProcessError::Cancelled(c.reason)),
-            None => Ok(()),
+        let parsed = self.parse_source(source, cancel)?;
+        let (rendered, labeling) = self.render(request, source, &parsed, cancel)?;
+        let ParsedSource { doc: mut view, schema } = parsed;
+        let pruned_nodes = {
+            let _s = stages::prune();
+            prune_document(&mut view, &labeling, self.options.policy)
         };
-        checkpoint()?;
+        if self.options.verify_view {
+            if let Some(s) = source.schema.or(schema.as_ref()) {
+                let _s = stages::verify();
+                let errs = Validator::new(&loosen(s.dtd())).validate(&view);
+                debug_assert!(
+                    errs.is_empty(),
+                    "pruned view must validate against the loosened DTD: {errs:?}"
+                );
+            }
+        }
+        let RenderedView { xml, loosened_dtd, stats } = rendered;
+        Ok(ProcessOutput { view, xml, loosened_dtd, stats: ViewStats { pruned_nodes, ..stats } })
+    }
 
-        // Step 1: parsing (document, then DTD). When no external DTD is
-        // supplied, a DOCTYPE internal subset in the document serves as
-        // the schema. A prepared schema skips the DTD parse.
+    /// Step 1, parsing: the document under the XML limits, then its
+    /// schema, then DTD normalization of the document against it (so
+    /// authorizations conditioned on defaulted attributes behave
+    /// uniformly). When no external DTD is supplied, a DOCTYPE internal
+    /// subset in the document serves as the schema; a prepared schema
+    /// skips the DTD parse. Nothing here depends on the requester, so a
+    /// repository runs it once per stored revision.
+    pub fn parse_source(
+        &self,
+        source: &DocumentSource<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ParsedSource, ProcessError> {
+        checkpoint(cancel)?;
         let mut doc = {
             let _s = stages::parse();
             parse_cancellable(
@@ -320,35 +384,54 @@ impl SecurityProcessor {
                 cancel,
             )?
         };
-        let parsed_here: Option<PreparedSchema>;
         let schema = match source.schema {
-            Some(s) => Some(s),
+            Some(_) => None,
             None => {
                 let _s = stages::dtd_parse();
-                checkpoint()?;
+                checkpoint(cancel)?;
                 let text = source
                     .dtd
                     .or_else(|| doc.doctype.as_ref().and_then(|dt| dt.internal_subset.as_deref()));
-                parsed_here = text.map(PreparedSchema::parse).transpose()?;
-                parsed_here.as_ref()
+                text.map(PreparedSchema::parse).transpose()?
             }
         };
-        let dtd = schema.map(PreparedSchema::dtd);
-        // Whether `doc` is valid against `dtd`: validated at most once per
-        // request, and at most once per revision when the source carries
-        // a memo.
+        if let Some(s) = source.schema.or(schema.as_ref()) {
+            checkpoint(cancel)?;
+            let _s = stages::normalize();
+            normalize(s.dtd(), &mut doc);
+        }
+        Ok(ParsedSource { doc, schema })
+    }
+
+    /// Steps 2–4 over a parsed source, which is only borrowed: labeling,
+    /// then the view rendered straight from the labeled DOM
+    /// ([`crate::view::render_view`]) with the loosened DTD. `source`
+    /// must be the one `parsed` came from: it supplies the schema-level
+    /// URI, the prepared schema and the validity memo. A repository that
+    /// keeps one [`ParsedSource`] per revision serves every miss on that
+    /// revision from it without copying the tree. Returns the view and
+    /// the labeling it was rendered from.
+    pub fn render(
+        &self,
+        request: &AccessRequest,
+        source: &DocumentSource<'_>,
+        parsed: &ParsedSource,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(RenderedView, Labeling), ProcessError> {
+        let _process_span = telemetry::trace::span("processor.process");
+        pipeline_runs().inc();
+        checkpoint(cancel)?;
+        let doc = &parsed.doc;
+        let schema = source.schema.or(parsed.schema.as_ref());
+        // Whether `doc` is valid against the schema: validated at most
+        // once per request, and at most once per revision when the source
+        // carries a memo.
         let mut valid: Option<bool> = source.schema_valid.and_then(|m| m.get().copied());
-        if let Some(d) = dtd {
-            checkpoint()?;
-            // Normalize first so authorizations conditioned on defaulted
-            // attributes behave uniformly; then (optionally) validate.
-            {
-                let _s = stages::normalize();
-                normalize(d, &mut doc);
-            }
-            if self.options.validate_input && valid != Some(true) {
+        if let (true, Some(s)) = (self.options.validate_input, schema) {
+            if valid != Some(true) {
+                checkpoint(cancel)?;
                 let _s = stages::validate();
-                let errs = Validator::new(d).validate(&doc);
+                let errs = Validator::new(s.dtd()).validate(doc);
                 valid = remember_validity(source, errs.is_empty());
                 if !errs.is_empty() {
                     return Err(ProcessError::Invalid(errs));
@@ -358,7 +441,7 @@ impl SecurityProcessor {
 
         // Steps 1–2 of compute-view: the applicable *read* authorization
         // sets (write authorizations drive `update`, not views).
-        checkpoint()?;
+        checkpoint(cancel)?;
         let _authz_span = stages::authz();
         let (axml, adtd) =
             self.applicable_sets(&request.uri, source.dtd_uri, &request.requester, Action::Read);
@@ -377,10 +460,10 @@ impl SecurityProcessor {
         let mut compiled: Option<Arc<CompiledPolicy>> = None;
         let mut fingerprint = None;
         if let (Some(cache), Some(s)) = (&self.compiled, schema) {
-            checkpoint()?;
+            checkpoint(cancel)?;
             if valid.is_none() {
                 let _s = stages::validate();
-                let ok = Validator::new(s.dtd()).validate(&doc).is_empty();
+                let ok = Validator::new(s.dtd()).validate(doc).is_empty();
                 valid = remember_validity(source, ok);
             }
             let root = doc.element_name(doc.root()).filter(|_| valid == Some(true));
@@ -395,50 +478,46 @@ impl SecurityProcessor {
             }
         }
 
-        // Step 2–3: labeling and pruning (stage spans open inside
-        // compute_view, where the two halves are distinguishable). The
-        // freshly parsed document is pruned in place.
+        // Step 2: labeling.
         let engine = EngineOptions {
             decisions: self.decisions.as_deref(),
             compiled: compiled.as_deref(),
             ..self.options.engine(cancel)
         };
-        let (view, stats) = compute_view_fingerprinted(
-            doc,
-            &axml,
-            &adtd,
-            &self.directory,
-            self.options.policy,
-            &engine,
-            fingerprint,
-        )?;
+        let policy = self.options.policy;
+        let labeling = {
+            let _s = stages::label();
+            let run = Run::Plain { fingerprint };
+            label_run(doc, &axml, &adtd, &self.directory, policy, &engine, run)?
+        };
 
         // Loosening, so the view stays valid without revealing what was
         // hidden.
-        checkpoint()?;
+        checkpoint(cancel)?;
         let loosened_dtd = {
             let _s = stages::loosen();
             schema.map(|s| s.loosened_text().to_string())
         };
-        if self.options.verify_view {
-            if let Some(d) = dtd {
-                let _s = stages::verify();
-                let errs = Validator::new(&loosen(d)).validate(&view);
-                debug_assert!(
-                    errs.is_empty(),
-                    "pruned view must validate against the loosened DTD: {errs:?}"
-                );
-            }
-        }
 
-        // Step 4: unparsing. The last checkpoint before bytes are
-        // rendered: past this point the response is cheap to finish.
-        checkpoint()?;
+        // Steps 3–4: the pruned view, unparsed straight from the labeled
+        // tree. The last checkpoint before bytes are rendered: past this
+        // point the response is cheap to finish.
+        checkpoint(cancel)?;
         let xml = {
             let _s = stages::serialize();
-            serialize(&view, &SerializeOptions::canonical())
+            render_view(doc, &labeling, policy, &SerializeOptions::canonical())
         };
-        Ok(ProcessOutput { view, xml, loosened_dtd, stats })
+        Ok((RenderedView { xml, loosened_dtd, stats: labeling.stats }, labeling))
+    }
+}
+
+/// A stage-boundary checkpoint: always consults the wall clock, so a
+/// blown deadline is observed between stages even when no hot loop ran
+/// long enough to poll.
+fn checkpoint(cancel: Option<&CancelToken>) -> Result<(), ProcessError> {
+    match cancel {
+        Some(t) => t.check().map_err(|c| ProcessError::Cancelled(c.reason)),
+        None => Ok(()),
     }
 }
 

@@ -305,7 +305,7 @@ pub fn label_document_engine(
 
 /// The kind of run [`label_run`] makes.
 #[derive(Clone, Copy)]
-enum Run<'p> {
+pub(crate) enum Run<'p> {
     /// A plain engine run, reusing the [`policy_fingerprint`] of the
     /// inputs when the caller already computed it.
     Plain { fingerprint: Option<u64> },
@@ -330,7 +330,7 @@ fn canonical<'x>(set: &[&'x Authorization]) -> Vec<&'x Authorization> {
 /// The labeling driver behind every entry point: plain, parallel,
 /// compiled and incremental runs share its prologue, its walk and its
 /// statistics.
-fn label_run(
+pub(crate) fn label_run(
     doc: &Document,
     axml: &[&Authorization],
     adtd: &[&Authorization],
@@ -1029,8 +1029,9 @@ fn detach_hidden(doc: &mut Document, n: NodeId, keep: &[bool], removed: &mut usi
 
 /// Renders the view of `doc` under `labeling` and `policy` straight to
 /// text: the bytes [`xmlsec_xml::serialize()`] writes for a pruned copy
-/// (`prune_document` on `doc.clone()`), without copying the tree. The
-/// update path patches warm views this way from the committed DOM.
+/// (`prune_document` on `doc.clone()`), without copying the tree. Every
+/// served view is rendered this way, read misses and patched views
+/// alike, from the shared DOM of the document's revision.
 pub fn render_view(
     doc: &Document,
     labeling: &Labeling,
@@ -1107,36 +1108,16 @@ pub fn compute_view(
 /// callers get the same bytes as sequential ones (differential-tested),
 /// faster.
 pub fn compute_view_engine(
-    doc: Document,
-    axml: &[&Authorization],
-    adtd: &[&Authorization],
-    dir: &Directory,
-    policy: PolicyConfig,
-    opts: &EngineOptions<'_>,
-) -> Result<(Document, ViewStats), EvalError> {
-    compute_view_fingerprinted(doc, axml, adtd, dir, policy, opts, None)
-}
-
-/// [`compute_view_engine`], reusing the [`policy_fingerprint`] of the
-/// inputs when the caller already computed it.
-pub(crate) fn compute_view_fingerprinted(
     mut doc: Document,
     axml: &[&Authorization],
     adtd: &[&Authorization],
     dir: &Directory,
     policy: PolicyConfig,
     opts: &EngineOptions<'_>,
-    fingerprint: Option<u64>,
 ) -> Result<(Document, ViewStats), EvalError> {
-    let labeling = {
-        let _s = crate::stages::label();
-        label_run(&doc, axml, adtd, dir, policy, opts, Run::Plain { fingerprint })?
-    };
-    let _s = crate::stages::prune();
-    let removed = prune_document(&mut doc, &labeling, policy);
-    let mut stats = labeling.stats;
-    stats.pruned_nodes = removed;
-    Ok((doc, stats))
+    let labeling = label_document_engine(&doc, axml, adtd, dir, policy, opts)?;
+    let pruned_nodes = prune_document(&mut doc, &labeling, policy);
+    Ok((doc, ViewStats { pruned_nodes, ..labeling.stats }))
 }
 
 /// Renders the labeled tree with per-node signs (diagnostics, and the

@@ -12,9 +12,15 @@
 //!   that request;
 //! - `"respond.write"` — immediately before the success response is
 //!   rendered;
+//! - `"view.compute"` — in a view miss, once it holds the revision its
+//!   probe keyed and before that revision is parsed (on first use) and
+//!   labeled; no repository guard is held there;
 //! - `"update.publish"` — in an update, after the new revision and every
 //!   patched view are rendered and before the repository's write side is
-//!   taken to publish them (readers still see the old revision).
+//!   taken to publish them (readers still see the old revision);
+//! - `"update.install"` — in an update's exclusive section, after the
+//!   repository's write side is taken and before the new revision's
+//!   `Arc` is swapped in.
 //!
 //! Two arming modes:
 //!
@@ -102,6 +108,13 @@ pub fn arm_probabilistic(point: &'static str, action: FaultAction, per_million: 
     }
 }
 
+/// Whether `point` is armed. A point armed for a number of shots disarms
+/// itself as the last one fires, so a test can wait on this for a
+/// request to reach a stall.
+pub fn armed(point: &str) -> bool {
+    registry().lock().is_ok_and(|reg| reg.contains_key(point))
+}
+
 /// Disarms one point.
 pub fn disarm(point: &str) {
     if let Ok(mut reg) = registry().lock() {
@@ -173,7 +186,9 @@ mod tests {
         // Exhausted after two shots.
         assert!(!check("t.sleep"));
         arm("t.disc", FaultAction::Disconnect, 1);
+        assert!(armed("t.disc"));
         assert!(check("t.disc"));
+        assert!(!armed("t.disc"), "the last shot disarms the point");
         assert!(!check("t.disc"));
         arm("t.gone", FaultAction::Disconnect, 1);
         disarm("t.gone");

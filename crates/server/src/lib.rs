@@ -41,7 +41,7 @@ pub use audit::{AuditLog, AuditOutcome, AuditRecord};
 pub use cache::{CachedView, ViewCache, ViewKey};
 pub use epoll::{AnyDemo, EpollDemo, Transport};
 pub use http::{parse_update_ops, parse_update_ops_with_lines, HttpConfig, HttpDemo};
-pub use repo::{fnv1a64, Replaced, Repository, Revision, StoredDocument};
+pub use repo::{fnv1a64, Repository, StoredDocument};
 pub use server::{
     etag_matches, ClientRequest, ConditionalOutcome, QueryResponse, SecureServer, ServerError,
     ServerResponse,

@@ -3,26 +3,42 @@
 //! scenario: "a user requesting a set of XML documents from a remote
 //! site").
 //!
-//! Each document is one [`StoredDocument`] record: its bytes, their
-//! content hash, the validity memo of the current revision and, once the
-//! update path has parsed it, its parsed form. Every stored document and
-//! DTD carries a **content hash**, computed once on registration,
-//! replacement or commit — never per request. The view cache folds
-//! [`Repository::content_hash`] into its key, so a content change
-//! *necessarily* repoints every cache lookup for that document:
-//! explicit invalidation becomes hygiene (it reclaims space early)
-//! rather than a correctness requirement. Registrations are counted in
-//! the `xmlsec_repo_rehash_total{kind}` telemetry series.
+//! Each document URI maps to its current **revision**: an
+//! `Arc<StoredDocument>` that is never mutated once published. A revision
+//! holds the document text, its content hash, the DTD it is an instance
+//! of, and two memos filled by whichever request gets there first:
 //!
-//! A commit has two halves. [`Repository::prepare_commit`] serializes
-//! and hashes the updated DOM into a [`Revision`] under a shared borrow;
-//! [`Repository::publish`] only moves that revision into the record. A
-//! server can therefore keep its readers on the current revision for all
-//! of a commit's work and exclude them only for the install.
+//! - the **parse memo** ([`StoredDocument::parsed`]): the DOM, parsed
+//!   under the server's XML limits and DTD-normalized, or the typed error
+//!   the text failed with. The first read or update of a revision parses
+//!   it; every later request on the revision borrows the same DOM, and a
+//!   document that does not parse gets the same error on every request. A
+//!   cancelled parse is never kept;
+//! - the **validity memo** ([`StoredDocument::schema_valid`]): whether
+//!   the revision conforms to its DTD, checked at most once.
+//!
+//! A reader clones the revision's `Arc` under a short guard and does all
+//! its work — parse on first use, label, render — with no guard held. A
+//! commit builds the next revision from its one copy of the current DOM
+//! ([`StoredDocument::next`], which keeps that DOM as the new parse memo,
+//! so a committed revision is never parsed) and publishes it by swapping
+//! the `Arc` ([`Repository::install`]). The last holder of the old
+//! revision frees it.
+//!
+//! Every stored document and DTD carries a **content hash**, computed
+//! once on registration, replacement or commit — never per request. The
+//! view cache folds a revision's [`StoredDocument::identity`] (its own
+//! hash and its DTD's) into its key, so a content change *necessarily*
+//! repoints every cache lookup for that document: explicit invalidation
+//! becomes hygiene (it reclaims space early) rather than a correctness
+//! requirement. Registrations are counted in the
+//! `xmlsec_repo_rehash_total{kind}` telemetry series.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use xmlsec_core::PreparedSchema;
+use xmlsec_core::{
+    CancelToken, DocumentSource, ParsedSource, PreparedSchema, ProcessError, SecurityProcessor,
+};
 use xmlsec_dtd::DtdError;
 use xmlsec_telemetry as telemetry;
 use xmlsec_xml::{Document, NodeId};
@@ -58,50 +74,148 @@ fn dtd_rehashes() -> &'static Arc<telemetry::Counter> {
     C.get_or_init(|| rehash_counter("dtd"))
 }
 
-/// A stored XML document: the one record the repository keeps per URI.
+/// One revision of a stored document: the record the repository keeps
+/// per URI, shared behind an `Arc` and never mutated once published.
 #[derive(Debug, Clone)]
 pub struct StoredDocument {
     /// The document text as served.
     pub xml: String,
     /// URI of the DTD this document is an instance of, if any.
     pub dtd_uri: Option<String>,
-    /// FNV-1a hash of `xml`, computed when the document was stored.
+    /// FNV-1a hash of `xml`, computed when the revision was stored.
     pub content_hash: u64,
+    /// The stored DTD `dtd_uri` named when this revision was stored.
+    dtd: Option<Arc<StoredDtd>>,
     /// Memoized validity of this revision against its DTD.
     schema_valid: OnceLock<bool>,
-    /// The parsed, normalized form of this revision, once the update
-    /// path has built it (see [`Repository::store_parsed`]).
-    parsed: Option<ParsedDocument>,
+    /// This revision parsed and normalized, or the error it failed with.
+    parsed: OnceLock<Result<ParsedDocument, ProcessError>>,
 }
 
 impl StoredDocument {
+    fn new(xml: String, dtd_uri: Option<String>, dtd: Option<Arc<StoredDtd>>) -> StoredDocument {
+        let content_hash = fnv1a64(xml.as_bytes());
+        let (schema_valid, parsed) = (OnceLock::new(), OnceLock::new());
+        StoredDocument { xml, dtd_uri, content_hash, dtd, schema_valid, parsed }
+    }
+
     /// The memoized validity of this revision against its DTD, empty
     /// until first checked. Readers fill it in (through the processor's
     /// [`xmlsec_core::DocumentSource::schema_valid`]) as well as the
     /// update pre-flight, so the document is validated at most once per
-    /// revision. [`Repository::put_document`], a [`Repository::put_dtd`]
-    /// of its DTD and [`Repository::commit_update`] reset it.
+    /// revision. Every new revision — a [`Repository::put_document`], a
+    /// [`Repository::put_dtd`] of its DTD, a commit — starts with an
+    /// empty memo.
     pub fn schema_valid(&self) -> &OnceLock<bool> {
         &self.schema_valid
+    }
+
+    /// The revision's combined content identity: its own bytes plus the
+    /// bytes of the DTD it is an instance of. Folding this into the
+    /// view-cache key makes a stale view structurally unreachable — any
+    /// `put_document`/`put_dtd`/commit that changes served content moves
+    /// it and with it every cache key. Only registration-time hashes are
+    /// combined; no document bytes are touched per request.
+    pub fn identity(&self) -> u64 {
+        let Some(dtd_uri) = &self.dtd_uri else { return self.content_hash };
+        // Mix with a distinct tag per case so "DTD registered",
+        // "DTD referenced but missing", and "no DTD" all differ.
+        let (tag, dtd_hash) = match &self.dtd {
+            Some(d) => (0x01u8, d.content_hash),
+            None => (0x02u8, fnv1a64(dtd_uri.as_bytes())),
+        };
+        let mut bytes = [0u8; 17];
+        bytes[..8].copy_from_slice(&self.content_hash.to_le_bytes());
+        bytes[8] = tag;
+        bytes[9..].copy_from_slice(&dtd_hash.to_le_bytes());
+        fnv1a64(&bytes)
+    }
+
+    /// The prepared form of this revision's DTD, or the error its text
+    /// failed to parse with; `None` when the document names no DTD or
+    /// one that is not registered.
+    pub fn schema(&self) -> Option<&Result<Arc<PreparedSchema>, DtdError>> {
+        self.dtd.as_deref().map(|d| &d.schema)
+    }
+
+    /// The processor's view of this revision: its text, its DTD as
+    /// prepared when it was stored, and its validity memo. A DTD that
+    /// failed to parse goes in as text, so the processor reports the
+    /// same parse error every time.
+    pub fn source(&self) -> DocumentSource<'_> {
+        let dtd = self.dtd.as_deref();
+        DocumentSource {
+            xml: &self.xml,
+            dtd: dtd.filter(|d| d.schema.is_err()).map(|d| d.text.as_str()),
+            dtd_uri: self.dtd_uri.as_deref(),
+            schema: dtd.and_then(|d| d.schema.as_deref().ok()),
+            schema_valid: Some(&self.schema_valid),
+        }
+    }
+
+    /// This revision parsed under `processor`'s XML limits and
+    /// normalized against its DTD ([`SecurityProcessor::parse_source`]).
+    /// The first caller parses and keeps the DOM, or the typed error the
+    /// text failed with, for every later request on the revision; a
+    /// cancelled parse is not kept, so the next request parses again.
+    pub fn parsed(
+        &self,
+        processor: &SecurityProcessor,
+        cancel: Option<&CancelToken>,
+    ) -> Result<&ParsedDocument, ProcessError> {
+        let memo = match self.parsed.get() {
+            Some(memo) => memo,
+            None => match processor.parse_source(&self.source(), cancel) {
+                Err(e) if e.is_cancelled() => return Err(e),
+                // A concurrent first request may have won; either parse
+                // of the same text is the same.
+                parsed => self.parsed.get_or_init(|| {
+                    parsed.map(|source| ParsedDocument { source, schema_valid: None })
+                }),
+            },
+        };
+        memo.as_ref().map_err(Clone::clone)
+    }
+
+    /// The parsed form, when a request has parsed this revision or a
+    /// commit created it.
+    pub fn parsed_document(&self) -> Option<&ParsedDocument> {
+        self.parsed.get()?.as_ref().ok()
+    }
+
+    /// The next revision of this document: `doc` — the committed DOM,
+    /// already normalized — with its canonical bytes and their hash,
+    /// bound to the same DTD. `doc` becomes the new revision's parse
+    /// memo, so a committed revision is never parsed; its validity memo
+    /// starts empty.
+    ///
+    /// The content hash is **byte-derived** — the same scheme
+    /// [`Repository::put_document`] uses — so an updated document and a
+    /// fresh server loading the committed bytes agree on the content
+    /// identity (and therefore on entity tags: a client can revalidate
+    /// against a restarted or replicated instance).
+    pub fn next(&self, doc: Document) -> StoredDocument {
+        let xml = xmlsec_xml::serialize(&doc, &xmlsec_xml::SerializeOptions::canonical());
+        let next = StoredDocument::new(xml, self.dtd_uri.clone(), self.dtd.clone());
+        let _ = next.parsed.set(Ok(ParsedDocument::new(doc)));
+        next
     }
 }
 
 /// A stored DTD text with its registration-time content hash and its
 /// prepared form (or the error it failed to parse with).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StoredDtd {
     text: String,
     content_hash: u64,
     schema: Result<Arc<PreparedSchema>, DtdError>,
 }
 
-/// A document in parsed (and DTD-normalized) form, kept in its
-/// [`StoredDocument`] record so the update path never reparses: writes
-/// apply to a clone of this DOM and [`Repository::commit_update`]
-/// installs the result.
+/// A document in parsed (and DTD-normalized) form: the parse memo of a
+/// [`StoredDocument`] revision.
 #[derive(Debug, Clone)]
 pub struct ParsedDocument {
-    doc: Document,
+    source: ParsedSource,
     /// A validity flag for holders of a parsed form outside a
     /// repository; the server keeps its memo on the stored revision
     /// ([`StoredDocument::schema_valid`]).
@@ -111,16 +225,21 @@ pub struct ParsedDocument {
 impl ParsedDocument {
     /// Wraps a freshly parsed (and normalized) document.
     pub fn new(doc: Document) -> ParsedDocument {
-        ParsedDocument { doc, schema_valid: None }
+        ParsedDocument { source: ParsedSource { doc, schema: None }, schema_valid: None }
     }
 
     /// The parsed document.
     pub fn doc(&self) -> &Document {
-        &self.doc
+        &self.source.doc
     }
 
-    /// The recorded DTD-validity of this parsed form, if any (a commit
-    /// installs a new parsed form with none recorded).
+    /// The document with the schema parsed along with it, as the
+    /// processor renders from it.
+    pub fn source(&self) -> &ParsedSource {
+        &self.source
+    }
+
+    /// The recorded DTD-validity of this parsed form, if any.
     pub fn schema_valid(&self) -> Option<bool> {
         self.schema_valid
     }
@@ -131,55 +250,12 @@ impl ParsedDocument {
     }
 }
 
-/// The bytes and DOM of a revision that [`Repository::publish`]
-/// replaced. Dropping it frees thousands of allocations, so a caller
-/// holding the repository's lock drops it after releasing the lock.
-#[derive(Debug)]
-#[must_use = "drop the replaced revision once no lock is held"]
-pub struct Replaced {
-    _xml: String,
-    _parsed: Option<ParsedDocument>,
-}
-
-/// The next revision of a stored document, built by
-/// [`Repository::prepare_commit`] and installed by
-/// [`Repository::publish`]: the updated DOM, its canonical bytes, their
-/// hash, and a validity memo the committer may fill in before
-/// publishing.
-#[derive(Debug)]
-pub struct Revision {
-    doc: Document,
-    xml: String,
-    hash: u64,
-    content: u64,
-    schema_valid: OnceLock<bool>,
-}
-
-impl Revision {
-    /// The updated DOM the revision was built from.
-    pub fn doc(&self) -> &Document {
-        &self.doc
-    }
-
-    /// The revision's combined content identity: what
-    /// [`Repository::content_hash`] answers once it is published.
-    pub fn content_hash(&self) -> u64 {
-        self.content
-    }
-
-    /// The revision's validity memo, carried into the record on publish
-    /// (see [`StoredDocument::schema_valid`]).
-    pub fn schema_valid(&self) -> &OnceLock<bool> {
-        &self.schema_valid
-    }
-}
-
-/// The repository: one record per document and the DTD texts, each
-/// keyed by URI.
+/// The repository: the current revision of every document and the DTD
+/// texts, each keyed by URI.
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
-    documents: HashMap<String, StoredDocument>,
-    dtds: HashMap<String, StoredDtd>,
+    documents: HashMap<String, Arc<StoredDocument>>,
+    dtds: HashMap<String, Arc<StoredDtd>>,
 }
 
 impl Repository {
@@ -189,125 +265,92 @@ impl Repository {
     }
 
     /// Stores (or replaces) a document, rehashing its content. The new
-    /// record has no parsed form — the bytes are the source of truth and
-    /// the next update reparses them.
+    /// revision is parsed by the first request that needs its DOM.
     pub fn put_document(&mut self, uri: &str, xml: &str, dtd_uri: Option<&str>) {
         document_rehashes().inc();
-        self.documents.insert(
-            uri.to_string(),
-            StoredDocument {
-                xml: xml.to_string(),
-                dtd_uri: dtd_uri.map(str::to_string),
-                content_hash: fnv1a64(xml.as_bytes()),
-                schema_valid: OnceLock::new(),
-                parsed: None,
-            },
-        );
+        let dtd = dtd_uri.and_then(|u| self.dtds.get(u)).cloned();
+        let stored = StoredDocument::new(xml.to_string(), dtd_uri.map(str::to_string), dtd);
+        self.documents.insert(uri.to_string(), Arc::new(stored));
     }
 
     /// Stores (or replaces) a DTD text, rehashing its content and
     /// preparing it once for every request that will use it (see
-    /// [`Repository::schema`]). Parsed forms of every instance document
-    /// are dropped — normalization (attribute defaulting) bakes the DTD
-    /// into the DOM, so they must be rebuilt against the new schema —
-    /// and so are their validity memos.
+    /// [`Repository::schema`]). Every instance document starts a new
+    /// revision bound to it, with empty memos — normalization (attribute
+    /// defaulting) bakes the DTD into the DOM, so it must be rebuilt
+    /// against the new schema.
     pub fn put_dtd(&mut self, uri: &str, dtd: &str) {
         dtd_rehashes().inc();
+        let schema = PreparedSchema::parse(dtd).map(Arc::new);
+        let stored = Arc::new(StoredDtd {
+            text: dtd.to_string(),
+            content_hash: fnv1a64(dtd.as_bytes()),
+            schema,
+        });
         for d in self.documents.values_mut() {
             if d.dtd_uri.as_deref() == Some(uri) {
-                d.parsed = None;
-                d.schema_valid = OnceLock::new();
+                let (xml, dtd_uri) = (d.xml.clone(), d.dtd_uri.clone());
+                *d = Arc::new(StoredDocument::new(xml, dtd_uri, Some(Arc::clone(&stored))));
             }
         }
-        let schema = PreparedSchema::parse(dtd).map(Arc::new);
-        self.dtds.insert(
-            uri.to_string(),
-            StoredDtd { text: dtd.to_string(), content_hash: fnv1a64(dtd.as_bytes()), schema },
-        );
+        self.dtds.insert(uri.to_string(), stored);
     }
 
-    /// The parsed form of `uri`, when one is held (populated by the
-    /// update path via [`Repository::store_parsed`]).
+    /// The current revision of `uri`, shared: it stays readable, and
+    /// unchanged, however long the caller keeps it.
+    pub fn revision(&self, uri: &str) -> Option<Arc<StoredDocument>> {
+        self.documents.get(uri).cloned()
+    }
+
+    /// Publishes `next` as `uri`'s current revision by swapping the
+    /// record's `Arc`. Returns `false`, installing nothing, when `uri`
+    /// has no stored document.
+    pub fn install(&mut self, uri: &str, next: Arc<StoredDocument>) -> bool {
+        self.documents.get_mut(uri).map(|current| *current = next).is_some()
+    }
+
+    /// The parsed form of `uri`'s current revision, once a request has
+    /// parsed it or a commit created it.
     pub fn parsed_document(&self, uri: &str) -> Option<&ParsedDocument> {
-        self.documents.get(uri)?.parsed.as_ref()
+        self.documents.get(uri)?.parsed_document()
     }
 
-    /// Mutable access to the parsed form of `uri` (for memoizing the
-    /// validity of the current revision).
+    /// Mutable access to the parsed form of `uri` (for recording its
+    /// validity); copies the revision first if anyone else holds it.
     pub fn parsed_document_mut(&mut self, uri: &str) -> Option<&mut ParsedDocument> {
-        self.documents.get_mut(uri)?.parsed.as_mut()
+        let revision = Arc::make_mut(self.documents.get_mut(uri)?);
+        revision.parsed.get_mut()?.as_mut().ok()
     }
 
-    /// Caches the parsed (normalized) form of an already-stored
-    /// document; a no-op when `uri` has no stored document. No effect on
-    /// the byte form, its hash or its validity memo: the parsed form
-    /// only becomes the content authority once
-    /// [`Repository::commit_update`] runs.
+    /// Sets the parse memo of `uri`'s current revision to an
+    /// already-parsed (normalized) form of its text; a no-op when `uri`
+    /// has no stored document. No effect on the bytes, their hash or the
+    /// validity memo.
     pub fn store_parsed(&mut self, uri: &str, parsed: ParsedDocument) {
         if let Some(d) = self.documents.get_mut(uri) {
-            d.parsed = Some(parsed);
+            Arc::make_mut(d).parsed = OnceLock::from(Ok(parsed));
         }
     }
 
-    /// Commits an updated revision of `uri`'s parsed document:
-    /// [`Repository::prepare_commit`] then [`Repository::publish`]. It
-    /// installs `doc` as the record's parsed form, refreshes the served
-    /// bytes from it, recomputes the content hash from those bytes so
-    /// every cache key for the old revision is structurally unreachable,
-    /// and resets the revision's validity memo. `_dirty` (the batch's
-    /// mutated subtree roots) is not read.
+    /// Commits `doc` as the next revision of `uri`
+    /// ([`StoredDocument::next`], then [`Repository::install`]): new
+    /// bytes, a content hash recomputed from them so every cache key for
+    /// the old revision is structurally unreachable, `doc` as the parsed
+    /// form and an empty validity memo. `_dirty` (the batch's mutated
+    /// subtree roots) is not read.
     ///
     /// Returns `false`, committing nothing, when `uri` has no stored
-    /// document or no parsed form (callers establish both first).
+    /// document or its revision was never parsed (callers establish both
+    /// first).
     pub fn commit_update(&mut self, uri: &str, doc: Document, _dirty: &[NodeId]) -> bool {
-        match self.prepare_commit(uri, doc) {
-            Some(revision) => self.publish(uri, revision).is_some(),
-            None => false,
-        }
+        let current = self.documents.get(uri).filter(|d| d.parsed_document().is_some());
+        let next = current.map(|d| Arc::new(d.next(doc)));
+        next.is_some_and(|next| self.install(uri, next))
     }
 
-    /// Builds the next revision of `uri` from its updated parsed form
-    /// without changing the repository: serializes `doc` canonically and
-    /// hashes those bytes. This is the expensive half of a commit, and it
-    /// needs only a shared borrow, so readers keep serving the current
-    /// revision while it runs.
-    ///
-    /// The content hash is **byte-derived** — the same scheme
-    /// [`Repository::put_document`] uses — so an updated document and a
-    /// fresh server loading the committed bytes agree on the content
-    /// identity (and therefore on entity tags: a client can revalidate
-    /// against a restarted or replicated instance).
-    ///
-    /// Returns `None` when `uri` has no stored document or no parsed
-    /// form.
-    pub fn prepare_commit(&self, uri: &str, doc: Document) -> Option<Revision> {
-        let stored = self.documents.get(uri).filter(|d| d.parsed.is_some())?;
-        let xml = xmlsec_xml::serialize(&doc, &xmlsec_xml::SerializeOptions::canonical());
-        let hash = fnv1a64(xml.as_bytes());
-        let content = self.identity(hash, stored.dtd_uri.as_deref());
-        Some(Revision { doc, xml, hash, content, schema_valid: OnceLock::new() })
-    }
-
-    /// Installs a revision built by [`Repository::prepare_commit`] as
-    /// `uri`'s record: its DOM, bytes, hash and validity memo. Nothing is
-    /// recomputed, so the record must not have changed since the
-    /// revision was prepared. Returns the replaced bytes and DOM, or
-    /// `None`, installing nothing, when `uri` has no stored document or
-    /// no parsed form.
-    pub fn publish(&mut self, uri: &str, revision: Revision) -> Option<Replaced> {
-        let stored = self.documents.get_mut(uri).filter(|d| d.parsed.is_some())?;
-        let Revision { doc, xml, hash, schema_valid, .. } = revision;
-        stored.content_hash = hash;
-        stored.schema_valid = schema_valid;
-        Some(Replaced {
-            _xml: std::mem::replace(&mut stored.xml, xml),
-            _parsed: stored.parsed.replace(ParsedDocument::new(doc)),
-        })
-    }
-
-    /// Fetches a document.
+    /// Fetches a document's current revision.
     pub fn document(&self, uri: &str) -> Option<&StoredDocument> {
-        self.documents.get(uri)
+        self.documents.get(uri).map(|d| &**d)
     }
 
     /// Fetches a DTD text.
@@ -321,36 +364,10 @@ impl Repository {
         self.dtds.get(uri).map(|d| &d.schema)
     }
 
-    /// The registration-time content hash of a stored DTD.
-    pub fn dtd_hash(&self, uri: &str) -> Option<u64> {
-        self.dtds.get(uri).map(|d| d.content_hash)
-    }
-
-    /// The combined content identity of a document: its own bytes plus
-    /// the bytes of the DTD it is an instance of. Folding this into the
-    /// view-cache key makes a stale view structurally unreachable — any
-    /// `put_document`/`put_dtd` that changes served content moves the
-    /// hash and with it every cache key. Only registration-time hashes
-    /// are combined here; no document bytes are touched per request.
+    /// The combined content identity of a document's current revision
+    /// ([`StoredDocument::identity`]).
     pub fn content_hash(&self, uri: &str) -> Option<u64> {
-        let doc = self.documents.get(uri)?;
-        Some(self.identity(doc.content_hash, doc.dtd_uri.as_deref()))
-    }
-
-    /// Folds a document's byte hash with the hash of the DTD it names.
-    fn identity(&self, doc_hash: u64, dtd_uri: Option<&str>) -> u64 {
-        let Some(dtd_uri) = dtd_uri else { return doc_hash };
-        // Mix with a distinct tag per case so "DTD registered",
-        // "DTD referenced but missing", and "no DTD" all differ.
-        let (tag, dtd_hash) = match self.dtds.get(dtd_uri) {
-            Some(d) => (0x01u8, d.content_hash),
-            None => (0x02u8, fnv1a64(dtd_uri.as_bytes())),
-        };
-        let mut bytes = [0u8; 17];
-        bytes[..8].copy_from_slice(&doc_hash.to_le_bytes());
-        bytes[8] = tag;
-        bytes[9..].copy_from_slice(&dtd_hash.to_le_bytes());
-        fnv1a64(&bytes)
+        self.documents.get(uri).map(|d| d.identity())
     }
 
     /// URIs of every document that is an instance of `dtd_uri` — the
@@ -488,33 +505,67 @@ mod tests {
     }
 
     #[test]
-    fn prepared_revisions_change_nothing_until_published() {
+    fn a_held_revision_is_unchanged_by_a_commit() {
         let mut r = Repository::new();
         r.put_dtd("d.dtd", "<!ELEMENT doc (#PCDATA)>");
         r.put_document("a.xml", "<doc>x</doc>", Some("d.dtd"));
-        let doc = xmlsec_xml::parse("<doc>x</doc>").unwrap();
-        assert!(r.prepare_commit("a.xml", doc.clone()).is_none(), "no parsed form yet");
-        r.store_parsed("a.xml", ParsedDocument::new(doc));
-        let h0 = r.content_hash("a.xml");
+        let p = SecurityProcessor::default();
+        let held = r.revision("a.xml").unwrap();
+        let doc = held.parsed(&p, None).unwrap().doc().clone();
+        held.schema_valid().set(true).unwrap();
 
-        let revision = r.prepare_commit("a.xml", xmlsec_xml::parse("<doc>y</doc>").unwrap());
-        let revision = revision.unwrap();
-        revision.schema_valid().set(true).unwrap();
-        assert_eq!(r.document("a.xml").unwrap().xml, "<doc>x</doc>");
-        assert_eq!(r.content_hash("a.xml"), h0, "readers still see the old revision");
+        let mut updated = doc;
+        let root = updated.root();
+        let t = updated.children(root)[0];
+        updated.remove_subtree(t);
+        updated.append_text(root, "y");
+        let next = held.next(updated);
+        assert_eq!(next.xml, "<doc>y</doc>");
+        assert_eq!(next.schema_valid().get(), None, "a new revision starts unchecked");
+        let canonical = xmlsec_xml::SerializeOptions::canonical();
+        let dom = next.parsed_document().expect("the commit's DOM is the parse memo").doc();
+        assert_eq!(xmlsec_xml::serialize(dom, &canonical), "<doc>y</doc>");
+        assert_eq!(r.document("a.xml").unwrap().xml, "<doc>x</doc>", "nothing installed yet");
 
-        let promised = revision.content_hash();
-        assert!(r.publish("a.xml", revision).is_some());
+        let promised = next.identity();
+        assert!(r.install("a.xml", Arc::new(next)));
         assert_eq!(r.document("a.xml").unwrap().xml, "<doc>y</doc>");
         assert_eq!(r.content_hash("a.xml"), Some(promised), "the identity is the one promised");
-        assert_eq!(r.document("a.xml").unwrap().schema_valid().get(), Some(&true));
+        // The reader's revision is the one it took, memos and all.
+        assert_eq!(held.xml, "<doc>x</doc>");
+        assert_eq!(held.schema_valid().get(), Some(&true));
         assert_eq!(
-            xmlsec_xml::serialize(
-                r.parsed_document("a.xml").unwrap().doc(),
-                &xmlsec_xml::SerializeOptions::canonical()
-            ),
-            "<doc>y</doc>"
+            xmlsec_xml::serialize(held.parsed(&p, None).unwrap().doc(), &canonical),
+            "<doc>x</doc>"
         );
+        assert!(!r.install("ghost.xml", held), "no record to swap");
+    }
+
+    #[test]
+    fn the_parse_memo_keeps_the_dom_or_the_error_but_never_a_cancellation() {
+        let mut r = Repository::new();
+        r.put_dtd("d.dtd", "<!ELEMENT doc EMPTY>\n<!ATTLIST doc v CDATA 'dflt'>");
+        r.put_document("a.xml", "<doc/>", Some("d.dtd"));
+        r.put_document("bad.xml", "<doc><open>", Some("d.dtd"));
+        let p = SecurityProcessor::default();
+        let a = r.revision("a.xml").unwrap();
+
+        let token = CancelToken::never();
+        token.cancel();
+        let err = a.parsed(&p, Some(&token)).unwrap_err();
+        assert!(err.is_cancelled(), "{err:?}");
+        assert!(a.parsed_document().is_none(), "a cancelled parse is not kept");
+
+        let first = a.parsed(&p, None).unwrap() as *const ParsedDocument;
+        assert!(std::ptr::eq(first, a.parsed(&p, None).unwrap()), "parsed once, then shared");
+        let doc = a.parsed_document().unwrap().doc();
+        assert_eq!(doc.attribute(doc.root(), "v"), Some("dflt"), "normalized against the DTD");
+
+        let bad = r.revision("bad.xml").unwrap();
+        let err = bad.parsed(&p, None).unwrap_err();
+        assert!(matches!(err, ProcessError::Xml(_)), "{err:?}");
+        assert_eq!(bad.parsed(&p, None).unwrap_err(), err, "the same typed error every time");
+        assert!(bad.parsed_document().is_none());
     }
 
     #[test]

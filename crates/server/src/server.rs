@@ -17,7 +17,7 @@
 use crate::audit::{AuditLog, AuditOutcome};
 use crate::cache::{fingerprint, CachedView, ViewCache, ViewKey};
 use crate::faults;
-use crate::repo::{fnv1a64, ParsedDocument, Repository, Revision};
+use crate::repo::{fnv1a64, Repository, StoredDocument};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -28,8 +28,8 @@ use xmlsec_authz::{
 use xmlsec_core::update::{apply_updates_in_place, UpdateError, UpdateOp, WriteContext};
 use xmlsec_core::view::{label_document_incremental, render_view, Labeling};
 use xmlsec_core::{
-    AccessRequest, CancelReason, CancelToken, CompiledCache, DecisionCache, DocumentSource,
-    Parallelism, PreparedSchema, ResourceLimits, SecurityProcessor,
+    AccessRequest, CancelReason, CancelToken, CompiledCache, DecisionCache, Parallelism,
+    PreparedSchema, ProcessError, ResourceLimits, SecurityProcessor,
 };
 use xmlsec_subjects::{Directory, Requester};
 use xmlsec_telemetry as telemetry;
@@ -235,13 +235,16 @@ pub enum ConditionalOutcome {
 }
 
 /// What the request prologue established before any pipeline stage ran:
-/// the authenticated requester and the content-addressed cache key. A
-/// cache-only probe that cannot answer hands it on with the request, so
-/// compute does not authenticate and fingerprint the request again.
+/// the authenticated requester, the document revision it found and the
+/// content-addressed cache key of that revision. A cache-only probe that
+/// cannot answer hands it on with the request, so compute does not
+/// authenticate and fingerprint the request again, and computes the view
+/// of exactly the revision it keyed without touching the repository.
 pub(crate) struct ViewTicket {
     requester: Requester,
     requester_str: String,
     key: ViewKey,
+    revision: Arc<StoredDocument>,
 }
 
 /// The outcome of the request prologue: a finished answer from the
@@ -292,7 +295,7 @@ struct PatchEntry {
     prev: Option<Arc<Labeling>>,
 }
 
-/// One warm view of an updated document, rendered against the prepared
+/// One warm view of an updated document, rendered against the next
 /// revision and waiting for the publish: `new` is `None` when the view
 /// could not be patched and is dropped instead.
 struct Patch {
@@ -312,9 +315,9 @@ pub struct SecureServer {
     /// being prepared at a time. Lock order: writer → repository →
     /// patch state → cache.
     writer: Mutex<()>,
-    /// Every read-path stage and all of an update's work hold the read
-    /// side; an update takes the write side only to publish its
-    /// prepared revision and patched views.
+    /// The current revision of every document. Requests hold the read
+    /// side only to take a revision's `Arc`; an update takes the write
+    /// side only to swap in its next revision and patched views.
     repository: RwLock<Repository>,
     /// Patch bookkeeping keyed by cache key, pruned against the live
     /// cache after every update so it cannot outgrow it.
@@ -440,7 +443,7 @@ impl SecureServer {
     }
 
     /// Read access to the repository (a shared read guard; concurrent
-    /// readers coexist, an in-flight update briefly blocks).
+    /// readers coexist, a publishing update briefly blocks).
     pub fn repository(&self) -> RwLockReadGuard<'_, Repository> {
         self.read_repo()
     }
@@ -647,24 +650,6 @@ impl SecureServer {
         })
     }
 
-    /// Parses `text` under the server's XML limits, observing `cancel`.
-    fn parse_xml(
-        &self,
-        text: &str,
-        cancel: Option<&CancelToken>,
-    ) -> Result<xmlsec_xml::Document, ServerError> {
-        xmlsec_xml::parse_cancellable(
-            text,
-            xmlsec_xml::ParseOptions::default(),
-            &self.limits().xml,
-            cancel,
-        )
-        .map_err(|e| match e.kind {
-            xmlsec_xml::XmlErrorKind::Cancelled(r) => ServerError::Cancelled(r),
-            _ => ServerError::Processing(e.to_string()),
-        })
-    }
-
     /// Handles one request end to end, honouring an `If-None-Match`
     /// header value. When the client's entity tag still names the
     /// current view, returns [`ConditionalOutcome::NotModified`] —
@@ -797,8 +782,7 @@ impl SecureServer {
             .map_err(|e| ServerError::BadRequest(e.to_string()))?;
         let requester_str = requester.to_string();
 
-        let repo = self.read_repo();
-        let Some(stored) = repo.document(&req.uri) else {
+        let Some(revision) = self.read_repo().revision(&req.uri) else {
             self.audit.record(&requester_str, &req.uri, AuditOutcome::NotFound);
             return Err(ServerError::NotFound(req.uri.clone()));
         };
@@ -807,7 +791,7 @@ impl SecureServer {
         // fingerprint.
         let SecurityProcessor { directory: dir, authorizations, options, .. } = &self.processor;
         let instance = authorizations.applicable(&req.uri, &requester, dir);
-        let schema = stored
+        let schema = revision
             .dtd_uri
             .as_deref()
             .map(|u| authorizations.applicable(u, &requester, dir))
@@ -817,13 +801,12 @@ impl SecureServer {
             fingerprint: fingerprint(&instance, &schema, policy_tag(options.policy)),
             // Registration-time hashes combined — no document bytes are
             // rehashed on the request path.
-            content: repo.content_hash(&req.uri).unwrap_or(0),
+            content: revision.identity(),
         };
-        drop(repo);
         let hit = self.cache.as_ref().and_then(|c| c.get_cached(&key));
         Ok(match hit {
             Some(hit) => Probe::Hit(self.serve_hit(&requester_str, &req.uri, hit, if_none_match)),
-            None => Probe::Miss(ViewTicket { requester, requester_str, key }),
+            None => Probe::Miss(ViewTicket { requester, requester_str, key, revision }),
         })
     }
 
@@ -855,7 +838,11 @@ impl SecureServer {
     }
 
     /// The full processor pipeline, run when the probe found no cached
-    /// view, under the request's cancellation token (if any).
+    /// view, under the request's cancellation token (if any). It labels
+    /// and renders the revision the probe keyed — parsing it first if no
+    /// request has yet — with no repository guard held, so a commit
+    /// meanwhile neither waits for it nor changes what it computes: the
+    /// view is filed under the key of the revision it was computed from.
     fn compute_view_for(
         &self,
         req: &ClientRequest,
@@ -863,16 +850,7 @@ impl SecureServer {
         cancel: Option<&CancelToken>,
         ticket: ViewTicket,
     ) -> Result<ConditionalOutcome, ServerError> {
-        let ViewTicket { requester, requester_str, mut key } = ticket;
-        let repo = self.read_repo();
-        let Some(stored) = repo.document(&req.uri) else {
-            return Err(ServerError::NotFound(req.uri.clone()));
-        };
-        // The probe read the content hash under a guard it has since
-        // dropped. Key the revision this guard sees, so a commit in
-        // between cannot file the new revision's view under the old
-        // revision's key.
-        key.content = repo.content_hash(&req.uri).unwrap_or(0);
+        let ViewTicket { requester, requester_str, key, revision } = ticket;
         if let Some(cache) = &self.cache {
             // The one counted lookup of a request the probe could not
             // answer: another compute may have filled the entry since.
@@ -880,36 +858,27 @@ impl SecureServer {
                 return Ok(self.serve_hit(&requester_str, &req.uri, hit, if_none_match));
             }
         }
-        // The DTD as prepared when it was stored, with this revision's
-        // validity memo. A DTD that failed to parse then goes in as text,
-        // so the processor reports the same parse error as it always has.
-        let dtd_uri = stored.dtd_uri.as_deref();
-        let schema = dtd_uri.and_then(|u| repo.schema(u));
-        let source = DocumentSource {
-            xml: &stored.xml,
-            dtd: match schema {
-                Some(Err(_)) => dtd_uri.and_then(|u| repo.dtd(u)),
-                _ => None,
-            },
-            dtd_uri,
-            schema: schema.and_then(|s| s.as_deref().ok()),
-            schema_valid: Some(stored.schema_valid()),
-        };
+        let _ = faults::check("view.compute");
         let request = AccessRequest { requester: requester.clone(), uri: req.uri.clone() };
-        let out = self.processor.process_cancellable(&request, &source, cancel).map_err(|e| {
-            self.audit.record(
-                &requester_str,
-                &req.uri,
-                AuditOutcome::ProcessingError(e.to_string()),
-            );
-            if let xmlsec_core::ProcessError::Cancelled(r) = e {
-                ServerError::Cancelled(r)
-            } else if e.is_resource_limit() {
-                ServerError::LimitExceeded(e.to_string())
-            } else {
-                ServerError::Processing(e.to_string())
-            }
-        })?;
+        let p = &self.processor;
+        let out = revision
+            .parsed(p, cancel)
+            .and_then(|parsed| p.render(&request, &revision.source(), parsed.source(), cancel))
+            .map(|(view, _labeling)| view)
+            .map_err(|e| {
+                self.audit.record(
+                    &requester_str,
+                    &req.uri,
+                    AuditOutcome::ProcessingError(e.to_string()),
+                );
+                if let ProcessError::Cancelled(r) = e {
+                    ServerError::Cancelled(r)
+                } else if e.is_resource_limit() {
+                    ServerError::LimitExceeded(e.to_string())
+                } else {
+                    ServerError::Processing(e.to_string())
+                }
+            })?;
 
         let etag = etag_for(&key, &out.xml, out.loosened_dtd.as_deref());
         if let Some(cache) = &self.cache {
@@ -970,7 +939,12 @@ impl SecureServer {
         let parsed =
             xmlsec_xpath::parse_path(path).map_err(|e| ServerError::BadQuery(e.to_string()))?;
         let resp = self.handle_full(req, cancel)?;
-        let view = self.parse_xml(&resp.xml, cancel)?;
+        let xml_limits = &self.limits().xml;
+        let view = xmlsec_xml::parse_cancellable(&resp.xml, Default::default(), xml_limits, cancel)
+            .map_err(|e| match e.kind {
+                xmlsec_xml::XmlErrorKind::Cancelled(r) => ServerError::Cancelled(r),
+                _ => ServerError::Processing(e.to_string()),
+            })?;
         // The query path is requester-supplied: budget its evaluation so a
         // hostile expression cannot pin the worker; the token rides in the
         // shared budget, so every draw is also a cancellation checkpoint.
@@ -1002,24 +976,25 @@ impl SecureServer {
     /// requester's **write** labeling. The updated document must remain
     /// valid against its DTD.
     ///
-    /// The commit path is **incremental**: the repository keeps the
-    /// parsed, normalized document in the document's record, so
-    /// steady-state updates never reparse, and every warm cached view of
-    /// the document is **patched** (incremental relabel, re-render, new
-    /// ETag) instead of being invalidated. All of that work runs beside
-    /// readers, which keep the old revision and its views until the new
-    /// revision and its patched views are published together. Returns
-    /// how many nodes the batch touched.
+    /// The commit path is **incremental**: it works on one copy of the
+    /// current revision's parsed DOM — parsed once per revision, by
+    /// whichever request needed it first — and the committed DOM becomes
+    /// the next revision's, so steady-state updates never parse. Every
+    /// warm cached view of the document is **patched** (incremental
+    /// relabel, re-render, new ETag) instead of being invalidated. All of
+    /// that work runs beside readers, which keep the old revision and its
+    /// views until the new revision and its patched views are published
+    /// together. Returns how many nodes the batch touched.
     pub fn update(&self, req: &ClientRequest, ops: &[UpdateOp]) -> Result<usize, ServerError> {
         self.update_cancellable(req, ops, None)
     }
 
     /// [`SecureServer::update`] with a request-scoped cancellation
-    /// token. The token is polled between operations, inside the
-    /// write-labeling passes and while warm views are patched; when it
-    /// trips before the publish, the batch unwinds with
-    /// [`ServerError::Cancelled`] and the stored document and its views
-    /// are untouched.
+    /// token. The token is polled while the revision is parsed (on its
+    /// first use), between operations, inside the write-labeling passes
+    /// and while warm views are patched; when it trips before the
+    /// publish, the batch unwinds with [`ServerError::Cancelled`] and the
+    /// stored document and its views are untouched.
     pub fn update_cancellable(
         &self,
         req: &ClientRequest,
@@ -1030,41 +1005,27 @@ impl SecureServer {
         let requester = Requester::new(&user, &req.ip, &req.sym)
             .map_err(|e| ServerError::BadRequest(e.to_string()))?;
 
-        // Writers serialize here. Up to the publish, the update holds
-        // only the read side, so readers keep serving the old revision.
+        // Writers serialize here, so the revision taken now stays the
+        // current one until this update publishes its successor. Until
+        // then no guard is held: readers keep serving that revision.
         let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let mut repo = self.read_repo();
-        let dtd_uri = match repo.document(&req.uri) {
-            Some(s) => s.dtd_uri.clone(),
-            None => return Err(ServerError::NotFound(req.uri.clone())),
+        let Some(current) = self.read_repo().revision(&req.uri) else {
+            return Err(ServerError::NotFound(req.uri.clone()));
         };
-        let schema = match dtd_uri.as_deref().and_then(|u| repo.schema(u)) {
+        let schema = match current.schema() {
             Some(Ok(s)) => Some(Arc::clone(s)),
             Some(Err(e)) => return Err(ServerError::Processing(e.to_string())),
             None => None,
         };
         let dtd_parsed = schema.as_deref().map(PreparedSchema::dtd);
-
-        // Parse once per document lifetime: the repository keeps the
-        // parsed, normalized form, so only the first update (or the
-        // first after a byte-level `put_document`) pays a parse.
-        if repo.parsed_document(&req.uri).is_none() {
-            let xml_text = repo.document(&req.uri).map(|s| s.xml.as_str()).unwrap_or_default();
-            let mut doc = self.parse_xml(xml_text, cancel)?;
-            // Normalize defaulted attributes exactly as the read path
-            // does, so write authorizations conditioned on them match.
-            if let Some(d) = &dtd_parsed {
-                xmlsec_dtd::normalize(d, &mut doc);
-            }
-            drop(repo);
-            // Only this writer changes records, so the revision just
-            // parsed is still the current one.
-            self.write_repo().store_parsed(&req.uri, ParsedDocument::new(doc));
-            repo = self.read_repo();
-        }
         let p = &self.processor;
+        let parsed = current.parsed(p, cancel).map_err(|e| match e {
+            ProcessError::Cancelled(r) => ServerError::Cancelled(r),
+            ProcessError::Xml(e) => ServerError::Processing(e.to_string()),
+            other => ServerError::Processing(other.to_string()),
+        })?;
         let (wxml, wdtd) =
-            p.applicable_sets(&req.uri, dtd_uri.as_deref(), &requester, Action::Write);
+            p.applicable_sets(&req.uri, current.dtd_uri.as_deref(), &requester, Action::Write);
         let (dir, policy) = (&p.directory, p.options.policy);
         // Static pre-flight: classify the batch against the compiled
         // write-verdict table. Guaranteed-deny batches bounce here in
@@ -1076,21 +1037,25 @@ impl SecureServer {
         // byte-identical).
         let mut preauthorized = false;
         if self.static_preflight {
-            let root = repo
-                .parsed_document(&req.uri)
-                .and_then(|parsed| parsed.doc().element_name(parsed.doc().root()))
-                .map(str::to_string);
+            let root = parsed.doc().element_name(parsed.doc().root());
             if let (Some(schema), Some(root)) = (schema.as_deref(), root) {
                 let fp = xmlsec_core::policy_fingerprint(&wxml, &wdtd, dir, policy);
                 let verdict = self
                     .compiled
-                    .get_or_compile_prepared(schema, &root, fp, &wxml, &wdtd, dir, policy)
+                    .get_or_compile_prepared(schema, root, fp, &wxml, &wdtd, dir, policy)
                     .ok()
                     .map(|cp| {
+                        // A blanket allow holds on any tree; the others
+                        // only on valid ones. The revision's validity memo
+                        // is the one the read path fills in.
+                        let valid = || {
+                            *current.schema_valid().get_or_init(|| {
+                                xmlsec_dtd::validate(schema.dtd(), parsed.doc()).is_empty()
+                            })
+                        };
                         if cp.writes.blanket_allow {
-                            // Holds on any tree; no validity gate needed.
                             xmlsec_core::BatchVerdict::Allow
-                        } else if revision_valid(&repo, &req.uri, schema.dtd()) {
+                        } else if valid() {
                             xmlsec_core::classify_batch(schema.dtd(), &cp.writes, ops)
                         } else {
                             xmlsec_core::BatchVerdict::Dynamic
@@ -1110,12 +1075,8 @@ impl SecureServer {
             }
         }
 
-        let mut doc = match repo.parsed_document(&req.uri) {
-            Some(p) => p.doc().clone(),
-            None => return Err(ServerError::Processing("parsed form missing".into())),
-        };
-
         // `doc` is this update's own copy: a failed batch just drops it.
+        let mut doc = parsed.doc().clone();
         let ctx =
             WriteContext { axml: &wxml, adtd: &wdtd, dir, policy, opts: p.options.engine(cancel) };
         let ctx = (!preauthorized).then_some(&ctx);
@@ -1142,27 +1103,24 @@ impl SecureServer {
         }
 
         let touched = outcome.touched;
-        let Some(revision) = repo.prepare_commit(&req.uri, doc) else {
-            return Err(ServerError::Processing("commit failed: document vanished".into()));
-        };
+        let next = current.next(doc);
         if dtd_parsed.is_some() {
-            // Post-validation passed above and the revision carries
+            // Post-validation passed above and the next revision carries
             // exactly the validated DOM: memoize validity for the next
             // pre-flight and the next read instead of revalidating.
-            let _ = revision.schema_valid().set(true);
+            let _ = next.schema_valid().set(true);
         }
         // Re-render every warm cached view of this document against the
-        // new revision; views we cannot patch (no bookkeeping, labeling
+        // next revision; views we cannot patch (no bookkeeping, labeling
         // error) are dropped at the publish — content-addressed keys
         // make the old entries unreachable either way, so this is never
         // a correctness hinge.
-        let patches = self.render_patches(&repo, &req.uri, &revision, schema.as_deref(), cancel);
+        let patches = self.render_patches(&req.uri, &next, schema.as_deref(), cancel);
         if let Some(Err(c)) = cancel.map(CancelToken::check) {
             return Err(ServerError::Cancelled(c.reason));
         }
-        drop(repo);
         let _ = faults::check("update.publish");
-        self.publish(&req.uri, revision, patches)?;
+        self.publish(&req.uri, Arc::new(next), patches)?;
         self.prune_patch_state();
 
         self.audit.record(
@@ -1173,22 +1131,21 @@ impl SecureServer {
         Ok(touched)
     }
 
-    /// Renders each warm cached view of `uri` against the prepared
-    /// `revision`: incremental relabel from the entry's previous
-    /// labeling, render straight from the revision's DOM, new
-    /// content-addressed key and ETag. Runs under the repository's read
-    /// side and changes nothing; [`SecureServer::publish`] installs the
+    /// Renders each warm cached view of `uri` against its `next`
+    /// revision: incremental relabel from the entry's previous labeling,
+    /// render straight from the revision's DOM, new content-addressed key
+    /// and ETag. Changes nothing; [`SecureServer::publish`] installs the
     /// result.
     fn render_patches(
         &self,
-        repo: &Repository,
         uri: &str,
-        revision: &Revision,
+        next: &StoredDocument,
         schema: Option<&PreparedSchema>,
         cancel: Option<&CancelToken>,
     ) -> Vec<Patch> {
         let Some(cache) = &self.cache else { return Vec::new() };
-        let new_content = revision.content_hash();
+        let Some(parsed) = next.parsed_document() else { return Vec::new() };
+        let new_content = next.identity();
         let old: Vec<(ViewKey, Option<PatchEntry>)> = {
             let state = self.lock_patch_state();
             cache
@@ -1201,7 +1158,6 @@ impl SecureServer {
                 })
                 .collect()
         };
-        let dtd_uri = repo.document(uri).and_then(|s| s.dtd_uri.as_deref());
         // Loosening is requester-independent: prepared once per DTD and
         // shared by every patched entry.
         let loosened_text = schema.map(PreparedSchema::loosened_text);
@@ -1209,9 +1165,9 @@ impl SecureServer {
             .map(|(old_key, entry)| Patch {
                 new: entry.and_then(|entry| {
                     self.patch_one(
-                        revision.doc(),
+                        parsed.doc(),
                         uri,
-                        dtd_uri,
+                        next.dtd_uri.as_deref(),
                         &old_key,
                         entry,
                         new_content,
@@ -1224,47 +1180,42 @@ impl SecureServer {
             .collect()
     }
 
-    /// The exclusive section of a commit: installs the prepared revision
-    /// and swaps each warm view for its patch (or drops it), so a reader
-    /// sees either the old revision with its old views or the new one
-    /// with its new views.
+    /// The exclusive section of a commit: swaps in the next revision and
+    /// each warm view's patch (or drops the view), so a reader sees
+    /// either the old revision with its old views or the new one with its
+    /// new views.
     fn publish(
         &self,
         uri: &str,
-        revision: Revision,
+        next: Arc<StoredDocument>,
         patches: Vec<Patch>,
     ) -> Result<(), ServerError> {
-        let replaced = {
-            let mut repo = self.write_repo();
-            let Some(replaced) = repo.publish(uri, revision) else {
-                return Err(ServerError::Processing("commit failed: document vanished".into()));
-            };
-            if let Some(cache) = &self.cache {
-                let m = patch_metrics();
-                let mut state = self.lock_patch_state();
-                for Patch { old, new } in patches {
-                    state.remove(&old);
-                    match new {
-                        Some((key, view, entry)) => {
-                            // The entry keeps its eviction age; one
-                            // evicted meanwhile stays gone.
-                            if cache.replace(&old, key.clone(), view) {
-                                state.insert(key, entry);
-                                m.patched.inc();
-                            }
+        let mut repo = self.write_repo();
+        let _ = faults::check("update.install");
+        if !repo.install(uri, next) {
+            return Err(ServerError::Processing("commit failed: document vanished".into()));
+        }
+        if let Some(cache) = &self.cache {
+            let m = patch_metrics();
+            let mut state = self.lock_patch_state();
+            for Patch { old, new } in patches {
+                state.remove(&old);
+                match new {
+                    Some((key, view, entry)) => {
+                        // The entry keeps its eviction age; one evicted
+                        // meanwhile stays gone.
+                        if cache.replace(&old, key.clone(), view) {
+                            state.insert(key, entry);
+                            m.patched.inc();
                         }
-                        None => {
-                            cache.remove(&old);
-                            m.dropped.inc();
-                        }
+                    }
+                    None => {
+                        cache.remove(&old);
+                        m.dropped.inc();
                     }
                 }
             }
-            replaced
-        };
-        // Free the old revision with no guard held: readers never wait
-        // on its deallocation.
-        drop(replaced);
+        }
         Ok(())
     }
 
@@ -1303,19 +1254,6 @@ impl SecureServer {
             PatchEntry { requester, prev: Some(Arc::new(labeling)) },
         ))
     }
-}
-
-/// Whether `uri`'s current revision is valid against `dtd`, from the
-/// revision's memo — the same one the read path fills in — or by
-/// validating its parsed form once. The static write pre-flight only
-/// trusts non-blanket batch verdicts on valid documents.
-fn revision_valid(repo: &Repository, uri: &str, dtd: &xmlsec_dtd::Dtd) -> bool {
-    let (Some(stored), Some(parsed)) = (repo.document(uri), repo.parsed_document(uri)) else {
-        return false;
-    };
-    *stored
-        .schema_valid()
-        .get_or_init(|| xmlsec_dtd::validate(dtd, parsed.doc()).is_empty())
 }
 
 /// Stable small tag distinguishing policies in cache keys.
@@ -2006,7 +1944,7 @@ mod update_tests {
     }
 
     #[test]
-    fn a_commit_between_probe_and_compute_cannot_file_a_view_under_the_old_key() {
+    fn a_commit_between_probe_and_compute_files_the_keyed_revisions_view() {
         let s = writable_server();
         let Probe::Miss(ticket) = s.probe(&rq("ro"), None).unwrap() else {
             panic!("the reader's view is cold")
@@ -2022,14 +1960,21 @@ mod update_tests {
         else {
             panic!("no tag was sent")
         };
-        assert_eq!(resp.xml, "<d><t>v2</t></d>", "compute reads the current revision");
-        let cache = s.cache.as_ref().unwrap();
-        assert!(
-            cache.get_cached(&old_key).map_or(true, |v| !v.xml.contains("v2")),
-            "the new revision's view is filed under the old revision's key"
+        // The ticket carries the revision it keyed: the compute renders
+        // that revision, and files it under that revision's key.
+        let fresh = writable_server().without_cache().handle(&rq("ro")).unwrap();
+        assert_eq!(
+            (resp.xml.as_str(), resp.etag.as_str()),
+            (fresh.xml.as_str(), fresh.etag.as_str())
         );
+        let cache = s.cache.as_ref().unwrap();
+        assert_eq!(cache.get_cached(&old_key).map(|v| v.xml), Some(fresh.xml));
+        // The current revision's key was never filled with the old view.
+        let current = s.handle(&rq("ro")).unwrap();
+        assert!(!current.cached);
+        assert_eq!(current.xml, "<d><t>v2</t></d>");
         // When the bytes return to the old revision, its key is live
-        // again and must serve the old revision's view.
+        // again and serves the old revision's view.
         set("v1");
         assert_eq!(s.handle(&rq("ro")).unwrap().xml, "<d><t>v1</t></d>");
     }

@@ -148,7 +148,9 @@ fn metrics_endpoint_exposes_pipeline_cache_and_request_series() {
     assert!(counter(r#"xmlsec_requests_total{outcome="served"}"#) >= 1, "{body}");
     assert!(counter(r#"xmlsec_requests_total{outcome="served_cached"}"#) >= 1, "{body}");
     // Per-stage pipeline histograms, with le-bucket series in seconds.
-    for stage in ["parse", "label", "prune", "loosen", "serialize"] {
+    // The server renders views from the revision's DOM and never prunes
+    // a copy, so `prune` is a text-path stage only.
+    for stage in ["parse", "normalize", "label", "loosen", "serialize"] {
         assert!(
             counter(&format!(r#"xmlsec_pipeline_stage_duration_seconds_count{{stage="{stage}"}}"#))
                 >= 1,

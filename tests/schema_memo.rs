@@ -1,12 +1,15 @@
-//! The per-revision schema memos on the server's cache-miss path.
+//! The per-revision memos on the server's cache-miss path.
 //!
-//! A stored DTD is parsed and loosened once, when it is stored, and a
-//! stored revision is validated against it at most once, by whichever
-//! path — read or update pre-flight — gets there first. These tests pin
-//! that the validity memo resets whenever the revision or its DTD
-//! changes, that views stay byte-identical to a fresh cache-less
-//! server's, and, by counting pipeline stage samples, that repeated
-//! misses on one revision neither parse the DTD nor revalidate.
+//! A stored DTD is parsed and loosened once, when it is stored. A stored
+//! revision is parsed and normalized once, and validated against its DTD
+//! at most once, by whichever path — read or update pre-flight — gets
+//! there first; a commit's DOM is the next revision's, so it is never
+//! parsed. These tests pin that the validity memo resets whenever the
+//! revision or its DTD changes, that views stay byte-identical to a
+//! fresh cache-less server's, that a parse error is kept like a DOM and
+//! a cancelled parse is not, and, by counting pipeline stage samples,
+//! that repeated misses on one revision neither reparse, parse the DTD,
+//! nor revalidate.
 //!
 //! The stage counts are process-global telemetry, so every test here
 //! holds [`LOCK`] while it issues requests.
@@ -187,14 +190,95 @@ fn stage_samples(stage: &str) -> u64 {
 fn misses_on_one_revision_validate_once_and_never_parse_the_dtd() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     const MISSES: u64 = 6;
+    const STAGES: [&str; 5] = ["parse", "normalize", "prune", "dtd_parse", "validate"];
     let s = server(DTD, DOC).without_cache();
-    let before: Vec<u64> = ["parse", "dtd_parse", "validate"].map(stage_samples).to_vec();
-    for i in 0..MISSES {
-        let user = if i % 2 == 0 { "tom" } else { "ed" };
-        assert!(!s.handle(&request(user)).expect("view").cached);
+    let samples = || STAGES.map(stage_samples);
+    let misses = || {
+        for i in 0..MISSES {
+            let user = if i % 2 == 0 { "tom" } else { "ed" };
+            assert!(!s.handle(&request(user)).expect("view").cached);
+        }
+    };
+    let before = samples();
+    misses();
+    let after = samples();
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(delta[0], 1, "one parse per revision, not one per miss");
+    assert_eq!(delta[1], 1, "one normalization per revision");
+    assert_eq!(delta[2], 0, "views are rendered from the shared DOM, never pruned");
+    assert_eq!(delta[3], 0, "the stored DTD is never parsed on a miss");
+    assert_eq!(delta[4], 1, "one compile-gate validation per revision");
+
+    // A commit's DOM is the next revision's: neither the commit nor the
+    // misses on the committed revision parse or normalize anything.
+    let ops = parse_update_ops("settext /d/pub\tnew text").expect("ops");
+    s.update(&request("ed"), &ops).expect("commit");
+    misses();
+    let delta: Vec<u64> = samples().iter().zip(after).map(|(a, b)| a - b).collect();
+    assert_eq!(delta[..4], [0, 0, 0, 0], "parse, normalize, prune, dtd_parse");
+    assert_eq!(delta[4], 0, "the commit recorded its post-validation");
+    assert_views_match_fresh(&s);
+}
+
+/// A process-wide counter, read from the global registry.
+fn counter(name: &str) -> u64 {
+    telemetry::global()
+        .render_prometheus()
+        .lines()
+        .find(|l| l.starts_with(name) && !l.starts_with('#'))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
+#[test]
+fn a_stored_depth_bomb_gets_the_same_422_without_being_reparsed() {
+    use std::io::{Read, Write};
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut bomb = "<d>".repeat(2000);
+    bomb.push_str(&"</d>".repeat(2000));
+    let mut s = server(DTD, DOC);
+    s.repository_mut().put_document("bomb.xml", &bomb, None);
+    let demo = xmlsec::server::HttpDemo::start(s, "127.0.0.1:0").expect("bind");
+    let errors = counter("xmlsec_xml_parse_errors_total");
+    let answers: Vec<String> = (0..3)
+        .map(|_| {
+            let mut conn = std::net::TcpStream::connect(demo.addr()).expect("connect");
+            let target = "/bomb.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org";
+            write!(conn, "GET {target} HTTP/1.0\r\n\r\n").expect("write");
+            let mut buf = String::new();
+            conn.read_to_string(&mut buf).expect("read");
+            buf
+        })
+        .collect();
+    assert!(answers[0].starts_with("HTTP/1.0 422"), "{}", answers[0]);
+    assert!(answers[0].contains("resource limit exceeded"), "{}", answers[0]);
+    let body = |a: &str| a.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
+    for a in &answers[1..] {
+        assert!(a.starts_with("HTTP/1.0 422"), "{a}");
+        assert_eq!(body(a), body(&answers[0]), "the same typed error every time");
     }
-    let after: Vec<u64> = ["parse", "dtd_parse", "validate"].map(stage_samples).to_vec();
-    assert_eq!(after[0] - before[0], MISSES, "every miss parses the document");
-    assert_eq!(after[1] - before[1], 0, "the stored DTD is never parsed on a miss");
-    assert_eq!(after[2] - before[2], 1, "one compile-gate validation per revision");
+    assert_eq!(
+        counter("xmlsec_xml_parse_errors_total"),
+        errors + 1,
+        "the revision's parse error is kept, not reproduced per request"
+    );
+}
+
+#[test]
+fn a_cancelled_first_parse_is_not_kept() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let s = server(DTD, DOC);
+    let token = xmlsec::core::CancelToken::never();
+    token.cancel();
+    let parses = stage_samples("parse");
+    let err = s.handle_cancellable(&request("tom"), None, Some(&token)).unwrap_err();
+    assert!(matches!(err, ServerError::Cancelled(_)), "{err:?}");
+    assert_eq!(stage_samples("parse"), parses, "the cancelled request parsed nothing");
+    assert!(s.repository().parsed_document("doc.xml").is_none(), "and kept nothing");
+
+    let view = s.handle(&request("tom")).expect("the next request parses and serves");
+    assert_eq!(stage_samples("parse"), parses + 1);
+    let fresh = server(DTD, DOC).without_cache().handle(&request("tom")).expect("fresh view");
+    assert_eq!((view.xml, view.etag), (fresh.xml, fresh.etag));
 }

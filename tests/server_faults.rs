@@ -10,29 +10,51 @@
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xmlsec::server::{AnyDemo, HttpConfig, HttpDemo, SecureServer, Transport};
+use xmlsec::server::{AnyDemo, ClientRequest, HttpConfig, HttpDemo, SecureServer, Transport};
 use xmlsec_authz::{Action, AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
 use xmlsec_subjects::{Directory, Subject};
 
-/// A server with one public document and one user (tom/pw) who may
-/// read and write all of it.
+/// A server with one public document, one user (tom/pw) who may read
+/// and write all of it, and one (ann/pw) who may read `/d/pub`.
 fn base_server() -> SecureServer {
     let mut dir = Directory::new();
     dir.add_user("tom").expect("add user");
+    dir.add_user("ann").expect("add user");
     let mut base = AuthorizationBase::new();
-    let grant = Authorization::new(
-        Subject::new("tom", "*", "*").expect("subject"),
-        ObjectSpec::with_path("doc.xml", "/d").expect("object"),
-        Sign::Plus,
-        AuthType::Recursive,
-    );
-    base.add(grant.clone().with_action(Action::Write));
-    base.add(grant);
+    let grant = |user: &str, path: &str| {
+        Authorization::new(
+            Subject::new(user, "*", "*").expect("subject"),
+            ObjectSpec::with_path("doc.xml", path).expect("object"),
+            Sign::Plus,
+            AuthType::Recursive,
+        )
+    };
+    base.add(grant("tom", "/d").with_action(Action::Write));
+    base.add(grant("tom", "/d"));
+    base.add(grant("ann", "/d/pub"));
     let mut s = SecureServer::new(dir, base);
     s.register_credentials("tom", "pw");
+    s.register_credentials("ann", "pw");
     s.repository_mut().put_document("doc.xml", "<d><pub>hello</pub></d>", None);
     s
+}
+
+/// Tom's view of `doc.xml` holding `xml`, from a fresh cache-less
+/// server, as `view` reports it: `(status, ETag, body)`.
+fn cacheless_view(xml: &str) -> (u16, String, String) {
+    let mut s = base_server().without_cache();
+    s.repository_mut().put_document("doc.xml", xml, None);
+    let request = ClientRequest {
+        user: Some(("tom".into(), "pw".into())),
+        ip: "1.2.3.4".into(),
+        sym: "h.x.org".into(),
+        uri: "doc.xml".into(),
+    };
+    let resp = s.handle(&request).expect("fresh view");
+    (200, format!("\"{}\"", resp.etag), format!("{}\n", resp.xml))
 }
 
 fn get(demo: &HttpDemo, target: &str) -> (u16, String) {
@@ -80,12 +102,19 @@ fn exchange(addr: SocketAddr, request: &str) -> (u16, String, String) {
     (code, head.to_string(), body.to_string())
 }
 
-/// A view of `doc.xml`: `(status, ETag, body)`.
+/// Tom's view of `doc.xml`: `(status, ETag, body)`.
 fn view(addr: SocketAddr) -> (u16, String, String) {
-    let (code, head, body) = exchange(addr, &format!("GET {OK_TARGET} HTTP/1.0\r\n\r\n"));
+    view_at(addr, OK_TARGET)
+}
+
+/// The view at `target`: `(status, ETag, body)`.
+fn view_at(addr: SocketAddr, target: &str) -> (u16, String, String) {
+    let (code, head, body) = exchange(addr, &format!("GET {target} HTTP/1.0\r\n\r\n"));
     let etag = head.lines().find_map(|l| l.strip_prefix("ETag: ")).unwrap_or("").to_string();
     (code, etag, body)
 }
+
+const ANN_TARGET: &str = "/doc.xml?user=ann&pass=pw&ip=1.2.3.4&host=h.x.org";
 
 /// Commits `settext /d/pub <text>` to `doc.xml`; returns the status.
 fn set_pub(addr: SocketAddr, text: &str) -> u16 {
@@ -323,6 +352,68 @@ fn injected_faults_are_isolated_and_observable() {
         let (_, tag, body) = view(addr);
         assert!(body.contains("again"), "{transport}: {body}");
         assert_ne!(tag, new_tag);
+        demo.shutdown();
+    }
+
+    // --- 9. A miss labels and renders the revision its probe keyed with
+    // no repository guard held, on both transports. While a cold read is
+    // stalled inside its compute, a commit to the same document lands and
+    // a warm view of it is answered; the stalled read's flag, set when it
+    // returns, is still clear after both. It then returns the view of the
+    // revision it keyed — a cache-less server's view of the pre-commit
+    // text — and the same requester's next read is the post-commit view.
+    use xmlsec::server::faults::armed;
+    for transport in transports() {
+        let mut demo = AnyDemo::start(transport, base_server(), "127.0.0.1:0").expect("bind");
+        let addr = demo.addr();
+        assert_eq!(view_at(addr, ANN_TARGET).0, 200, "{transport}: warm ann's view");
+
+        arm("view.compute", FaultAction::SleepMs(1000), 1);
+        let returned = Arc::new(AtomicBool::new(false));
+        let stalled = {
+            let returned = Arc::clone(&returned);
+            std::thread::spawn(move || {
+                let answer = view(addr);
+                returned.store(true, Ordering::SeqCst);
+                answer
+            })
+        };
+        while armed("view.compute") {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(set_pub(addr, "later"), 200, "{transport}: the commit lands");
+        let hits = served_cached(addr);
+        let (code, _, body) = view_at(addr, ANN_TARGET);
+        assert_eq!(code, 200, "{transport}: {body}");
+        assert!(body.contains("later"), "{transport}: the warm view is patched: {body}");
+        assert_eq!(served_cached(addr), hits + 1, "{transport}: and answered as a hit");
+        assert!(
+            !returned.load(Ordering::SeqCst),
+            "{transport}: the commit and the hit waited for the stalled miss"
+        );
+        let pre_commit = cacheless_view("<d><pub>hello</pub></d>");
+        assert_eq!(stalled.join().expect("reader"), pre_commit, "{transport}");
+        let post_commit = cacheless_view("<d><pub>later</pub></d>");
+        assert_eq!(view(addr), post_commit, "{transport}: the next read is the new revision");
+
+        // --- 10. A panic inside the exclusive section, after the write
+        // side is taken and before the swap, answers 500 and installs
+        // nothing: the stored text, every warm view and every tag stay
+        // as they were, and the next batch commits and patches.
+        let ann = view_at(addr, ANN_TARGET);
+        assert!(ann.2.contains("later"), "{transport}: {}", ann.2);
+        arm("update.install", FaultAction::Panic, 1);
+        assert_eq!(set_pub(addr, "lost"), 500, "{transport}: a panic at install is a 500");
+        let hits = served_cached(addr);
+        assert_eq!(view(addr), post_commit, "{transport}: tom's view and tag are unchanged");
+        assert_eq!(view_at(addr, ANN_TARGET), ann, "{transport}: ann's view and tag too");
+        assert_eq!(served_cached(addr), hits + 2, "{transport}: both are warm hits");
+        assert_eq!(set_pub(addr, "again"), 200, "{transport}: the next batch commits");
+        let hits = served_cached(addr);
+        let (_, tag, body) = view_at(addr, ANN_TARGET);
+        assert!(body.contains("again"), "{transport}: {body}");
+        assert_ne!(tag, ann.1);
+        assert_eq!(served_cached(addr), hits + 1, "{transport}: the view was patched");
         demo.shutdown();
     }
     clear();
