@@ -11,9 +11,8 @@
 //! (cancellation responsiveness: p99 latency from `cancel()` to the
 //! pipeline unwinding, and the deadline-check overhead an armed token
 //! adds to the uncancelled hot path), B17 (serving-tier concurrency:
-//! slow-client connection capacity of the epoll event loop vs the
-//! blocking pool at equal worker count, plus open-loop p50/p99/p999
-//! latency per transport), B18 (incremental secure updates: single-op
+//! how many of 64 slow clients the event loop sustains with 2 workers
+//! and 2 backlog slots, plus open-loop p50/p99/p999 latency), B18 (incremental secure updates: single-op
 //! commit latency, the post-commit read as a patched warm hit vs a
 //! cache-less full recompute, and the commit-time patch cost at 1, 4,
 //! and 16 warm views), and B19 (the static write pre-flight: a
@@ -48,12 +47,13 @@
 //!   conservatively so shared-runner noise does not flake CI);
 //! - B16's cancellation p99 latency exceeds 10 ms, or an armed deadline
 //!   token slows the uncancelled pipeline by more than 5%;
-//! - B17's event loop sustains fewer than 4x the blocking pool's
-//!   concurrent slow-client connections at equal worker count, or any
-//!   open-loop client observes a malformed or untyped-5xx response.
+//! - B17's event loop fails to sustain every one of its 64 concurrent
+//!   slow clients — more than `workers + backlog`, the most a server
+//!   that pins a worker or a queue slot per connection could hold — or
+//!   any open-loop client observes a malformed or untyped-5xx response.
 //!   B17's latency keys are *excluded* from the 15% drift gate — they
 //!   are tail latencies over real sockets and far too noisy for it; the
-//!   concurrency ratio is the stable, gated signal;
+//!   sustained count is the stable, gated signal;
 //! - B18's post-update warm read (the patched cached view) is less than
 //!   3x faster than the cache-less full recompute. B18's in-process
 //!   latency keys — including the commit latencies at 1/4/16 warm views,
@@ -89,7 +89,7 @@ use xmlsec_core::{
 };
 use xmlsec_dtd::parse_dtd;
 use xmlsec_server::{
-    AnyDemo, ClientRequest, ConditionalOutcome, HttpConfig, SecureServer, ServerError, Transport,
+    ClientRequest, ConditionalOutcome, HttpConfig, HttpDemo, SecureServer, ServerError,
 };
 use xmlsec_subjects::Subject;
 use xmlsec_workload::hospital::{hospital_authorizations, hospital_scaled};
@@ -112,9 +112,6 @@ const CANCEL_P99_GATE_MS: f64 = 10.0;
 /// Ceiling on the slowdown an armed deadline token may add to the
 /// uncancelled pipeline (B16), percent.
 const DEADLINE_OVERHEAD_GATE_PCT: f64 = 5.0;
-/// Required ratio of epoll-sustained to pool-sustained concurrent
-/// slow-client connections at equal worker count (B17).
-const CONCURRENCY_RATIO_GATE: f64 = 4.0;
 /// Required speedup of the post-update warm read (patched cached view)
 /// over the cache-less full recompute (B18).
 const UPDATE_READ_SPEEDUP_GATE: f64 = 3.0;
@@ -216,7 +213,7 @@ fn run_pipeline(
 }
 
 /// A fresh lab-corpus server for the B17 serving-tier measurements
-/// (each transport consumes its own instance).
+/// (each measurement consumes its own instance).
 fn b17_server(projects: usize) -> SecureServer {
     let mut server = SecureServer::new(lab_directory(), lab_authorization_base());
     server.register_credentials("Tom", "pw");
@@ -238,9 +235,10 @@ fn b17_warm(addr: SocketAddr, target: &str) {
 }
 
 /// How many of `clients` concurrent *slow* clients (each dribbles its
-/// request over ~300 ms) complete with a 200. On the blocking pool every
-/// in-flight connection pins a worker, so capacity is `workers +
-/// backlog` and the rest shed 503; the event loop holds them all.
+/// request over ~300 ms) complete with a 200. A server that pinned a
+/// worker or a queue slot per in-flight connection would hold at most
+/// `workers + backlog` of them and shed the rest; the event loop holds
+/// them all.
 fn b17_sustained(addr: SocketAddr, clients: usize, target: &str) -> usize {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -255,8 +253,8 @@ fn b17_sustained(addr: SocketAddr, clients: usize, target: &str) -> usize {
                     }
                     let _ = conn.flush();
                     std::thread::sleep(Duration::from_millis(300));
-                    // A shed client's socket is already closed (503
-                    // written at accept); the failed write is its answer.
+                    // A shed client's socket may already be closed; the
+                    // failed write is its answer.
                     let _ = conn.write_all(tail.as_bytes());
                     let mut buf = String::new();
                     if conn.read_to_string(&mut buf).is_err() {
@@ -783,76 +781,59 @@ fn main() {
     );
 
     // B17 — serving-tier concurrency and open-loop tail latency over
-    // real sockets, both transports.
+    // real sockets.
     //
-    // (a) Concurrent-connection capacity at equal worker count: 64 slow
-    // clients dribble their requests against workers=2/backlog=2. The
-    // blocking pool pins a worker per in-flight connection, so only
-    // ~workers+backlog complete; the event loop holds all of them.
+    // (a) Concurrent-connection capacity: 64 slow clients dribble their
+    // requests against workers=2/backlog=2. A server that pinned a
+    // worker or a queue slot per in-flight connection would complete
+    // only workers+backlog of them; the event loop must hold all.
     let b17_target = format!("/{CSLAB_URI}?user=Tom&pass=pw&ip=130.100.50.8&host=infosys.bld1.it");
     let b17_clients = 64usize;
     let cap_cfg = HttpConfig { workers: 2, backlog: 2, ..Default::default() };
-    let mut sustained = [0usize; 2];
-    for (i, transport) in [Transport::Pool, Transport::Epoll].iter().enumerate() {
-        let mut demo =
-            AnyDemo::start_with(*transport, b17_server(cfg.projects), "127.0.0.1:0", cap_cfg)
-                .expect("bind B17 capacity server");
-        b17_warm(demo.addr(), &b17_target);
-        sustained[i] = b17_sustained(demo.addr(), b17_clients, &b17_target);
-        demo.shutdown();
-    }
-    let (b17_pool_sustained, b17_epoll_sustained) = (sustained[0], sustained[1]);
-    let b17_concurrency_ratio = b17_epoll_sustained as f64 / b17_pool_sustained.max(1) as f64;
+    let b17_pinned_ceiling = cap_cfg.workers + cap_cfg.backlog;
+    let mut demo = HttpDemo::start_with(b17_server(cfg.projects), "127.0.0.1:0", cap_cfg)
+        .expect("bind B17 capacity server");
+    b17_warm(demo.addr(), &b17_target);
+    let b17_epoll_sustained = b17_sustained(demo.addr(), b17_clients, &b17_target);
+    demo.shutdown();
     eprintln!(
-        "  b17 sustained slow clients: pool {b17_pool_sustained}/{b17_clients}, \
-         epoll {b17_epoll_sustained}/{b17_clients} ({b17_concurrency_ratio:.1}x)"
+        "  b17 sustained slow clients: {b17_epoll_sustained}/{b17_clients} \
+         (a per-connection ceiling would hold {b17_pinned_ceiling})"
     );
 
     // (b) Open-loop tail latency: a fixed arrival schedule (not
     // closed-loop) of warm hits, 304 revalidations, cache-miss queries
-    // and slow clients, per transport. Departures do not wait for
-    // completions, so queueing behind a backlogged server is measured
-    // instead of hidden (no coordinated omission).
+    // and slow clients. Departures do not wait for completions, so
+    // queueing behind a backlogged server is measured instead of hidden
+    // (no coordinated omission).
     let ol_cfg = OpenLoopConfig {
         seed: 0xB17,
         requests: if quick { 150 } else { 400 },
         rate: 250.0,
         ..Default::default()
     };
-    let mut ol_reports = Vec::with_capacity(2);
-    for transport in [Transport::Pool, Transport::Epoll] {
-        let mut demo = AnyDemo::start_with(
-            transport,
-            b17_server(cfg.projects),
-            "127.0.0.1:0",
-            HttpConfig::default(),
-        )
-        .expect("bind B17 open-loop server");
-        let report = run_open_loop(
-            demo.addr(),
-            &OpenLoopConfig { view_target: b17_target.clone(), ..ol_cfg.clone() },
-        );
-        demo.shutdown();
-        eprintln!(
-            "  b17 {transport}: {} answered at {:.0} rps, p50 {:.3}ms p99 {:.3}ms p999 {:.3}ms \
-             (shed {}, aborted {}, malformed {})",
-            report.answered(),
-            report.throughput(),
-            report.percentile(0.5).as_secs_f64() * 1e3,
-            report.percentile(0.99).as_secs_f64() * 1e3,
-            report.percentile(0.999).as_secs_f64() * 1e3,
-            report.shed,
-            report.aborted,
-            report.malformed,
-        );
-        ol_reports.push(report);
-    }
-    let p_ms = |i: usize, q: f64| ol_reports[i].percentile(q).as_secs_f64() * 1e3;
-    let (b17_pool_p50_ms, b17_pool_p99_ms, b17_pool_p999_ms) =
-        (p_ms(0, 0.5), p_ms(0, 0.99), p_ms(0, 0.999));
+    let mut demo =
+        HttpDemo::start_with(b17_server(cfg.projects), "127.0.0.1:0", HttpConfig::default())
+            .expect("bind B17 open-loop server");
+    let ol_report =
+        run_open_loop(demo.addr(), &OpenLoopConfig { view_target: b17_target, ..ol_cfg });
+    demo.shutdown();
+    eprintln!(
+        "  b17: {} answered at {:.0} rps, p50 {:.3}ms p99 {:.3}ms p999 {:.3}ms \
+         (shed {}, aborted {}, malformed {})",
+        ol_report.answered(),
+        ol_report.throughput(),
+        ol_report.percentile(0.5).as_secs_f64() * 1e3,
+        ol_report.percentile(0.99).as_secs_f64() * 1e3,
+        ol_report.percentile(0.999).as_secs_f64() * 1e3,
+        ol_report.shed,
+        ol_report.aborted,
+        ol_report.malformed,
+    );
+    let p_ms = |q: f64| ol_report.percentile(q).as_secs_f64() * 1e3;
     let (b17_epoll_p50_ms, b17_epoll_p99_ms, b17_epoll_p999_ms) =
-        (p_ms(1, 0.5), p_ms(1, 0.99), p_ms(1, 0.999));
-    let (b17_pool_rps, b17_epoll_rps) = (ol_reports[0].throughput(), ol_reports[1].throughput());
+        (p_ms(0.5), p_ms(0.99), p_ms(0.999));
+    let b17_epoll_rps = ol_report.throughput();
 
     // B18 — incremental secure updates. Single-op commit latency
     // (incremental relabel + in-place view patching), and the read that
@@ -955,13 +936,9 @@ fn main() {
          \"b16_cancelled_runs\": {b16_cancelled_runs},\n  \
          \"b16_deadline_pipeline_ms\": {b16_deadline_pipeline_ms:.4},\n  \
          \"b16_overhead_pct\": {b16_overhead_pct:.4},\n  \
-         \"b17_pool_sustained\": {b17_pool_sustained},\n  \
+         \"b17_clients\": {b17_clients},\n  \
+         \"b17_pinned_ceiling\": {b17_pinned_ceiling},\n  \
          \"b17_epoll_sustained\": {b17_epoll_sustained},\n  \
-         \"b17_concurrency_ratio\": {b17_concurrency_ratio:.4},\n  \
-         \"b17_pool_p50_ms\": {b17_pool_p50_ms:.4},\n  \
-         \"b17_pool_p99_ms\": {b17_pool_p99_ms:.4},\n  \
-         \"b17_pool_p999_ms\": {b17_pool_p999_ms:.4},\n  \
-         \"b17_pool_rps\": {b17_pool_rps:.2},\n  \
          \"b17_epoll_p50_ms\": {b17_epoll_p50_ms:.4},\n  \
          \"b17_epoll_p99_ms\": {b17_epoll_p99_ms:.4},\n  \
          \"b17_epoll_p999_ms\": {b17_epoll_p999_ms:.4},\n  \
@@ -996,7 +973,7 @@ fn main() {
             for (key, new_v) in &new {
                 // B17's open-loop latencies are tails over real sockets
                 // — far too noisy for a 15% drift gate; B17 is gated on
-                // the concurrency ratio below instead.
+                // the sustained slow-client count below instead.
                 if !key.ends_with("_ms") || key.starts_with("b17_") {
                     continue;
                 }
@@ -1051,21 +1028,17 @@ fn main() {
     }
 
     if !no_gate {
-        if b17_concurrency_ratio < CONCURRENCY_RATIO_GATE {
+        if b17_epoll_sustained < b17_clients {
             failures.push(format!(
-                "B17 epoll transport sustained only {b17_concurrency_ratio:.1}x the pool's \
-                 concurrent slow clients ({b17_epoll_sustained} vs {b17_pool_sustained}); the \
-                 gate is {CONCURRENCY_RATIO_GATE}x"
+                "B17 event loop sustained only {b17_epoll_sustained} of {b17_clients} concurrent \
+                 slow clients (workers + backlog = {b17_pinned_ceiling}); the gate is all of them"
             ));
         }
-        for (transport, r) in [("pool", &ol_reports[0]), ("epoll", &ol_reports[1])] {
-            if r.malformed > 0 || r.server_error > 0 {
-                failures.push(format!(
-                    "B17 open-loop clients saw {} malformed and {} untyped-5xx responses over \
-                     the {transport} transport",
-                    r.malformed, r.server_error
-                ));
-            }
+        if ol_report.malformed > 0 || ol_report.server_error > 0 {
+            failures.push(format!(
+                "B17 open-loop clients saw {} malformed and {} untyped-5xx responses",
+                ol_report.malformed, ol_report.server_error
+            ));
         }
     }
 

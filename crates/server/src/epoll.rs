@@ -1,8 +1,6 @@
-//! Readiness-driven event-loop transport (Linux `epoll`).
+//! The HTTP front end: a readiness-driven event loop (Linux `epoll`).
 //!
-//! The blocking pool in [`crate::http`] pins one thread per in-flight
-//! connection, so slow clients cap concurrency at pool size. This module
-//! is the other driver around the shared request core
+//! [`HttpDemo`] is the one driver around the request core
 //! (`crate::request`): a single-threaded event loop with nonblocking
 //! accept, per-connection read and write buffers, and keep-alive /
 //! pipelined requests. Connection count and CPU budget scale
@@ -22,119 +20,68 @@
 //! reply back as a `Done` completion, waking the loop through an
 //! `eventfd`.
 //!
-//! Because the core renders every byte, a given request is answered
-//! byte-identically on both transports; the only sanctioned differences
-//! are the `Connection: keep-alive` header on connections the loop keeps
-//! open, and hangup detection. Client hangups are detected by
-//! *readiness* (`EPOLLRDHUP`/EOF) instead of the pool's per-request
-//! watchdog thread: once the peer has finished sending, the loop answers
-//! what it had already buffered, trips the in-flight request's
-//! [`CancelToken`](xmlsec_core::CancelToken) with `ClientGone`, and
-//! discards the completion.
+//! The core renders every byte, so the loop writes exactly what the
+//! core answers for the bytes it read. Client hangups are detected by
+//! *readiness* (`EPOLLRDHUP`/EOF): once the peer has finished sending,
+//! the loop answers what it had already buffered, trips the in-flight
+//! request's [`CancelToken`](xmlsec_core::CancelToken) with
+//! `ClientGone`, and discards the completion.
 //!
 //! Zero dependencies: the four syscalls used (`epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `eventfd`) are declared by hand against
-//! the libc that std already links. Non-Linux builds keep the public
-//! types but [`EpollDemo::start_with`] returns
+//! the libc that std already links. Serving requires Linux: elsewhere
+//! the public types build, but [`HttpDemo::start_with`] returns
 //! [`std::io::ErrorKind::Unsupported`].
 
 use std::net::SocketAddr;
-use std::str::FromStr;
 
-use crate::http::{HttpConfig, HttpDemo};
+use crate::http::HttpConfig;
 use crate::server::SecureServer;
 
-/// Which HTTP front end `serve` runs.
+/// The HTTP front end to run: the event loop is the only one.
 ///
-/// The blocking pool remains available as a differential oracle for the
-/// event loop: both transports answer a fixed request script with
-/// byte-identical responses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Kept, with [`AnyDemo`], only because the benchmark harness in
+/// `perfbench/` names `Transport::Epoll` and `AnyDemo::start_with`; both
+/// go with the next benchmark-scoped change (ROADMAP item 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// The bounded blocking worker pool ([`HttpDemo`], PR 2).
-    #[default]
-    Pool,
-    /// The readiness-driven event loop ([`EpollDemo`], Linux only).
+    /// The readiness-driven event loop ([`HttpDemo`]).
     Epoll,
 }
 
-impl FromStr for Transport {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Transport, String> {
-        match s {
-            "pool" => Ok(Transport::Pool),
-            "epoll" => Ok(Transport::Epoll),
-            other => Err(format!("unknown transport {other:?} (expected pool|epoll)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Transport::Pool => "pool",
-            Transport::Epoll => "epoll",
-        })
-    }
-}
-
-/// A running demo server over either transport, so callers (the CLI,
-/// benches, chaos tests) select the front end at runtime.
-pub enum AnyDemo {
-    /// Blocking worker-pool transport.
-    Pool(HttpDemo),
-    /// Event-loop transport.
-    Epoll(EpollDemo),
-}
+/// A running [`HttpDemo`] started through a [`Transport`]. Kept for the
+/// benchmark harness only, like [`Transport`]; new code uses
+/// [`HttpDemo`].
+pub struct AnyDemo(HttpDemo);
 
 impl AnyDemo {
-    /// Starts `server` on `addr` over `transport` with explicit bounds.
+    /// [`HttpDemo::start_with`].
     pub fn start_with(
-        transport: Transport,
+        _transport: Transport,
         server: SecureServer,
         addr: &str,
         cfg: HttpConfig,
     ) -> std::io::Result<AnyDemo> {
-        match transport {
-            Transport::Pool => Ok(AnyDemo::Pool(HttpDemo::start_with(server, addr, cfg)?)),
-            Transport::Epoll => Ok(AnyDemo::Epoll(EpollDemo::start_with(server, addr, cfg)?)),
-        }
+        HttpDemo::start_with(server, addr, cfg).map(AnyDemo)
     }
 
-    /// Starts with default limits.
-    pub fn start(
-        transport: Transport,
-        server: SecureServer,
-        addr: &str,
-    ) -> std::io::Result<AnyDemo> {
-        AnyDemo::start_with(transport, server, addr, HttpConfig::default())
-    }
-
-    /// Where the demo is listening.
+    /// [`HttpDemo::addr`].
     pub fn addr(&self) -> SocketAddr {
-        match self {
-            AnyDemo::Pool(d) => d.addr(),
-            AnyDemo::Epoll(d) => d.addr(),
-        }
+        self.0.addr()
     }
 
-    /// Stops accepting and drains in-flight work up to the configured
-    /// drain deadline.
+    /// [`HttpDemo::shutdown`].
     pub fn shutdown(&mut self) {
-        match self {
-            AnyDemo::Pool(d) => d.shutdown(),
-            AnyDemo::Epoll(d) => d.shutdown(),
-        }
+        self.0.shutdown()
     }
 }
 
-pub use imp::EpollDemo;
+pub use imp::HttpDemo;
 
 #[cfg(target_os = "linux")]
 mod imp {
     use crate::http::{render_timeout, HttpConfig, MAX_UPDATE_BODY};
-    use crate::request::{After, Core, Job, Pushed, Queue, Reply, Step, Workers};
+    use crate::request::{After, Core, Pushed, Queue, Reply, Step, Workers};
     use crate::server::SecureServer;
     use std::collections::HashMap;
     use std::fs::File;
@@ -260,9 +207,11 @@ mod imp {
 
     /// Loop tick: the longest the loop sleeps between deadline sweeps.
     const TICK_MS: c_int = 25;
-    /// How long a rejected (431) connection lingers discarding the
-    /// client's in-flight bytes so the close is a clean FIN, mirroring
-    /// the pool's `drain_before_close`.
+    /// How long a connection refused before its request was fully read
+    /// (431, 411, 413, framing 400s) lingers discarding the client's
+    /// in-flight bytes: closing on unread bytes would answer them with a
+    /// reset that can destroy the status line before the client reads
+    /// it, so the close is a clean FIN instead.
     const LINGER: Duration = Duration::from_millis(200);
     /// Event-loop tokens 0 and 1 are the listener and the wake eventfd;
     /// connections start at 2.
@@ -345,7 +294,7 @@ mod imp {
         open: Arc<telemetry::Gauge>,
         conns: HashMap<u64, Conn>,
         next_token: u64,
-        queue: Queue<(u64, Job)>,
+        queue: Queue,
         completions: Arc<Mutex<Vec<Done>>>,
         wake: Arc<File>,
         stop: Arc<AtomicBool>,
@@ -492,10 +441,9 @@ mod imp {
         }
 
         /// The peer has finished sending (EOF or reset). Compute in
-        /// flight is cancelled `ClientGone` — the readiness-based
-        /// replacement for the pool's per-request watchdog thread — and
-        /// the connection is kept (marked `gone`) only until the
-        /// completion arrives to be discarded. Unflushed answers are
+        /// flight is cancelled `ClientGone`, and the connection is kept
+        /// (marked `gone`) only until the completion arrives to be
+        /// discarded. Unflushed answers are
         /// still written before the close. Returns true to close now.
         fn peer_closed(&mut self, tok: u64, conn: &mut Conn) -> bool {
             if conn.computing {
@@ -550,12 +498,12 @@ mod imp {
                     Ok(Some(reply)) | Err(reply) => answer(conn, reply),
                     Ok(None) => {
                         let cancel = job.cancel.clone();
-                        match self.queue.push((tok, job)) {
+                        match self.queue.push(tok, job) {
                             Pushed::Queued => {
                                 conn.computing = true;
                                 conn.cancel = Some(cancel);
                             }
-                            Pushed::Shed(_, busy) => {
+                            Pushed::Shed(busy) => {
                                 answer(conn, Reply { bytes: busy, after: After::Close })
                             }
                             Pushed::Closed => return true,
@@ -711,8 +659,8 @@ mod imp {
         }
     }
 
-    /// Handle to a running event-loop demo server.
-    pub struct EpollDemo {
+    /// Handle to a running demo server.
+    pub struct HttpDemo {
         addr: SocketAddr,
         stop: Arc<AtomicBool>,
         wake: Arc<File>,
@@ -720,23 +668,23 @@ mod imp {
         workers: Workers,
     }
 
-    impl EpollDemo {
+    impl HttpDemo {
         /// Starts serving `server` on `addr` with default limits (use
-        /// port 0 for an ephemeral port).
-        pub fn start(server: SecureServer, addr: &str) -> std::io::Result<EpollDemo> {
-            EpollDemo::start_with(server, addr, HttpConfig::default())
+        /// port 0 for an ephemeral port). Runs until
+        /// [`HttpDemo::shutdown`] or drop.
+        pub fn start(server: SecureServer, addr: &str) -> std::io::Result<HttpDemo> {
+            HttpDemo::start_with(server, addr, HttpConfig::default())
         }
 
-        /// Starts serving with explicit resource bounds. The same
-        /// [`HttpConfig`] drives both transports: `workers` bounds
-        /// compute concurrency, `backlog` bounds queued compute, and the
-        /// timeouts become per-connection deadlines enforced by the
-        /// loop's sweep instead of socket options.
+        /// Starts serving with explicit resource bounds: `workers`
+        /// bounds compute concurrency, `backlog` bounds queued compute,
+        /// and the timeouts are per-connection deadlines enforced by the
+        /// loop's sweep.
         pub fn start_with(
             server: SecureServer,
             addr: &str,
             cfg: HttpConfig,
-        ) -> std::io::Result<EpollDemo> {
+        ) -> std::io::Result<HttpDemo> {
             let listener = TcpListener::bind(addr)?;
             let local = listener.local_addr()?;
             listener.set_nonblocking(true)?;
@@ -747,18 +695,20 @@ mod imp {
 
             let stop = Arc::new(AtomicBool::new(false));
             let completions = Arc::new(Mutex::new(Vec::new()));
-            let core = Arc::new(Core::new(server, cfg, true));
-            // Workers compute, post the rendered completion, and wake
-            // the loop through the eventfd.
+            let core = Arc::new(Core::new(server, cfg));
+            // Workers post the rendered completion and wake the loop
+            // through the eventfd.
             let (queue, workers) = {
                 let (completions, wake) = (Arc::clone(&completions), Arc::clone(&wake));
-                Workers::start(&core, move |core: &Core, (conn, mut job): (u64, Job), admitted| {
-                    let reply = core.compute(&mut job, admitted);
-                    if let Ok(mut guard) = completions.lock() {
-                        guard.push(Done { conn, reply });
-                    }
-                    let _ = (&*wake).write_all(&1u64.to_ne_bytes());
-                })
+                Workers::start(
+                    &core,
+                    Arc::new(move |conn, reply| {
+                        if let Ok(mut guard) = completions.lock() {
+                            guard.push(Done { conn, reply });
+                        }
+                        let _ = (&*wake).write_all(&1u64.to_ne_bytes());
+                    }),
+                )
             };
 
             let el = EventLoop {
@@ -774,7 +724,7 @@ mod imp {
                 stop: Arc::clone(&stop),
             };
             let handle = std::thread::spawn(move || el.run());
-            Ok(EpollDemo { addr: local, stop, wake, handle: Some(handle), workers })
+            Ok(HttpDemo { addr: local, stop, wake, handle: Some(handle), workers })
         }
 
         /// Where the demo is listening.
@@ -798,7 +748,7 @@ mod imp {
         }
     }
 
-    impl Drop for EpollDemo {
+    impl Drop for HttpDemo {
         fn drop(&mut self) {
             self.shutdown();
         }
@@ -813,14 +763,14 @@ mod imp {
 
     /// Stub on non-Linux targets: the event loop needs `epoll`, so
     /// construction always fails with [`std::io::ErrorKind::Unsupported`].
-    pub struct EpollDemo {
+    pub struct HttpDemo {
         addr: SocketAddr,
     }
 
-    impl EpollDemo {
+    impl HttpDemo {
         /// Always fails on this platform.
-        pub fn start(server: SecureServer, addr: &str) -> std::io::Result<EpollDemo> {
-            EpollDemo::start_with(server, addr, HttpConfig::default())
+        pub fn start(server: SecureServer, addr: &str) -> std::io::Result<HttpDemo> {
+            HttpDemo::start_with(server, addr, HttpConfig::default())
         }
 
         /// Always fails on this platform.
@@ -828,10 +778,10 @@ mod imp {
             _server: SecureServer,
             _addr: &str,
             _cfg: HttpConfig,
-        ) -> std::io::Result<EpollDemo> {
+        ) -> std::io::Result<HttpDemo> {
             Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "the epoll transport requires Linux; use --transport pool",
+                "serving requires Linux (epoll)",
             ))
         }
 
@@ -848,11 +798,12 @@ mod imp {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
+    use crate::request::{After, Core, Step};
     use crate::server::SecureServer;
     use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use std::net::{Shutdown, TcpStream};
     use std::time::Duration;
-    use xmlsec_authz::{AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
+    use xmlsec_authz::{Action, AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
     use xmlsec_subjects::{Directory, Subject};
 
     const OK_TARGET: &str = "/doc.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org";
@@ -873,8 +824,8 @@ mod tests {
         s
     }
 
-    fn demo() -> EpollDemo {
-        EpollDemo::start(test_server(), "127.0.0.1:0").unwrap()
+    fn demo() -> HttpDemo {
+        HttpDemo::start(test_server(), "127.0.0.1:0").unwrap()
     }
 
     /// Reads exactly one HTTP response off a (possibly keep-alive)
@@ -897,7 +848,7 @@ mod tests {
         head + &String::from_utf8_lossy(&body)
     }
 
-    fn get(demo: &EpollDemo, target: &str) -> String {
+    fn get(demo: &HttpDemo, target: &str) -> String {
         let mut conn = TcpStream::connect(demo.addr()).unwrap();
         write!(conn, "GET {target} HTTP/1.0\r\nHost: t\r\n\r\n").unwrap();
         let mut buf = String::new();
@@ -961,21 +912,12 @@ mod tests {
     #[test]
     fn slow_loris_gets_408() {
         let cfg = HttpConfig { read_timeout: Duration::from_millis(150), ..Default::default() };
-        let demo = EpollDemo::start_with(test_server(), "127.0.0.1:0", cfg).unwrap();
+        let demo = HttpDemo::start_with(test_server(), "127.0.0.1:0", cfg).unwrap();
         let mut conn = TcpStream::connect(demo.addr()).unwrap();
         write!(conn, "GET /doc.xml").unwrap(); // never completes the head
         let mut buf = String::new();
         conn.read_to_string(&mut buf).unwrap();
         assert!(buf.is_empty() || buf.starts_with("HTTP/1.0 408"), "{buf}");
-    }
-
-    #[test]
-    fn transport_parses_and_rejects() {
-        assert_eq!("pool".parse::<Transport>().unwrap(), Transport::Pool);
-        assert_eq!("epoll".parse::<Transport>().unwrap(), Transport::Epoll);
-        assert!("uring".parse::<Transport>().is_err());
-        assert_eq!(Transport::Epoll.to_string(), "epoll");
-        assert_eq!(Transport::default(), Transport::Pool);
     }
 
     // --- POST /update ---------------------------------------------------
@@ -1007,7 +949,7 @@ mod tests {
 
     const UPDATE_TARGET: &str = "/update?doc=doc.xml&user=tom&pass=pw&ip=1.2.3.4&host=h.x.org";
 
-    fn post(demo: &EpollDemo, target: &str, body: &str) -> String {
+    fn post(demo: &HttpDemo, target: &str, body: &str) -> String {
         let mut conn = TcpStream::connect(demo.addr()).unwrap();
         write!(
             conn,
@@ -1022,7 +964,7 @@ mod tests {
 
     #[test]
     fn updates_over_the_event_loop() {
-        let demo = EpollDemo::start(writable_server(), "127.0.0.1:0").unwrap();
+        let demo = HttpDemo::start(writable_server(), "127.0.0.1:0").unwrap();
         let resp = post(&demo, UPDATE_TARGET, "settext /d/pub\tpatched\n");
         assert!(resp.starts_with("HTTP/1.0 200"), "{resp}");
         assert!(resp.contains("updated 1"), "{resp}");
@@ -1034,7 +976,7 @@ mod tests {
 
     #[test]
     fn update_body_split_across_packets_is_reassembled() {
-        let demo = EpollDemo::start(writable_server(), "127.0.0.1:0").unwrap();
+        let demo = HttpDemo::start(writable_server(), "127.0.0.1:0").unwrap();
         let body = "settext /d/pub\tlate\n";
         let mut conn = TcpStream::connect(demo.addr()).unwrap();
         write!(
@@ -1059,8 +1001,8 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_update_errors_mirror_the_pool() {
-        let demo = EpollDemo::start(writable_server(), "127.0.0.1:0").unwrap();
+    fn refused_updates_commit_nothing() {
+        let demo = HttpDemo::start(writable_server(), "127.0.0.1:0").unwrap();
         // Malformed op line.
         let bad = post(&demo, UPDATE_TARGET, "frobnicate /d\n");
         assert!(bad.starts_with("HTTP/1.0 400"), "{bad}");
@@ -1095,5 +1037,236 @@ mod tests {
         // Nothing committed by any of the failures.
         let view = get(&demo, OK_TARGET);
         assert!(view.contains("hello"), "{view}");
+    }
+
+    // --- The loop against the core ---------------------------------------
+
+    /// [`test_server`]'s document plus a DTD-backed `w.xml` that `ed`
+    /// may write.
+    /// `tom` holds no write authorization at all, so the static
+    /// pre-flight refuses his batches before touching the document.
+    fn script_server() -> SecureServer {
+        let mut dir = Directory::new();
+        dir.add_user("tom").unwrap();
+        dir.add_user("ed").unwrap();
+        let mut base = AuthorizationBase::new();
+        base.add(Authorization::new(
+            Subject::new("tom", "*", "*").unwrap(),
+            ObjectSpec::with_path("doc.xml", "/d").unwrap(),
+            Sign::Plus,
+            AuthType::Recursive,
+        ));
+        for action in [Action::Read, Action::Write] {
+            base.add(
+                Authorization::new(
+                    Subject::new("ed", "*", "*").unwrap(),
+                    ObjectSpec::whole("w.dtd"),
+                    Sign::Plus,
+                    AuthType::Recursive,
+                )
+                .with_action(action),
+            );
+        }
+        let mut s = SecureServer::new(dir, base);
+        s.register_credentials("tom", "pw");
+        s.register_credentials("ed", "pw");
+        s.repository_mut().put_document("doc.xml", "<d><pub>hello</pub></d>", None);
+        s.repository_mut()
+            .put_dtd("w.dtd", "<!ELEMENT w (pub)>\n<!ELEMENT pub (#PCDATA)>");
+        s.repository_mut().put_document("w.xml", "<w><pub>v1</pub></w>", Some("w.dtd"));
+        s
+    }
+
+    /// What the request core renders in process for `bytes` sent on one
+    /// connection that then finishes sending: each request routed in
+    /// turn, a job answered by the cache-only probe or else computed,
+    /// until a reply closes the connection or the rest is incomplete.
+    fn rendered(core: &Core, mut bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        loop {
+            let (consumed, reply) = match core.route(bytes, "127.0.0.1") {
+                Step::Incomplete => return out,
+                Step::Reply { consumed, reply } => (consumed, reply),
+                Step::Job { consumed, mut job } => match core.cached(&mut job) {
+                    Ok(Some(reply)) | Err(reply) => (consumed, reply),
+                    Ok(None) => (consumed, core.compute(&mut job, true)),
+                },
+            };
+            out.extend_from_slice(&reply.bytes);
+            if reply.after != After::KeepAlive {
+                return out;
+            }
+            bytes = &bytes[consumed..];
+        }
+    }
+
+    /// The loop writes exactly what the core renders for the bytes it
+    /// read: on a fixed script of reads, writes and refusals, pipelined
+    /// requests (after a view and after a length-framed body), and
+    /// requests that arrive with the client's half-close, the bytes on
+    /// the socket equal the in-process rendering of the same bytes by a
+    /// second core over an identical server, request for request. Every
+    /// response is deterministic (no Date header; the ETag is a content
+    /// hash), so nothing but a driver fault can tell them apart.
+    #[test]
+    fn the_loop_writes_what_the_core_renders_on_a_fixed_script() {
+        let demo = HttpDemo::start(script_server(), "127.0.0.1:0").unwrap();
+        let core = Core::new(script_server(), HttpConfig::default());
+        let exchange = |step: &str, request: &str, half_close: bool| -> String {
+            let mut conn = TcpStream::connect(demo.addr()).unwrap();
+            conn.write_all(request.as_bytes()).unwrap();
+            if half_close {
+                conn.shutdown(Shutdown::Write).unwrap();
+            }
+            let mut wire = Vec::new();
+            conn.read_to_end(&mut wire).unwrap();
+            let expected = rendered(&core, request.as_bytes());
+            assert!(
+                wire == expected,
+                "script step {step} diverged:\n--- loop ---\n{}\n--- core ---\n{}",
+                String::from_utf8_lossy(&wire),
+                String::from_utf8_lossy(&expected)
+            );
+            String::from_utf8(wire).unwrap()
+        };
+        let status = |text: &str| text.split_whitespace().nth(1).unwrap_or("").to_string();
+
+        let reads: Vec<(&str, String, &str)> = vec![
+            ("cold view", format!("GET {OK_TARGET} HTTP/1.0\r\nHost: t\r\n\r\n"), "200"),
+            ("warm hit", format!("GET {OK_TARGET} HTTP/1.0\r\nHost: t\r\n\r\n"), "200"),
+            (
+                "wrong password",
+                "GET /doc.xml?user=tom&pass=nope&ip=1.2.3.4&host=h.x.org HTTP/1.0\r\n\r\n".into(),
+                "401",
+            ),
+            (
+                "missing document",
+                "GET /missing.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org HTTP/1.0\r\n\r\n".into(),
+                "404",
+            ),
+            ("malformed request line", "NONSENSE\r\n\r\n".into(), "400"),
+            ("secure query", format!("GET {OK_TARGET}&q=%2Fd%2Fpub HTTP/1.0\r\n\r\n"), "200"),
+        ];
+        let mut etag = None;
+        for (step, req, code) in &reads {
+            let text = exchange(step, req, false);
+            assert_eq!(status(&text), *code, "{step}: {text}");
+            if etag.is_none() {
+                etag = text.lines().find_map(|l| l.strip_prefix("ETag: ").map(str::to_string));
+            }
+        }
+        let tag = etag.expect("a view response carries an ETag");
+        let cond = format!("GET {OK_TARGET} HTTP/1.0\r\nIf-None-Match: {tag}\r\n\r\n");
+        assert_eq!(status(&exchange("revalidation", &cond, false)), "304");
+
+        // Writes: the request line, then the declared length, then the
+        // body, then the ops.
+        const ED: &str = "/update?doc=w.xml&user=ed&pass=pw&ip=1.2.3.4&host=h.x.org";
+        const TOM: &str = "/update?doc=w.xml&user=tom&pass=pw&ip=1.2.3.4&host=h.x.org";
+        let over_cap = crate::http::MAX_UPDATE_BODY + 1;
+        let post = |target: &str, body: &str| {
+            format!("POST {target} HTTP/1.0\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+        };
+        let writes: Vec<(&str, String, &str)> = vec![
+            ("successful batch", post(ED, "settext /w/pub\tv2\n"), "200"),
+            (
+                "batch larger than the head caps",
+                post(ED, &format!("#{}\nsettext /w/pub\tv3\n", "x".repeat(48 * 1024))),
+                "200",
+            ),
+            (
+                "malformed /update line",
+                post("/update?user=ed&pass=pw", "settext /w/pub\tx\n"),
+                "400",
+            ),
+            ("bad op", post(ED, "# first\nfrobnicate /w\n"), "400"),
+            ("static denial", post(TOM, "# first\nsettext /w/pub\tstolen\n"), "403"),
+            ("no length", format!("POST {ED} HTTP/1.0\r\n\r\n"), "411"),
+            (
+                "declared length over the cap",
+                format!("POST {ED} HTTP/1.0\r\nContent-Length: {over_cap}\r\n\r\n"),
+                "413",
+            ),
+            (
+                "oversized body on another path",
+                "POST /nope HTTP/1.0\r\nContent-Length: 999999999\r\n\r\n".into(),
+                "400",
+            ),
+        ];
+        for (step, req, code) in &writes {
+            let text = exchange(step, req, false);
+            assert_eq!(status(&text), *code, "{step}: {text}");
+            match *step {
+                "bad op" => assert!(text.contains("line 2"), "the 400 names its line: {text}"),
+                "static denial" => assert!(text.contains("update denied: line 2:"), "{text}"),
+                _ => {}
+            }
+        }
+
+        // Pipelined requests: each is answered, in order, and a body's
+        // bytes are never read as the next request.
+        let ops = "settext /w/pub\tv4\n";
+        let pipelined: Vec<(&str, String, &[&str])> = vec![
+            (
+                "pipelined after a view",
+                format!(
+                    "GET {OK_TARGET} HTTP/1.0\r\nConnection: keep-alive\r\n\r\n\
+                     GET /missing.xml?user=tom&pass=pw HTTP/1.0\r\n\r\n"
+                ),
+                &["200", "404"],
+            ),
+            (
+                "pipelined after a body",
+                format!(
+                    "POST {ED} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{ops}\
+                     GET {OK_TARGET}&q=%2Fd%2Fpub HTTP/1.1\r\nConnection: close\r\n\r\n",
+                    ops.len()
+                ),
+                &["200", "200"],
+            ),
+        ];
+        for (step, req, codes) in &pipelined {
+            let text = exchange(step, req, false);
+            let got: Vec<&str> =
+                text.match_indices("HTTP/1.0 ").map(|(i, _)| &text[i + 9..i + 12]).collect();
+            assert_eq!(got, *codes, "{step}: {text}");
+            assert!(text.contains("Connection: keep-alive"), "{step}: {text}");
+        }
+
+        // Requests that arrive together with the client's half-close are
+        // answered like any other, pipelined ones too; a head the
+        // half-close cuts off before its blank line is closed without an
+        // answer.
+        let half: Vec<(&str, String, Option<&str>)> = vec![
+            (
+                "half-closed 404",
+                "GET /missing.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org HTTP/1.0\r\n\r\n".into(),
+                Some("404"),
+            ),
+            (
+                "half-closed 401",
+                "GET /doc.xml?user=tom&pass=nope&ip=1.2.3.4&host=h.x.org HTTP/1.0\r\n\r\n".into(),
+                Some("401"),
+            ),
+            (
+                "half-closed 413",
+                format!("POST {ED} HTTP/1.0\r\nContent-Length: {over_cap}\r\n\r\n"),
+                Some("413"),
+            ),
+            ("half-closed warm hit", format!("GET {OK_TARGET} HTTP/1.0\r\n\r\n"), Some("200")),
+            (
+                "half-closed pipeline",
+                format!("GET {OK_TARGET} HTTP/1.1\r\n\r\nGET {OK_TARGET} HTTP/1.1\r\n\r\n"),
+                Some("200"),
+            ),
+            ("truncated head", "GET /missing.xml HTTP/1.0\r\n".into(), None),
+        ];
+        for (step, req, code) in &half {
+            let text = exchange(step, req, true);
+            match code {
+                Some(code) => assert_eq!(status(&text), *code, "{step}: {text}"),
+                None => assert!(text.is_empty(), "{step}: {text}"),
+            }
+        }
     }
 }

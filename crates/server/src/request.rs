@@ -1,10 +1,8 @@
-//! The transport-independent request core behind both HTTP front ends.
+//! The request core behind the HTTP front end.
 //!
-//! The blocking pool ([`crate::http`]) and the event loop
-//! ([`crate::epoll`]) differ only in how they move bytes: the pool
-//! blocks one worker per connection, the loop multiplexes readiness on
-//! one thread. Everything between the bytes and the answer lives here,
-//! once:
+//! The event loop ([`crate::epoll`]) moves bytes: readiness, buffers,
+//! connection state. Everything between the bytes and the answer lives
+//! here, once:
 //!
 //! - **Framing.** [`Core::route`] takes the bytes buffered so far and
 //!   reports whether they hold a complete request yet: [`scan_head`]
@@ -30,10 +28,10 @@
 //!   one cancellation rule, one deadline token per request.
 //! - **Workers.** [`Workers::start`] spawns the one bounded worker loop
 //!   (queue-depth gauge, sojourn, CoDel [`Admission`], panic backstop,
-//!   service-time EWMA) and [`Workers::join`] is its drain-deadline
-//!   shutdown. The pool queues whole connections, the loop queues jobs.
+//!   service-time EWMA) over queued jobs, and [`Workers::join`] is its
+//!   drain-deadline shutdown.
 //!
-//! A transport never renders a status of its own except the two that
+//! The event loop never renders a status of its own except the two that
 //! are about the socket rather than the request: the 408 of a read
 //! timeout and the silent close of a half-sent request.
 
@@ -131,9 +129,8 @@ fn parse_length(value: &str) -> Result<usize, ()> {
     Ok(value.parse().unwrap_or(usize::MAX))
 }
 
-/// Parses a complete head. With `persistent` false (the pool) the
-/// connection never stays open, whatever the client asks for.
-fn parse_head(head: &str, persistent: bool) -> Head {
+/// Parses a complete head.
+fn parse_head(head: &str) -> Head {
     let mut it = head.lines();
     let line = it.next().unwrap_or("").to_string();
     let http11 = line
@@ -179,7 +176,7 @@ fn parse_head(head: &str, persistent: bool) -> Head {
         if_none_match,
         deadline_ms,
         content_length,
-        keep_alive: persistent && ka_header.unwrap_or(http11),
+        keep_alive: ka_header.unwrap_or(http11),
     }
 }
 
@@ -300,7 +297,7 @@ fn percent_decode(s: &str) -> String {
 /// What the connection does once a reply is written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum After {
-    /// Read the next request (event loop keep-alive only).
+    /// Read the next request on the same connection.
     KeepAlive,
     Close,
     /// Close after briefly discarding the client's in-flight bytes: the
@@ -350,7 +347,7 @@ enum Work {
 pub(crate) struct Job {
     client: ClientRequest,
     work: Work,
-    /// Tripped by the deadline, or by the transport when the client
+    /// Tripped by the deadline, or by the event loop when the client
     /// hangs up.
     pub(crate) cancel: CancelToken,
     keep_alive: bool,
@@ -370,26 +367,23 @@ pub(crate) enum Step {
     Job { consumed: usize, job: Job },
 }
 
-/// The shared request core: the server, the limits, and the admission
-/// state of one running front end.
+/// The request core: the server, the limits, and the admission state of
+/// one running front end.
 pub(crate) struct Core {
     server: SecureServer,
     pub(crate) cfg: HttpConfig,
     admission: Admission,
     depth: Arc<telemetry::Gauge>,
-    /// Whether a reply may leave the connection open (the event loop)
-    /// or always closes it (the pool).
-    persistent: bool,
 }
 
 impl Core {
-    pub(crate) fn new(server: SecureServer, cfg: HttpConfig, persistent: bool) -> Core {
-        Core { server, admission: Admission::new(&cfg), cfg, depth: queue_depth(), persistent }
+    pub(crate) fn new(server: SecureServer, cfg: HttpConfig) -> Core {
+        Core { server, admission: Admission::new(&cfg), cfg, depth: queue_depth() }
     }
 
     /// Routes the request at the front of `buf`, if it is complete.
     /// Side effects (metrics, the probe) happen only once a request is
-    /// complete, so a transport may call this again after every read.
+    /// complete, so the event loop may call this again after every read.
     pub(crate) fn route(&self, buf: &[u8], peer_ip: &str) -> Step {
         // Refused before the request was fully read: close, lingering.
         let refuse = |consumed, code, text, body: &str| Step::Reply {
@@ -408,7 +402,7 @@ impl Core {
             }
             HeadScan::Complete(len) => len,
         };
-        let head = parse_head(&String::from_utf8_lossy(&buf[..len]), self.persistent);
+        let head = parse_head(&String::from_utf8_lossy(&buf[..len]));
         let ka = head.keep_alive;
         // Unknowable framing is refused first, whatever the method or
         // target: where such a request ends cannot be told.
@@ -636,36 +630,41 @@ impl Core {
     }
 }
 
+/// A worker's hand-off for a computed job: the token of the connection
+/// that asked, and its rendered reply.
+pub(crate) type Deliver = dyn Fn(u64, Reply) + Send + Sync;
+
 /// The sending half of the bounded worker queue.
-pub(crate) struct Queue<T> {
-    tx: SyncSender<(T, Instant)>,
+pub(crate) struct Queue {
+    tx: SyncSender<(u64, Job, Instant)>,
     core: Arc<Core>,
 }
 
-/// What became of an item offered to the worker queue.
-pub(crate) enum Pushed<T> {
+/// What became of a job offered to the worker queue.
+pub(crate) enum Pushed {
     Queued,
-    /// The backlog is full: the item comes back with the 503 to answer.
-    Shed(T, Vec<u8>),
+    /// The backlog is full: the 503 to answer instead.
+    Shed(Vec<u8>),
     /// The workers are gone (shutdown).
     Closed,
 }
 
-impl<T> Queue<T> {
-    /// Offers `item` to the workers, stamped with its enqueue time so
-    /// the dequeuing worker can feed its sojourn to admission control.
-    pub(crate) fn push(&self, item: T) -> Pushed<T> {
+impl Queue {
+    /// Offers connection `conn`'s job to the workers, stamped with its
+    /// enqueue time so the dequeuing worker can feed its sojourn to
+    /// admission control.
+    pub(crate) fn push(&self, conn: u64, job: Job) -> Pushed {
         let depth = &self.core.depth;
         // Count before enqueueing: a worker may dequeue (and decrement)
         // the instant try_send returns, and the gauge must never read
         // negative.
         depth.add(1);
-        match self.tx.try_send((item, Instant::now())) {
+        match self.tx.try_send((conn, job, Instant::now())) {
             Ok(()) => Pushed::Queued,
-            Err(TrySendError::Full((item, _))) => {
+            Err(TrySendError::Full(_)) => {
                 depth.add(-1);
                 shed_total().inc();
-                Pushed::Shed(item, render_busy(self.core.admission.retry_after_secs(depth.get())))
+                Pushed::Shed(render_busy(self.core.admission.retry_after_secs(depth.get())))
             }
             Err(TrySendError::Disconnected(_)) => {
                 depth.add(-1);
@@ -675,29 +674,24 @@ impl<T> Queue<T> {
     }
 }
 
-/// The bounded worker pool behind either transport.
+/// The bounded worker pool that computes jobs.
 pub(crate) struct Workers {
     handles: Vec<JoinHandle<()>>,
     drain_timeout: Duration,
 }
 
 impl Workers {
-    /// Spawns `cfg.workers` workers that each run
-    /// `run(core, item, admitted)` on queued items, and returns the
-    /// queue that feeds them; its capacity is `cfg.backlog`. The workers
-    /// exit once every queue handle is dropped and the backlog drains.
-    pub(crate) fn start<T, F>(core: &Arc<Core>, run: F) -> (Queue<T>, Workers)
-    where
-        T: Send + 'static,
-        F: Fn(&Core, T, bool) + Send + Sync + 'static,
-    {
-        let (tx, rx) = sync_channel::<(T, Instant)>(core.cfg.backlog.max(1));
+    /// Spawns `cfg.workers` workers that compute queued jobs and pass
+    /// each reply to `deliver`, and returns the queue that feeds them;
+    /// its capacity is `cfg.backlog`. The workers exit once the queue is
+    /// dropped and the backlog drains.
+    pub(crate) fn start(core: &Arc<Core>, deliver: Arc<Deliver>) -> (Queue, Workers) {
+        let (tx, rx) = sync_channel(core.cfg.backlog.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        let run = Arc::new(run);
         let handles = (0..core.cfg.workers.max(1))
             .map(|_| {
-                let (rx, run, core) = (Arc::clone(&rx), Arc::clone(&run), Arc::clone(core));
-                std::thread::spawn(move || worker_loop(&rx, &core, &*run))
+                let (rx, deliver, core) = (Arc::clone(&rx), Arc::clone(&deliver), Arc::clone(core));
+                std::thread::spawn(move || worker_loop(&rx, &core, &*deliver))
             })
             .collect();
         let workers = Workers { handles, drain_timeout: core.cfg.drain_timeout };
@@ -721,7 +715,7 @@ impl Workers {
     }
 }
 
-fn worker_loop<T>(rx: &Mutex<Receiver<(T, Instant)>>, core: &Core, run: &dyn Fn(&Core, T, bool)) {
+fn worker_loop(rx: &Mutex<Receiver<(u64, Job, Instant)>>, core: &Core, deliver: &Deliver) {
     loop {
         // A panicking sibling poisons the mutex; treat that as shutdown
         // rather than unwrapping (the pool is already compromised).
@@ -729,7 +723,7 @@ fn worker_loop<T>(rx: &Mutex<Receiver<(T, Instant)>>, core: &Core, run: &dyn Fn(
             Ok(guard) => guard.recv(),
             Err(_) => break,
         };
-        let Ok((item, enqueued)) = next else { break };
+        let Ok((conn, mut job, enqueued)) = next else { break };
         core.depth.add(-1);
         let now = Instant::now();
         let sojourn = now.duration_since(enqueued);
@@ -743,7 +737,8 @@ fn worker_loop<T>(rx: &Mutex<Receiver<(T, Instant)>>, core: &Core, run: &dyn Fn(
         // with it a slice of the pool's capacity) down. Compute panics
         // are caught closer in and answered with 500; this is the
         // backstop for everything else.
-        if catch_unwind(AssertUnwindSafe(|| run(core, item, admitted))).is_err() {
+        let run = || deliver(conn, core.compute(&mut job, admitted));
+        if catch_unwind(AssertUnwindSafe(run)).is_err() {
             panics_caught_total().inc();
         }
         if admitted {
@@ -816,8 +811,7 @@ mod tests {
         #[test]
         fn hostile_framing_never_panics(bytes in framing_bytes(), caps in (0usize..96, 0usize..96)) {
             let _ = scan_head(&bytes, caps.0, caps.1);
-            let _ = parse_head(&String::from_utf8_lossy(&bytes), true);
-            let _ = parse_head(&String::from_utf8_lossy(&bytes), false);
+            let _ = parse_head(&String::from_utf8_lossy(&bytes));
         }
 
         /// The request core on hostile bytes: no panic, never more
@@ -852,7 +846,7 @@ mod tests {
                 };
                 if let (Some(consumed), false) = (answered, lingers) {
                     if let HeadScan::Complete(len) = scan_head(buf, caps.0, caps.1) {
-                        let head = parse_head(&String::from_utf8_lossy(&buf[..len]), false);
+                        let head = parse_head(&String::from_utf8_lossy(&buf[..len]));
                         let body = head.content_length.ok().flatten().unwrap_or(0);
                         prop_assert!(consumed >= len + body, "body left unread: {:?}", buf);
                     }
@@ -864,7 +858,7 @@ mod tests {
                     Step::Incomplete => match scan_head(buf, caps.0, caps.1) {
                         HeadScan::Incomplete => {}
                         HeadScan::Complete(len) => {
-                            let head = parse_head(&String::from_utf8_lossy(&buf[..len]), false);
+                            let head = parse_head(&String::from_utf8_lossy(&buf[..len]));
                             let awaits_body = head.line.starts_with("POST ")
                                 && matches!(head.content_length, Ok(Some(l)) if len + l > buf.len());
                             prop_assert!(awaits_body, "a complete head left waiting: {:?}", buf);
@@ -939,18 +933,15 @@ mod tests {
         let h = parse_head(
             "GET /x HTTP/1.1\r\nif-none-match: \"t\"\r\nX-Request-Deadline: 25\r\n\
              Content-Length: 7\r\n\r\n",
-            true,
         );
         assert_eq!(h.line, "GET /x HTTP/1.1");
         assert_eq!(h.if_none_match.as_deref(), Some("\"t\""));
         assert_eq!(h.deadline_ms, Some(25));
         assert_eq!(h.content_length, Ok(Some(7)));
         assert!(h.keep_alive, "HTTP/1.1 defaults to keep-alive");
-        assert!(!parse_head("GET /x HTTP/1.1\r\n\r\n", false).keep_alive, "the pool never does");
-        let h = parse_head(
-            "GET /x HTTP/1.0\r\nConnection: keep-alive\r\nX-Request-Deadline: soon\r\n",
-            true,
-        );
+        assert!(!parse_head("GET /x HTTP/1.1\r\nConnection: close\r\n\r\n").keep_alive);
+        let h =
+            parse_head("GET /x HTTP/1.0\r\nConnection: keep-alive\r\nX-Request-Deadline: soon\r\n");
         assert!(h.keep_alive);
         assert_eq!(h.deadline_ms, None, "advisory header, ignored when unparsable");
         assert_eq!(h.content_length, Ok(None));
@@ -959,7 +950,7 @@ mod tests {
     #[test]
     fn parse_head_refuses_a_malformed_or_conflicting_length() {
         let length = |headers: &str| {
-            parse_head(&format!("POST /x HTTP/1.1\r\n{headers}\r\n"), true).content_length
+            parse_head(&format!("POST /x HTTP/1.1\r\n{headers}\r\n")).content_length
         };
         assert_eq!(length("Content-Length: 007\r\n"), Ok(Some(7)));
         assert_eq!(
@@ -1056,7 +1047,7 @@ mod tests {
         s.repository_mut()
             .put_document("doc.xml", "<d><pub>hello</pub><priv>no</priv></d>", None);
         s.repository_mut().put_document("cold.xml", "<d><pub>brr</pub></d>", None);
-        Core::new(s, HttpConfig::default(), false)
+        Core::new(s, HttpConfig::default())
     }
 
     fn answer(core: &Core, request: &str, admitted: bool) -> String {

@@ -51,8 +51,8 @@ pub enum ServerError {
     UpdateDenied(String),
     /// An update batch rejected by the static write pre-flight: op `op`
     /// (0-based) is guaranteed to fail on every valid document, so the
-    /// batch was refused before any parsing or labeling. Transports map
-    /// `op` back to the request line that carried it.
+    /// batch was refused before any parsing or labeling. The HTTP front
+    /// end maps `op` back to the line of the batch that carried it.
     UpdateDeniedStatic {
         /// Index of the guaranteed-failing op within the batch.
         op: usize,
@@ -841,8 +841,10 @@ impl SecureServer {
     /// view, under the request's cancellation token (if any). It labels
     /// and renders the revision the probe keyed — parsing it first if no
     /// request has yet — with no repository guard held, so a commit
-    /// meanwhile neither waits for it nor changes what it computes: the
-    /// view is filed under the key of the revision it was computed from.
+    /// meanwhile neither waits for it nor changes what it computes. The
+    /// view is filed under its revision's key only if that revision is
+    /// still current; a view that a commit overtook is answered, not
+    /// cached.
     fn compute_view_for(
         &self,
         req: &ClientRequest,
@@ -871,28 +873,30 @@ impl SecureServer {
                     &req.uri,
                     AuditOutcome::ProcessingError(e.to_string()),
                 );
-                if let ProcessError::Cancelled(r) = e {
-                    ServerError::Cancelled(r)
-                } else if e.is_resource_limit() {
-                    ServerError::LimitExceeded(e.to_string())
-                } else {
-                    ServerError::Processing(e.to_string())
-                }
+                process_error(e)
             })?;
 
         let etag = etag_for(&key, &out.xml, out.loosened_dtd.as_deref());
         if let Some(cache) = &self.cache {
-            cache.put(
-                key.clone(),
-                CachedView {
-                    xml: out.xml.clone(),
-                    loosened_dtd: out.loosened_dtd.clone(),
-                    etag: etag.clone(),
-                },
-            );
-            // Remember who this view was computed for so a later update
-            // can patch it in place instead of dropping it.
-            self.lock_patch_state().insert(key, PatchEntry { requester, prev: None });
+            // File the view only while its revision is current: once a
+            // commit has replaced it, no reader can reach this key, and
+            // the entry would only evict a live view. The guard keeps a
+            // commit from publishing between the check and the put.
+            let repo = self.read_repo();
+            if repo.revision(&req.uri).is_some_and(|current| Arc::ptr_eq(&current, &revision)) {
+                let mut state = self.lock_patch_state();
+                cache.put(
+                    key.clone(),
+                    CachedView {
+                        xml: out.xml.clone(),
+                        loosened_dtd: out.loosened_dtd.clone(),
+                        etag: etag.clone(),
+                    },
+                );
+                // Remember who this view was computed for so a later
+                // update can patch it in place instead of dropping it.
+                state.insert(key, PatchEntry { requester, prev: None });
+            }
         }
         self.audit.record(
             &requester_str,
@@ -1019,11 +1023,7 @@ impl SecureServer {
         };
         let dtd_parsed = schema.as_deref().map(PreparedSchema::dtd);
         let p = &self.processor;
-        let parsed = current.parsed(p, cancel).map_err(|e| match e {
-            ProcessError::Cancelled(r) => ServerError::Cancelled(r),
-            ProcessError::Xml(e) => ServerError::Processing(e.to_string()),
-            other => ServerError::Processing(other.to_string()),
-        })?;
+        let parsed = current.parsed(p, cancel).map_err(process_error)?;
         let (wxml, wdtd) =
             p.applicable_sets(&req.uri, current.dtd_uri.as_deref(), &requester, Action::Write);
         let (dir, policy) = (&p.directory, p.options.policy);
@@ -1253,6 +1253,18 @@ impl SecureServer {
             CachedView { xml, loosened_dtd: loosened_text.map(str::to_string), etag },
             PatchEntry { requester, prev: Some(Arc::new(labeling)) },
         ))
+    }
+}
+
+/// The one mapping of a pipeline failure to the server's typed error,
+/// shared by the read and the update path: a cancellation stays typed,
+/// a resource-limit rejection is the client's (422), anything else is
+/// a processing failure (500).
+fn process_error(e: ProcessError) -> ServerError {
+    match e {
+        ProcessError::Cancelled(r) => ServerError::Cancelled(r),
+        e if e.is_resource_limit() => ServerError::LimitExceeded(e.to_string()),
+        e => ServerError::Processing(e.to_string()),
     }
 }
 
@@ -1944,7 +1956,7 @@ mod update_tests {
     }
 
     #[test]
-    fn a_commit_between_probe_and_compute_files_the_keyed_revisions_view() {
+    fn a_commit_between_probe_and_compute_answers_the_keyed_revision_and_files_nothing() {
         let s = writable_server();
         let Probe::Miss(ticket) = s.probe(&rq("ro"), None).unwrap() else {
             panic!("the reader's view is cold")
@@ -1960,23 +1972,23 @@ mod update_tests {
         else {
             panic!("no tag was sent")
         };
-        // The ticket carries the revision it keyed: the compute renders
-        // that revision, and files it under that revision's key.
+        // The ticket carries the revision it keyed: the compute answers
+        // with that revision's view, but files nothing under its key,
+        // which no reader can reach any more.
         let fresh = writable_server().without_cache().handle(&rq("ro")).unwrap();
         assert_eq!(
             (resp.xml.as_str(), resp.etag.as_str()),
             (fresh.xml.as_str(), fresh.etag.as_str())
         );
         let cache = s.cache.as_ref().unwrap();
-        assert_eq!(cache.get_cached(&old_key).map(|v| v.xml), Some(fresh.xml));
+        assert!(cache.get_cached(&old_key).is_none(), "a superseded key is not filed");
+        assert!(!s.lock_patch_state().contains_key(&old_key));
         // The current revision's key was never filled with the old view.
         let current = s.handle(&rq("ro")).unwrap();
         assert!(!current.cached);
         assert_eq!(current.xml, "<d><t>v2</t></d>");
-        // When the bytes return to the old revision, its key is live
-        // again and serves the old revision's view.
-        set("v1");
-        assert_eq!(s.handle(&rq("ro")).unwrap().xml, "<d><t>v1</t></d>");
+        // A miss on the current revision files its view as before.
+        assert!(s.handle(&rq("ro")).unwrap().cached);
     }
 
     #[test]

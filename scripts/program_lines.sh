@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Net program lines per crate: the non-blank, non-comment lines of each
-# Rust file up to its first `#[cfg(test)]`, summed per source directory
-# (`crates/*/src`, `src`, `perfbench/src`). Prints the count at REV
-# (default HEAD, read through `git show`), in the working tree (tracked
-# and untracked, non-ignored files), and the delta.
+# Rust file up to its first `#[cfg(test)]` or `#[cfg(all(test, ...))]`,
+# summed per source directory (`crates/*/src`, `src`, `perfbench/src`).
+# Prints the count at REV (default HEAD, read through `git show`), in the
+# working tree (tracked and untracked, non-ignored files), and the delta.
 #
 # Usage: scripts/program_lines.sh [REV]
 set -euo pipefail
@@ -17,7 +17,7 @@ git rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
 
 # Reads one Rust file on stdin and prints its program-line count.
 count() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    awk '/^[[:space:]]*#\[cfg\((all\()?test[,)]/ { exit }
          /^[[:space:]]*$/ { next }
          /^[[:space:]]*\/\// { next }
          { n++ }

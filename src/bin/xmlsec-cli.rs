@@ -86,8 +86,9 @@ const USAGE: &str = "usage: xmlsec-cli <view|validate|loosen|tree|xpath|xacl> [o
   xpath:    --doc F --expr PATH
   xacl:     --xacl F
   serve:    --addr A:P (--site DIR | --doc F --uri U [--dtd F --dtd-uri U] [--xacl F]... [--dir F] [--cred user:pass]...)
-            transport: [--transport pool|epoll (default pool; epoll is the Linux event loop)]
-            pool: [--workers N] [--backlog N] [--read-timeout-ms N] [--write-timeout-ms N]
+            serves over the epoll event loop (Linux only), keep-alive and pipelining included
+            server: [--workers N (compute threads)] [--backlog N (queued computations)]
+                    [--read-timeout-ms N] [--write-timeout-ms N]
             robustness: [--deadline-ms N (per-request deadline; 0=off)] [--shed-adaptive on|off]
                         [--shed-target-ms N] [--shed-interval-ms N]
             cache: [--cache-capacity N (bound the view cache; 0=off)]
@@ -397,7 +398,7 @@ fn parallelism_config(o: &Opts) -> Result<xmlsec::core::Parallelism, String> {
     Ok(par)
 }
 
-/// Builds the HTTP pool configuration and per-request resource limits
+/// Builds the HTTP server configuration and per-request resource limits
 /// for `serve` from the command line, starting from the defaults.
 fn serve_config(
     o: &Opts,
@@ -472,20 +473,10 @@ fn compile_flag(o: &Opts) -> Result<bool, String> {
     }
 }
 
-/// Parses `serve --transport pool|epoll` (front-end selection; default
-/// is the portable blocking pool).
-fn transport_flag(o: &Opts) -> Result<xmlsec::server::Transport, String> {
-    match o.opt("transport") {
-        None => Ok(xmlsec::server::Transport::default()),
-        Some(t) => t.parse(),
-    }
-}
-
 fn cmd_serve(o: &Opts) -> Result<(), String> {
     let (cfg, limits) = serve_config(o)?;
     let par = parallelism_config(o)?;
     let compile = compile_flag(o)?;
-    let transport = transport_flag(o)?;
     // --site DIR loads a whole directory (documents, DTDs, XACLs,
     // _directory.txt, _credentials.txt) in one go.
     if let Some(site) = o.opt("site") {
@@ -496,8 +487,8 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
             o,
         )?;
         let addr = o.opt("addr").unwrap_or("127.0.0.1:8080");
-        let demo = xmlsec::server::AnyDemo::start_with(transport, server, addr, cfg)
-            .map_err(|e| e.to_string())?;
+        let demo =
+            xmlsec::server::HttpDemo::start_with(server, addr, cfg).map_err(|e| e.to_string())?;
         eprintln!(
             "serving {} document(s), {} DTD(s), {} authorization(s) on http://{}",
             summary.documents.len(),
@@ -540,14 +531,14 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
     )?;
 
     let addr = o.opt("addr").unwrap_or("127.0.0.1:8080");
-    let demo = xmlsec::server::AnyDemo::start_with(transport, server, addr, cfg)
-        .map_err(|e| e.to_string())?;
+    let demo =
+        xmlsec::server::HttpDemo::start_with(server, addr, cfg).map_err(|e| e.to_string())?;
     eprintln!(
         "serving on http://{} — try GET /{}?user=U&pass=P&ip=A&host=H (Ctrl-C to stop)",
         demo.addr(),
         o.one("uri")?
     );
-    // Park the main thread; the accept loop runs until the process dies.
+    // Park the main thread; the event loop runs until the process dies.
     loop {
         std::thread::park();
     }

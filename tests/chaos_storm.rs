@@ -23,7 +23,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use xmlsec::server::faults::{arm_probabilistic, clear, FaultAction};
-use xmlsec::server::{AnyDemo, HttpConfig, SecureServer, Transport};
+use xmlsec::server::{HttpConfig, HttpDemo, SecureServer};
 use xmlsec::workload::{run_storm, StormConfig};
 use xmlsec_authz::{AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
 use xmlsec_subjects::{Directory, Subject};
@@ -50,7 +50,7 @@ fn storm_server() -> SecureServer {
 }
 
 /// Raw request returning the whole response buffer.
-fn raw_get(demo: &AnyDemo, target: &str, extra_header: Option<&str>) -> String {
+fn raw_get(demo: &HttpDemo, target: &str, extra_header: Option<&str>) -> String {
     let mut conn = TcpStream::connect(demo.addr()).expect("connect");
     let extra = extra_header.map(|h| format!("{h}\r\n")).unwrap_or_default();
     write!(conn, "GET {target} HTTP/1.0\r\nHost: t\r\n{extra}\r\n").expect("write");
@@ -80,19 +80,13 @@ fn chaos_storm_preserves_server_invariants() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xDEAD_BEEF);
-    // The CI soak matrix also crosses the seeds with both front ends;
-    // the invariants below are transport-independent.
-    let transport: Transport = std::env::var("XMLSEC_CHAOS_TRANSPORT")
-        .ok()
-        .map(|t| t.parse().expect("XMLSEC_CHAOS_TRANSPORT must be pool|epoll"))
-        .unwrap_or_default();
     let cfg = HttpConfig {
         workers: 4,
         read_timeout: Duration::from_millis(250),
         request_deadline: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let demo = AnyDemo::start_with(transport, storm_server(), "127.0.0.1:0", cfg).expect("bind");
+    let demo = HttpDemo::start_with(storm_server(), "127.0.0.1:0", cfg).expect("bind");
 
     // Salt the pipeline with seeded latency jitter (~35% of requests
     // sleep 0-12 ms right before processing) so deadline races, sojourn

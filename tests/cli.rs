@@ -514,10 +514,6 @@ fn serve_robustness_flags_are_validated_before_binding() {
     let bad_target = run(&["serve", "--shed-target-ms", "fast"]);
     assert!(!bad_target.status.success());
     assert!(stderr(&bad_target).contains("--shed-target-ms must be a number"));
-
-    let bad_transport = run(&["serve", "--transport", "iocp"]);
-    assert!(!bad_transport.status.success());
-    assert!(stderr(&bad_transport).contains("unknown transport \"iocp\" (expected pool|epoll)"));
 }
 
 #[test]

@@ -241,16 +241,23 @@ fn a_stored_depth_bomb_gets_the_same_422_without_being_reparsed() {
     s.repository_mut().put_document("bomb.xml", &bomb, None);
     let demo = xmlsec::server::HttpDemo::start(s, "127.0.0.1:0").expect("bind");
     let errors = counter("xmlsec_xml_parse_errors_total");
-    let answers: Vec<String> = (0..3)
-        .map(|_| {
-            let mut conn = std::net::TcpStream::connect(demo.addr()).expect("connect");
-            let target = "/bomb.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org";
-            write!(conn, "GET {target} HTTP/1.0\r\n\r\n").expect("write");
-            let mut buf = String::new();
-            conn.read_to_string(&mut buf).expect("read");
-            buf
-        })
-        .collect();
+    let exchange = |request: &str| {
+        let mut conn = std::net::TcpStream::connect(demo.addr()).expect("connect");
+        conn.write_all(request.as_bytes()).expect("write");
+        let mut buf = String::new();
+        conn.read_to_string(&mut buf).expect("read");
+        buf
+    };
+    let get = "GET /bomb.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org HTTP/1.0\r\n\r\n";
+    let mut answers: Vec<String> = (0..3).map(|_| exchange(get)).collect();
+    // An update of the same revision meets the same kept error, and
+    // answers it with the same status and body as a read.
+    let ops = "settext /d\tx\n";
+    answers.push(exchange(&format!(
+        "POST /update?doc=bomb.xml&user=ed&pass=pw&ip=1.2.3.4&host=h.x.org HTTP/1.0\r\n\
+         Content-Length: {}\r\n\r\n{ops}",
+        ops.len()
+    )));
     assert!(answers[0].starts_with("HTTP/1.0 422"), "{}", answers[0]);
     assert!(answers[0].contains("resource limit exceeded"), "{}", answers[0]);
     let body = |a: &str| a.split_once("\r\n\r\n").map(|(_, b)| b.to_string());

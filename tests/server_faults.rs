@@ -1,7 +1,7 @@
 //! Injected faults against the demo server over real sockets: panics,
 //! stalls and disconnects at the request core's fault points must each
 //! be isolated (the next request is served) and observable (counted in
-//! `/metrics`), on both transports.
+//! `/metrics`).
 //!
 //! This test owns its binary. Fault arming is process-global: a sibling
 //! test sending requests in the same process could take an armed fault
@@ -13,7 +13,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xmlsec::server::{AnyDemo, ClientRequest, HttpConfig, HttpDemo, SecureServer, Transport};
+use xmlsec::server::{ClientRequest, HttpConfig, HttpDemo, SecureServer};
 use xmlsec_authz::{Action, AuthType, Authorization, AuthorizationBase, ObjectSpec, Sign};
 use xmlsec_subjects::{Directory, Subject};
 
@@ -68,18 +68,13 @@ fn get(demo: &HttpDemo, target: &str) -> (u16, String) {
 }
 
 const OK_TARGET: &str = "/doc.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org";
-
-fn transports() -> Vec<Transport> {
-    if cfg!(target_os = "linux") {
-        vec![Transport::Pool, Transport::Epoll]
-    } else {
-        vec![Transport::Pool]
-    }
-}
+/// A secure query: queries always miss the cache, so each one is
+/// computed by a worker (a warm view is answered by the loop itself).
+const QUERY_TARGET: &str = "/doc.xml?user=tom&pass=pw&ip=1.2.3.4&host=h.x.org&q=%2Fd%2Fpub";
 
 /// `xmlsec_server_cancelled_total{reason="client_gone"}`, read from the
 /// process-wide registry through `demo`'s `/metrics`.
-fn client_gone(demo: &AnyDemo) -> u64 {
+fn client_gone(demo: &HttpDemo) -> u64 {
     let mut conn = TcpStream::connect(demo.addr()).expect("connect");
     write!(conn, "GET /metrics HTTP/1.0\r\n\r\n").expect("write");
     let mut metrics = String::new();
@@ -161,23 +156,24 @@ fn injected_faults_are_isolated_and_observable() {
     // client sees a clean close with no bytes, the server moves on.
     arm("respond.write", FaultAction::Disconnect, 1);
     let mut conn = TcpStream::connect(demo.addr()).expect("connect");
-    write!(conn, "GET {OK_TARGET} HTTP/1.0\r\n\r\n").expect("write");
+    write!(conn, "GET {QUERY_TARGET} HTTP/1.0\r\n\r\n").expect("write");
     let mut buf = String::new();
     let _ = conn.read_to_string(&mut buf);
     assert!(buf.is_empty(), "disconnect should write nothing: {buf}");
-    let (code3, _) = get(&demo, OK_TARGET);
+    let (code3, _) = get(&demo, QUERY_TARGET);
     assert_eq!(code3, 200);
 
     // --- 3. Load shedding: stall the single worker, fill the single
-    // backlog slot, and the next arrivals bounce with 503 + Retry-After.
+    // backlog slot, and the next arrivals bounce with 503 + Retry-After,
+    // rendered inline by the loop when the queue refuses the job.
     arm("handle.start", FaultAction::SleepMs(400), 2);
     let mut held: Vec<TcpStream> = Vec::new();
     let mut shed_seen = 0;
     for _ in 0..5 {
         let mut c = TcpStream::connect(demo.addr()).expect("connect");
-        write!(c, "GET {OK_TARGET} HTTP/1.0\r\n\r\n").expect("write");
-        // Give the pool a moment to pull the first connection so the
-        // later ones deterministically find worker busy + queue full.
+        write!(c, "GET {QUERY_TARGET} HTTP/1.0\r\n\r\n").expect("write");
+        // Give the worker a moment to pull the first job so the later
+        // ones deterministically find it busy and the queue full.
         std::thread::sleep(Duration::from_millis(50));
         c.set_read_timeout(Some(Duration::from_millis(100))).expect("timeout");
         let mut peek = [0u8; 512];
@@ -204,20 +200,18 @@ fn injected_faults_are_isolated_and_observable() {
     }
     assert!(shed_seen >= 1, "expected at least one 503 from a full queue");
     drop(held);
-    // Let the stalled requests finish so the pool is quiet again.
+    // Let the stalled requests finish so the worker is idle again.
     std::thread::sleep(Duration::from_millis(900));
     let (code4, _) = get(&demo, OK_TARGET);
     assert_eq!(code4, 200);
 
-    // --- 4. A panic before the request is even parsed exercises the
-    // worker-level backstop: connection dropped, worker still alive.
+    // --- 4. A panic at the very start of compute, before admission or
+    // any pipeline stage, is answered 500 and the worker stays alive.
     arm("handle.start", FaultAction::Panic, 1);
-    let mut conn = TcpStream::connect(demo.addr()).expect("connect");
-    write!(conn, "GET {OK_TARGET} HTTP/1.0\r\n\r\n").expect("write");
-    let mut buf = String::new();
-    let _ = conn.read_to_string(&mut buf);
-    let (code5, _) = get(&demo, OK_TARGET);
-    assert_eq!(code5, 200, "worker did not survive the backstop panic");
+    let (code5, body5) = get(&demo, QUERY_TARGET);
+    assert_eq!(code5, 500, "{body5}");
+    let (code6, _) = get(&demo, QUERY_TARGET);
+    assert_eq!(code6, 200, "worker did not survive the panic");
 
     // --- 5. Everything above is observable: panics and sheds are
     // counted, and the queue gauge is registered (and back to zero).
@@ -237,60 +231,12 @@ fn injected_faults_are_isolated_and_observable() {
     // concurrently, so assert registration and sanity, not emptiness.
     assert!(value("xmlsec_server_queue_depth") >= 0, "{metrics}");
 
-    // --- 6. The same full-queue shed on the epoll transport (here, not
-    // a separate test: fault arming is process-global). One worker and
-    // one backlog slot, the worker stalled; the event loop's try_send
-    // fails and the 503 is rendered inline with a priced Retry-After.
-    #[cfg(target_os = "linux")]
-    {
-        let cfg = HttpConfig { workers: 1, backlog: 1, ..Default::default() };
-        let edemo = xmlsec::server::EpollDemo::start_with(base_server(), "127.0.0.1:0", cfg)
-            .expect("bind epoll");
-        arm("handle.start", FaultAction::SleepMs(400), 2);
-        let mut held: Vec<TcpStream> = Vec::new();
-        let mut shed_seen = 0;
-        for _ in 0..5 {
-            let mut c = TcpStream::connect(edemo.addr()).expect("connect");
-            // Queries always miss the cache, so every one needs a worker.
-            write!(c, "GET {OK_TARGET}&q=%2Fd%2Fpub HTTP/1.0\r\n\r\n").expect("write");
-            std::thread::sleep(Duration::from_millis(50));
-            c.set_read_timeout(Some(Duration::from_millis(100))).expect("timeout");
-            let mut peek = [0u8; 512];
-            match c.read(&mut peek) {
-                Ok(n) if n > 0 => {
-                    let head = String::from_utf8_lossy(&peek[..n]).into_owned();
-                    if head.starts_with("HTTP/1.0 503") {
-                        let secs: u64 = head
-                            .lines()
-                            .find_map(|l| l.strip_prefix("Retry-After: "))
-                            .expect("503 must carry Retry-After")
-                            .trim()
-                            .parse()
-                            .expect("Retry-After must be integer seconds");
-                        assert!((1..=30).contains(&secs), "{head}");
-                        shed_seen += 1;
-                    }
-                }
-                _ => held.push(c),
-            }
-        }
-        assert!(shed_seen >= 1, "expected at least one 503 from the event loop");
-        drop(held);
-        std::thread::sleep(Duration::from_millis(900));
-        let mut conn = TcpStream::connect(edemo.addr()).expect("connect");
-        write!(conn, "GET {OK_TARGET} HTTP/1.0\r\n\r\n").expect("write");
-        let mut buf = String::new();
-        conn.read_to_string(&mut buf).expect("read");
-        assert!(buf.starts_with("HTTP/1.0 200"), "loop did not recover: {buf}");
-    }
-
-    // --- 7. A client that hangs up while its request computes cancels
-    // it, on both transports: the pool notices through its watchdog
-    // thread, the event loop through readiness. Nothing is written, the
-    // cancellation is counted `client_gone`, and the next request is
+    // --- 6. A client that hangs up while its request computes cancels
+    // it: the event loop notices through readiness. Nothing is written,
+    // the cancellation is counted `client_gone`, and the next request is
     // served.
-    for transport in transports() {
-        let mut demo = AnyDemo::start(transport, base_server(), "127.0.0.1:0").expect("bind");
+    {
+        let mut demo = HttpDemo::start(base_server(), "127.0.0.1:0").expect("bind");
         let before = client_gone(&demo);
         arm("process.request", FaultAction::SleepMs(300), 1);
         // A fresh server: the view is cold, so the request needs compute.
@@ -299,31 +245,27 @@ fn injected_faults_are_isolated_and_observable() {
         c.shutdown(Shutdown::Write).expect("hang up");
         let mut buf = Vec::new();
         c.read_to_end(&mut buf).expect("read");
-        assert!(
-            buf.is_empty(),
-            "{transport}: a hung-up client got {:?}",
-            String::from_utf8_lossy(&buf)
-        );
-        assert!(client_gone(&demo) > before, "{transport}: cancellation not counted");
+        assert!(buf.is_empty(), "a hung-up client got {:?}", String::from_utf8_lossy(&buf));
+        assert!(client_gone(&demo) > before, "cancellation not counted");
         let mut conn = TcpStream::connect(demo.addr()).expect("connect");
         write!(conn, "GET {OK_TARGET} HTTP/1.0\r\n\r\n").expect("write");
         let mut next = String::new();
         conn.read_to_string(&mut next).expect("read");
-        assert!(next.starts_with("HTTP/1.0 200"), "{transport}: not served after: {next}");
+        assert!(next.starts_with("HTTP/1.0 200"), "not served after: {next}");
         demo.shutdown();
     }
 
-    // --- 8. A commit publishes its revision and patched views only at
-    // the end, on both transports. While it is stalled just before the
-    // publish, readers are served the old revision's warm view at once;
-    // the next read after the POST is a hit on the new bytes. A panic at
-    // the same point leaves the document, its tag and its warm view as
-    // they were, and the next batch commits.
-    for transport in transports() {
-        let mut demo = AnyDemo::start(transport, base_server(), "127.0.0.1:0").expect("bind");
+    // --- 7. A commit publishes its revision and patched views only at
+    // the end. While it is stalled just before the publish, readers are
+    // served the old revision's warm view at once; the next read after
+    // the POST is a hit on the new bytes. A panic at the same point
+    // leaves the document, its tag and its warm view as they were, and
+    // the next batch commits.
+    {
+        let mut demo = HttpDemo::start(base_server(), "127.0.0.1:0").expect("bind");
         let addr = demo.addr();
         let (code, old_tag, old_body) = view(addr);
-        assert_eq!(code, 200, "{transport}: {old_body}");
+        assert_eq!(code, 200, "{old_body}");
 
         arm("update.publish", FaultAction::SleepMs(300), 1);
         let post = std::thread::spawn(move || set_pub(addr, "bye"));
@@ -331,42 +273,42 @@ fn injected_faults_are_isolated_and_observable() {
         let start = Instant::now();
         let (code, tag, body) = view(addr);
         let waited = start.elapsed();
-        assert_eq!(code, 200, "{transport}: {body}");
-        assert!(waited < Duration::from_millis(100), "{transport}: a hit waited {waited:?}");
-        assert_eq!(tag, old_tag, "{transport}: a read during the commit sees the old revision");
+        assert_eq!(code, 200, "{body}");
+        assert!(waited < Duration::from_millis(100), "a hit waited {waited:?}");
+        assert_eq!(tag, old_tag, "a read during the commit sees the old revision");
         assert_eq!(body, old_body);
-        assert_eq!(post.join().expect("post thread"), 200, "{transport}: the commit lands");
+        assert_eq!(post.join().expect("post thread"), 200, "the commit lands");
         let hits = served_cached(addr);
         let (code, new_tag, new_body) = view(addr);
         assert_eq!(code, 200);
-        assert!(new_body.contains("bye"), "{transport}: {new_body}");
+        assert!(new_body.contains("bye"), "{new_body}");
         assert_ne!(new_tag, old_tag);
-        assert_eq!(served_cached(addr), hits + 1, "{transport}: the patched view is a hit");
+        assert_eq!(served_cached(addr), hits + 1, "the patched view is a hit");
 
         arm("update.publish", FaultAction::Panic, 1);
-        assert_eq!(set_pub(addr, "lost"), 500, "{transport}: a panic before publish is a 500");
+        assert_eq!(set_pub(addr, "lost"), 500, "a panic before publish is a 500");
         let hits = served_cached(addr);
-        assert_eq!(view(addr), (200, new_tag.clone(), new_body.clone()), "{transport}");
-        assert_eq!(served_cached(addr), hits + 1, "{transport}: the warm view survives");
-        assert_eq!(set_pub(addr, "again"), 200, "{transport}: the next batch commits");
+        assert_eq!(view(addr), (200, new_tag.clone(), new_body.clone()));
+        assert_eq!(served_cached(addr), hits + 1, "the warm view survives");
+        assert_eq!(set_pub(addr, "again"), 200, "the next batch commits");
         let (_, tag, body) = view(addr);
-        assert!(body.contains("again"), "{transport}: {body}");
+        assert!(body.contains("again"), "{body}");
         assert_ne!(tag, new_tag);
         demo.shutdown();
     }
 
-    // --- 9. A miss labels and renders the revision its probe keyed with
-    // no repository guard held, on both transports. While a cold read is
-    // stalled inside its compute, a commit to the same document lands and
-    // a warm view of it is answered; the stalled read's flag, set when it
-    // returns, is still clear after both. It then returns the view of the
+    // --- 8. A miss labels and renders the revision its probe keyed with
+    // no repository guard held. While a cold read is stalled inside its
+    // compute, a commit to the same document lands and a warm view of it
+    // is answered; the stalled read's flag, set when it returns, is
+    // still clear after both. It then returns the view of the
     // revision it keyed — a cache-less server's view of the pre-commit
     // text — and the same requester's next read is the post-commit view.
     use xmlsec::server::faults::armed;
-    for transport in transports() {
-        let mut demo = AnyDemo::start(transport, base_server(), "127.0.0.1:0").expect("bind");
+    {
+        let mut demo = HttpDemo::start(base_server(), "127.0.0.1:0").expect("bind");
         let addr = demo.addr();
-        assert_eq!(view_at(addr, ANN_TARGET).0, 200, "{transport}: warm ann's view");
+        assert_eq!(view_at(addr, ANN_TARGET).0, 200, "warm ann's view");
 
         arm("view.compute", FaultAction::SleepMs(1000), 1);
         let returned = Arc::new(AtomicBool::new(false));
@@ -381,39 +323,39 @@ fn injected_faults_are_isolated_and_observable() {
         while armed("view.compute") {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(set_pub(addr, "later"), 200, "{transport}: the commit lands");
+        assert_eq!(set_pub(addr, "later"), 200, "the commit lands");
         let hits = served_cached(addr);
         let (code, _, body) = view_at(addr, ANN_TARGET);
-        assert_eq!(code, 200, "{transport}: {body}");
-        assert!(body.contains("later"), "{transport}: the warm view is patched: {body}");
-        assert_eq!(served_cached(addr), hits + 1, "{transport}: and answered as a hit");
+        assert_eq!(code, 200, "{body}");
+        assert!(body.contains("later"), "the warm view is patched: {body}");
+        assert_eq!(served_cached(addr), hits + 1, "and answered as a hit");
         assert!(
             !returned.load(Ordering::SeqCst),
-            "{transport}: the commit and the hit waited for the stalled miss"
+            "the commit and the hit waited for the stalled miss"
         );
         let pre_commit = cacheless_view("<d><pub>hello</pub></d>");
-        assert_eq!(stalled.join().expect("reader"), pre_commit, "{transport}");
+        assert_eq!(stalled.join().expect("reader"), pre_commit);
         let post_commit = cacheless_view("<d><pub>later</pub></d>");
-        assert_eq!(view(addr), post_commit, "{transport}: the next read is the new revision");
+        assert_eq!(view(addr), post_commit, "the next read is the new revision");
 
-        // --- 10. A panic inside the exclusive section, after the write
+        // --- 9. A panic inside the exclusive section, after the write
         // side is taken and before the swap, answers 500 and installs
         // nothing: the stored text, every warm view and every tag stay
         // as they were, and the next batch commits and patches.
         let ann = view_at(addr, ANN_TARGET);
-        assert!(ann.2.contains("later"), "{transport}: {}", ann.2);
+        assert!(ann.2.contains("later"), "{}", ann.2);
         arm("update.install", FaultAction::Panic, 1);
-        assert_eq!(set_pub(addr, "lost"), 500, "{transport}: a panic at install is a 500");
+        assert_eq!(set_pub(addr, "lost"), 500, "a panic at install is a 500");
         let hits = served_cached(addr);
-        assert_eq!(view(addr), post_commit, "{transport}: tom's view and tag are unchanged");
-        assert_eq!(view_at(addr, ANN_TARGET), ann, "{transport}: ann's view and tag too");
-        assert_eq!(served_cached(addr), hits + 2, "{transport}: both are warm hits");
-        assert_eq!(set_pub(addr, "again"), 200, "{transport}: the next batch commits");
+        assert_eq!(view(addr), post_commit, "tom's view and tag are unchanged");
+        assert_eq!(view_at(addr, ANN_TARGET), ann, "ann's view and tag too");
+        assert_eq!(served_cached(addr), hits + 2, "both are warm hits");
+        assert_eq!(set_pub(addr, "again"), 200, "the next batch commits");
         let hits = served_cached(addr);
         let (_, tag, body) = view_at(addr, ANN_TARGET);
-        assert!(body.contains("again"), "{transport}: {body}");
+        assert!(body.contains("again"), "{body}");
         assert_ne!(tag, ann.1);
-        assert_eq!(served_cached(addr), hits + 1, "{transport}: the view was patched");
+        assert_eq!(served_cached(addr), hits + 1, "the view was patched");
         demo.shutdown();
     }
     clear();
