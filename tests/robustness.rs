@@ -185,6 +185,49 @@ fn cache_churn_stays_bounded_without_explicit_invalidation() {
     }
 }
 
+/// A configured request-line cap is honoured even before the client
+/// sends a newline: a line still streaming past the cap is answered
+/// 431 at once, not held open waiting for its end.
+#[test]
+fn oversized_request_line_is_431() {
+    let cfg = HttpConfig { max_request_line: 256, ..Default::default() };
+    let demo = start(base_server(), cfg);
+    let mut conn = TcpStream::connect(demo.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    write!(conn, "GET /doc.xml?user={}", "x".repeat(1024)).expect("write");
+    conn.flush().expect("flush");
+    let mut buf = String::new();
+    let _ = conn.read_to_string(&mut buf);
+    assert!(buf.starts_with("HTTP/1.0 431"), "{buf}");
+
+    // Well under the cap still serves.
+    let (code, body) = get(demo.addr(), "/doc.xml?user=tom&pass=pw");
+    assert_eq!(code, 200, "{body}");
+}
+
+/// A loris that sends its request line and then stalls inside the
+/// header block is reaped by the read timeout, and a well-behaved
+/// client connecting while it stalls is served without waiting.
+#[test]
+fn slow_loris_is_reaped_by_the_read_timeout() {
+    let cfg = HttpConfig { read_timeout: Duration::from_secs(1), ..Default::default() };
+    let demo = start(base_server(), cfg);
+
+    let mut loris = TcpStream::connect(demo.addr()).expect("connect");
+    write!(loris, "GET {OK_TARGET} HTTP/1.0\r\nHost: t\r\nX-Slow: ").expect("write");
+    loris.flush().expect("flush");
+    let t = Instant::now();
+
+    let (code, body) = get(demo.addr(), OK_TARGET);
+    assert_eq!(code, 200, "{body}");
+    assert!(t.elapsed() < Duration::from_secs(1), "served only after the loris was reaped");
+
+    let mut buf = String::new();
+    let _ = loris.read_to_string(&mut buf);
+    assert!(t.elapsed() < Duration::from_secs(4), "stalled connection kept");
+    assert!(buf.is_empty() || buf.starts_with("HTTP/1.0 408"), "{buf}");
+}
+
 // ---------------------------------------------------------------------
 // The event loop's connection handling: the framing caps, the read
 // deadline, and keep-alive. That the loop writes exactly the bytes the
