@@ -21,7 +21,9 @@
 //! authorization-object evaluation a served request starts its labeling
 //! with), and B21 (the DOM arena: parse, clone and drop of the four
 //! `cold_read` document sizes, with allocations counted by this
-//! binary's allocator) — and writes them as
+//! binary's allocator), and B22 (a server view miss on a warm revision
+//! of the same four documents: its XPath node visits and allocations)
+//! — and writes them as
 //! flat JSON at
 //! the repo root (`BENCH_<n+1>.json` by default, one past the highest
 //! checked-in point, so the series extends without workflow edits) —
@@ -66,7 +68,11 @@
 //! - B21's parse of any `cold_read` document makes more than 16
 //!   allocations, or its DOM holds more than 64 heap bytes per node.
 //!   Both are counts, not times, so the gate fires the same on any
-//!   runner; B21's times are `_us` keys, outside the drift gate.
+//!   runner; B21's times are `_us` keys, outside the drift gate;
+//! - B22's view miss on a warm revision makes any XPath node visit (the
+//!   revision keeps every object's node set, so a miss evaluates none),
+//!   or more than 300 allocations. Counts again; `b22_*_miss_us` is
+//!   reported only.
 //!
 //! Usage: `bench_smoke [--quick] [--out BENCH_3.json]`
 
@@ -92,7 +98,10 @@ use xmlsec_server::{
     ClientRequest, ConditionalOutcome, HttpConfig, HttpDemo, SecureServer, ServerError,
 };
 use xmlsec_subjects::Subject;
-use xmlsec_workload::hospital::{hospital_authorizations, hospital_scaled};
+use xmlsec_workload::hospital::{
+    hospital_authorization_base, hospital_authorizations, hospital_directory, hospital_scaled,
+    HOSPITAL_DTD, HOSPITAL_DTD_URI, WARD_URI,
+};
 use xmlsec_workload::laboratory::{
     example1_authorizations, lab_authorization_base, lab_directory, tom, CSLAB_URI, LAB_DTD,
     LAB_DTD_URI,
@@ -122,8 +131,13 @@ const DENY_SPEEDUP_GATE: f64 = 5.0;
 const PARSE_ALLOCS_GATE: u64 = 16;
 /// Most heap bytes a parsed `cold_read` document may hold per node (B21).
 const BYTES_PER_NODE_GATE: f64 = 64.0;
+/// Most XPath node visits a view miss on a warm revision may make (B22).
+const WARM_MISS_VISITS_GATE: u64 = 0;
+/// Most allocations a view miss on a warm revision may make (B22).
+const WARM_MISS_ALLOCS_GATE: u64 = 300;
 
-/// Counts this thread's allocations and the bytes they hold, for B21.
+/// Counts this thread's allocations and the bytes they hold, for B21
+/// and B22.
 struct Counting;
 
 thread_local! {
@@ -564,6 +578,76 @@ fn b21_dom(cfg: &Config) -> Vec<DomStages> {
         .collect()
 }
 
+/// B22 measurements of one `cold_read` document.
+struct WarmMiss {
+    name: &'static str,
+    visits: u64,
+    allocs: u64,
+    miss_us: f64,
+}
+
+/// B22 — a view miss on a warm revision of each `cold_read` document
+/// size: a cache-less server has parsed the revision and served one
+/// miss on it, so the revision keeps its DOM and every object's node
+/// set. Counts the XPath node visits (from the telemetry counter) and
+/// the allocations (from this binary's counting allocator) of the worst
+/// of several further misses, and times one.
+fn b22_warm_miss(cfg: &Config) -> Vec<WarmMiss> {
+    let lab = |units: usize| {
+        let mut s = SecureServer::new(lab_directory(), lab_authorization_base()).without_cache();
+        s.repository_mut().put_dtd(LAB_DTD_URI, LAB_DTD);
+        let xml = serialize(
+            &xmlsec_workload::laboratory_scaled(units, 21),
+            &SerializeOptions::canonical(),
+        );
+        s.repository_mut().put_document(CSLAB_URI, &xml, Some(LAB_DTD_URI));
+        (s, "Tom", CSLAB_URI)
+    };
+    let ward = |units: usize| {
+        let mut s =
+            SecureServer::new(hospital_directory(), hospital_authorization_base()).without_cache();
+        s.repository_mut().put_dtd(HOSPITAL_DTD_URI, HOSPITAL_DTD);
+        let xml = serialize(&hospital_scaled(units, 21), &SerializeOptions::canonical());
+        s.repository_mut().put_document(WARD_URI, &xml, Some(HOSPITAL_DTD_URI));
+        (s, "hale", WARD_URI)
+    };
+    let visits = xmlsec_telemetry::global().counter(
+        "xmlsec_xpath_node_visits_total",
+        "Context nodes expanded across all evaluation steps.",
+        &[],
+    );
+    let servers =
+        [("lab48", lab(48)), ("lab192", lab(192)), ("ward48", ward(48)), ("ward192", ward(192))];
+    servers
+        .into_iter()
+        .map(|(name, (mut server, user, uri))| {
+            server.register_credentials(user, "pw");
+            let client = ClientRequest {
+                user: Some((user.to_string(), "pw".to_string())),
+                ip: "130.100.50.8".to_string(),
+                sym: "infosys.bld1.it".to_string(),
+                uri: uri.to_string(),
+            };
+            let miss = || {
+                let view = server.handle(&client).expect("view");
+                assert!(!view.cached, "a cache-less server misses");
+                black_box(view);
+            };
+            miss();
+            let (mut worst_visits, mut worst_allocs) = (0, 0);
+            for _ in 0..5 {
+                let (v0, a0) = (visits.get(), ALLOCATIONS.with(Cell::get));
+                miss();
+                let (v1, a1) = (visits.get(), ALLOCATIONS.with(Cell::get));
+                worst_visits = worst_visits.max(v1 - v0);
+                worst_allocs = worst_allocs.max(a1 - a0);
+            }
+            let miss_us = time_ms(cfg, miss) * 1e3;
+            WarmMiss { name, visits: worst_visits, allocs: worst_allocs, miss_us }
+        })
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -915,6 +999,28 @@ fn main() {
         })
         .collect();
 
+    // B22 — a view miss on a warm revision, per document size.
+    let b22 = b22_warm_miss(&cfg);
+    for m in &b22 {
+        eprintln!(
+            "  b22 {}: warm miss {:.1}us, {} XPath node visits, {} allocations",
+            m.name, m.miss_us, m.visits, m.allocs
+        );
+    }
+    let b22_json: String = b22
+        .iter()
+        .map(|m| {
+            format!(
+                "  \"b22_{n}_miss_us\": {:.2},\n  \"b22_{n}_miss_visits\": {},\n  \
+                 \"b22_{n}_miss_allocs\": {},\n",
+                m.miss_us,
+                m.visits,
+                m.allocs,
+                n = m.name,
+            )
+        })
+        .collect();
+
     let regression_gated = !no_gate && baseline_path(&out).is_some();
 
     let json = format!(
@@ -954,7 +1060,7 @@ fn main() {
          \"b20_object_eval_ms\": {b20_object_eval_ms:.4},\n  \
          \"b19_dynamic_deny_ms\": {b19_dynamic_deny_ms:.4},\n  \
          \"b19_deny_speedup\": {b19_deny_speedup:.4},\n\
-         {b21_json}  \
+         {b21_json}{b22_json}  \
          \"regression_gated\": {}\n}}\n",
         if b12_gated { 1 } else { 0 },
         if regression_gated { 1 } else { 0 },
@@ -1071,6 +1177,25 @@ fn main() {
                     "B21 parsed {} holds {:.1} heap bytes per node; the gate is \
                      {BYTES_PER_NODE_GATE}",
                     d.name, d.bytes_per_node
+                ));
+            }
+        }
+    }
+
+    if !no_gate {
+        for m in &b22 {
+            if m.visits > WARM_MISS_VISITS_GATE {
+                failures.push(format!(
+                    "B22 view miss on a warm revision of {} made {} XPath node visits; the gate \
+                     is {WARM_MISS_VISITS_GATE}",
+                    m.name, m.visits
+                ));
+            }
+            if m.allocs > WARM_MISS_ALLOCS_GATE {
+                failures.push(format!(
+                    "B22 view miss on a warm revision of {} made {} allocations; the gate is \
+                     {WARM_MISS_ALLOCS_GATE}",
+                    m.name, m.allocs
                 ));
             }
         }

@@ -75,16 +75,9 @@ pub fn policy_fingerprint(
         rendered.sort();
         rendered.hash(&mut h);
     }
-    // The subject-domination relation: principals and their transitive
-    // group sets (BTree iteration is already sorted).
-    for (name, kind) in dir.principals() {
-        name.hash(&mut h);
-        matches!(kind, xmlsec_subjects::PrincipalKind::Group).hash(&mut h);
-        for g in dir.groups_of(name) {
-            g.hash(&mut h);
-        }
-        0xfeu8.hash(&mut h); // per-principal separator
-    }
+    // The subject-domination relation, through the digest the directory
+    // keeps of it.
+    dir.digest().hash(&mut h);
     h.finish()
 }
 

@@ -40,6 +40,7 @@
 pub mod analysis;
 pub mod compile;
 pub mod decision;
+mod facts;
 pub mod label;
 pub mod limits;
 pub mod naive;

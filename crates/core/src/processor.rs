@@ -23,6 +23,7 @@
 use crate::compile::{CompiledCache, CompiledPolicy};
 use crate::decision::policy_fingerprint;
 use crate::decision::DecisionCache;
+use crate::facts::RevisionFacts;
 use crate::limits::ResourceLimits;
 use crate::par::Parallelism;
 use crate::schema::PreparedSchema;
@@ -215,14 +216,38 @@ pub struct DocumentSource<'a> {
 /// normalized against its schema. Steps 2–4 only borrow it, so a
 /// repository can parse a stored revision once and serve every request
 /// on that revision from the same DOM.
+///
+/// It also keeps what labeling learns about the document regardless of
+/// who asks: the node set of each authorization object it has evaluated
+/// and the type of every node. So only the first render of a parsed
+/// source evaluates an object; later renders draw the recorded visits
+/// from their own budget instead. The document is never handed out
+/// mutably, and a clone starts without those facts.
 #[derive(Debug, Clone)]
 pub struct ParsedSource {
+    doc: Document,
+    schema: Option<PreparedSchema>,
+    facts: RevisionFacts,
+}
+
+impl ParsedSource {
+    /// Wraps a parsed, DTD-normalized document and the schema step 1
+    /// parsed with it, if any.
+    pub fn new(doc: Document, schema: Option<PreparedSchema>) -> ParsedSource {
+        ParsedSource { doc, schema, facts: RevisionFacts::default() }
+    }
+
     /// The parsed, DTD-normalized document.
-    pub doc: Document,
+    pub fn doc(&self) -> &Document {
+        &self.doc
+    }
+
     /// The schema step 1 parsed itself — from [`DocumentSource::dtd`] or
     /// the document's internal subset — when the source carried no
     /// prepared [`DocumentSource::schema`].
-    pub schema: Option<PreparedSchema>,
+    pub fn schema(&self) -> Option<&PreparedSchema> {
+        self.schema.as_ref()
+    }
 }
 
 /// A view rendered from a borrowed [`ParsedSource`]
@@ -343,7 +368,7 @@ impl SecurityProcessor {
     ) -> Result<ProcessOutput, ProcessError> {
         let parsed = self.parse_source(source, cancel)?;
         let (rendered, labeling) = self.render(request, source, &parsed, cancel)?;
-        let ParsedSource { doc: mut view, schema } = parsed;
+        let ParsedSource { doc: mut view, schema, .. } = parsed;
         let pruned_nodes = {
             let _s = stages::prune();
             prune_document(&mut view, &labeling, self.options.policy)
@@ -400,7 +425,7 @@ impl SecurityProcessor {
             let _s = stages::normalize();
             normalize(s.dtd(), &mut doc);
         }
-        Ok(ParsedSource { doc, schema })
+        Ok(ParsedSource::new(doc, schema))
     }
 
     /// Steps 2–4 over a parsed source, which is only borrowed: labeling,
@@ -487,7 +512,7 @@ impl SecurityProcessor {
         let policy = self.options.policy;
         let labeling = {
             let _s = stages::label();
-            let run = Run::Plain { fingerprint };
+            let run = Run::Plain { fingerprint, facts: &parsed.facts };
             label_run(doc, &axml, &adtd, &self.directory, policy, &engine, run)?
         };
 

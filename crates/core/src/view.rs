@@ -37,7 +37,8 @@
 //! [`crate::naive::compute_view_naive`] and the sequential path):
 //!
 //! - **Parallelism** ([`Parallelism`]): authorization-object path
-//!   evaluations fan out across threads, and — because propagation into a
+//!   evaluations (those the document's kept facts do not already
+//!   answer) fan out across threads, and — because propagation into a
 //!   child depends only on the parent's label — subtree labeling below a
 //!   sequentially-labeled frontier fans out too. The node-visit budget
 //!   becomes one *request-wide* [`SharedBudget`] drawn atomically and
@@ -51,20 +52,22 @@
 //!   optional cross-request cache keyed additionally by
 //!   [`crate::decision::policy_fingerprint`].
 
-use crate::compile::{record_cell_hits, CompiledPolicy};
+use crate::compile::{record_cell_hits, CompiledCell, CompiledPolicy};
 use crate::decision::{
     policy_fingerprint, record_mask_bypass, record_traffic, DecisionCache, DecisionKey,
 };
+use crate::facts::{FxBuild, NodeTypes, RevisionFacts};
 use crate::label::{first_def, Label, Sign3};
 use crate::par::{self, Parallelism};
 use std::collections::HashMap;
+use std::sync::Arc;
 use xmlsec_authz::{
     policy::resolve_sign, AuthType, Authorization, CompletenessPolicy, PolicyConfig,
 };
 use xmlsec_subjects::Directory;
 use xmlsec_xml::cancel::{CancelToken, Cancelled};
 use xmlsec_xml::{Document, NodeData, NodeId, SerializeOptions};
-use xmlsec_xpath::{eval_path_shared, EvalError, EvalLimits, SharedBudget};
+use xmlsec_xpath::{EvalError, EvalLimits, SharedBudget};
 
 /// Counters the processor reports alongside a computed view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -138,7 +141,8 @@ impl Labeling {
 pub struct EngineOptions<'a> {
     /// Path-evaluation caps. `max_node_visits` is a **request-wide
     /// pool**: one [`SharedBudget`] shared by every authorization-object
-    /// evaluation of the run, on any thread.
+    /// evaluation of the run, on any thread. An object whose node set the
+    /// document already keeps draws the visits its evaluation made.
     pub limits: EvalLimits,
     /// Thread knob (default: sequential).
     pub parallelism: Parallelism,
@@ -185,8 +189,9 @@ impl<'a> EngineOptions<'a> {
 struct MatchedAuth<'a> {
     auth: &'a Authorization,
     /// Bitset over arena slots: nodes selected by the object's path
-    /// expression (the root element for whole-document objects).
-    selected: Vec<u64>,
+    /// expression (the root element for whole-document objects), shared
+    /// with the document's [`RevisionFacts`].
+    selected: Arc<[u64]>,
 }
 
 impl MatchedAuth<'_> {
@@ -197,36 +202,22 @@ impl MatchedAuth<'_> {
     }
 }
 
+/// The node sets of `auths`' objects in `doc`, from `facts` where they
+/// are known (see [`RevisionFacts::object_sets`]).
 fn evaluate_auths<'a>(
     doc: &Document,
     auths: &[&'a Authorization],
+    facts: &RevisionFacts,
     limits: &EvalLimits,
     pool: &SharedBudget,
     threads: usize,
 ) -> Result<Vec<MatchedAuth<'a>>, EvalError> {
-    let words = doc.arena_len().div_ceil(64);
-    let eval_one = |a: &&'a Authorization| -> Result<MatchedAuth<'a>, EvalError> {
-        let mut selected = vec![0u64; words];
-        match &a.object.path {
-            Some(p) => {
-                for n in eval_path_shared(doc, doc.root(), p, limits, pool)? {
-                    selected[n.index() / 64] |= 1 << (n.index() % 64);
-                }
-            }
-            None => {
-                // A whole-document object is an authorization on the
-                // document element.
-                let r = doc.root().index();
-                selected[r / 64] |= 1 << (r % 64);
-            }
-        }
-        Ok(MatchedAuth { auth: a, selected })
-    };
-    if threads > 1 && auths.len() > 1 {
-        par::run_tasks(threads, auths.to_vec(), eval_one).into_iter().collect()
-    } else {
-        auths.iter().map(eval_one).collect()
-    }
+    let sets = facts.object_sets(doc, auths, limits, pool, threads)?;
+    Ok(auths
+        .iter()
+        .zip(sets)
+        .map(|(&auth, selected)| MatchedAuth { auth, selected })
+        .collect())
 }
 
 /// The four instance type classes, in the tuple's order.
@@ -253,7 +244,7 @@ pub fn label_document(
 /// counters.
 #[derive(Default)]
 struct Memo {
-    local: HashMap<(bool, u128), Label>,
+    local: HashMap<(bool, u128), Label, FxBuild>,
     counts: Counts,
 }
 
@@ -300,15 +291,17 @@ pub fn label_document_engine(
     policy: PolicyConfig,
     opts: &EngineOptions<'_>,
 ) -> Result<Labeling, EvalError> {
-    label_run(doc, axml, adtd, dir, policy, opts, Run::Plain { fingerprint: None })
+    let facts = RevisionFacts::default();
+    label_run(doc, axml, adtd, dir, policy, opts, Run::Plain { fingerprint: None, facts: &facts })
 }
 
 /// The kind of run [`label_run`] makes.
 #[derive(Clone, Copy)]
 pub(crate) enum Run<'p> {
     /// A plain engine run, reusing the [`policy_fingerprint`] of the
-    /// inputs when the caller already computed it.
-    Plain { fingerprint: Option<u64> },
+    /// inputs when the caller already computed it, and the facts kept
+    /// for `doc` (the caller's own, when it keeps none).
+    Plain { fingerprint: Option<u64>, facts: &'p RevisionFacts },
     /// A [`label_document_incremental`] run: captures reuse state and
     /// keeps `prev`'s labels where its state allows.
     Incremental { prev: Option<&'p Labeling> },
@@ -350,13 +343,25 @@ pub(crate) fn label_run(
     // path instead of corrupting the view. Order-independent, so
     // computing it before the canonical reordering below is fine.
     let fingerprint = match run {
-        Run::Plain { fingerprint: Some(fp) } => fp,
+        Run::Plain { fingerprint: Some(fp), .. } => fp,
         _ if incremental || opts.decisions.is_some() || opts.compiled.is_some() => {
             policy_fingerprint(axml, adtd, dir, policy)
         }
         _ => 0,
     };
     let compiled = opts.compiled.filter(|cp| cp.fingerprint == fingerprint);
+    // An incremental run labels a document no revision keeps.
+    let own_facts;
+    let facts = match run {
+        Run::Plain { facts, .. } => facts,
+        Run::Incremental { .. } => {
+            own_facts = RevisionFacts::default();
+            &own_facts
+        }
+    };
+    // The compiled cells of this run's node types, looked up once per
+    // type instead of once per node.
+    let cells = compiled.map(|cp| Cells::new(cp, facts.types(doc)));
 
     // Boundary checkpoint before any work: a request that arrives with
     // its deadline already blown (or its client already gone) does not
@@ -373,12 +378,13 @@ pub(crate) fn label_run(
     // document that does not conform to the compiled schema); a tripped
     // token is a typed error, never a silent fallback to the slow path.
     // Incremental runs skip it: it records no match masks.
-    if let Some(cp) = compiled.filter(|cp| cp.fast_path && !incremental) {
-        if let Some(labels) = label_fast_path(doc, cp, policy, opts.cancel)
+    let stats =
+        ViewStats { instance_auths: axml.len(), schema_auths: adtd.len(), ..Default::default() };
+    if let Some(cells) = cells.as_ref().filter(|c| c.policy.fast_path && !incremental) {
+        if let Some(out) = label_fast_path(doc, cells, policy, stats, opts.cancel)
             .map_err(|c| EvalError::Cancelled(c.reason))?
         {
-            let stats = view_stats(doc, &labels, axml.len(), adtd.len());
-            return Ok(Labeling { labels, stats, incremental: None });
+            return Ok(out.finish(None));
         }
     }
 
@@ -427,8 +433,8 @@ pub(crate) fn label_run(
         Some(t) => SharedBudget::with_cancel(opts.limits.max_node_visits, t.clone()),
         None => SharedBudget::new(opts.limits.max_node_visits),
     };
-    let xml_matched = evaluate_auths(doc, axml, &opts.limits, &pool, threads)?;
-    let dtd_matched = evaluate_auths(doc, adtd, &opts.limits, &pool, threads)?;
+    let xml_matched = evaluate_auths(doc, axml, facts, &opts.limits, &pool, threads)?;
+    let dtd_matched = evaluate_auths(doc, adtd, facts, &opts.limits, &pool, threads)?;
 
     let mut ctx = LabelCtx {
         doc,
@@ -438,7 +444,7 @@ pub(crate) fn label_run(
         policy,
         fingerprint,
         decisions: opts.decisions,
-        compiled,
+        cells,
         cancel: opts.cancel,
         reuse: None,
     };
@@ -464,7 +470,7 @@ pub(crate) fn label_run(
         }
     }
 
-    let mut labels = vec![Label::default(); doc.arena_len()];
+    let mut out = Labels::new(doc, stats);
     let mut memo = Memo::default();
 
     // Frontier: unlabeled elements with their parent's label and whether
@@ -483,7 +489,7 @@ pub(crate) fn label_run(
             }
             let mut next = Vec::new();
             for (n, parent, parent_same) in frontier.drain(..) {
-                let mut emit = |i: usize, lab: Label| labels[i] = lab;
+                let mut emit = |i: usize, lab: Label| out.set(i, lab);
                 let (lab, same) = ctx.label_step(n, &parent, parent_same, &mut memo, &mut emit);
                 next.extend(doc.child_elements(n).map(|c| (c, lab, same)));
             }
@@ -505,23 +511,23 @@ pub(crate) fn label_run(
             ctx.cancel,
             Memo::default,
             |memo, &(n, parent, parent_same)| {
-                let mut out: Vec<(usize, Label)> = Vec::new();
+                let mut buf: Vec<(usize, Label)> = Vec::new();
                 let walked =
-                    walk(&ctx, n, &parent, parent_same, memo, &mut |i, lab| out.push((i, lab)));
-                walked.map(|()| (out, std::mem::take(&mut memo.counts)))
+                    walk(&ctx, n, &parent, parent_same, memo, &mut |i, lab| buf.push((i, lab)));
+                walked.map(|()| (buf, std::mem::take(&mut memo.counts)))
             },
         )
         .map_err(|c| EvalError::Cancelled(c.reason))?;
         for task in results {
-            let (out, counts) = task.map_err(|c| EvalError::Cancelled(c.reason))?;
+            let (buf, counts) = task.map_err(|c| EvalError::Cancelled(c.reason))?;
             memo.counts.add(counts);
-            for (i, lab) in out {
-                labels[i] = lab;
+            for (i, lab) in buf {
+                out.set(i, lab);
             }
         }
     } else {
         for (n, parent, parent_same) in frontier {
-            let mut emit = |i: usize, lab: Label| labels[i] = lab;
+            let mut emit = |i: usize, lab: Label| out.set(i, lab);
             walk(&ctx, n, &parent, parent_same, &mut memo, &mut emit)
                 .map_err(|c| EvalError::Cancelled(c.reason))?;
         }
@@ -532,27 +538,60 @@ pub(crate) fn label_run(
     if incremental {
         record_relabel(c.reused, c.resolved);
     }
-
-    let stats = view_stats(doc, &labels, axml.len(), adtd.len());
-    Ok(Labeling { labels, stats, incremental: captured })
+    Ok(out.finish(captured))
 }
 
-/// The statistics of a labeling: every element and attribute of `doc`
-/// is labeled, and those with a positive final sign are granted.
-fn view_stats(
-    doc: &Document,
-    labels: &[Label],
-    instance_auths: usize,
-    schema_auths: usize,
-) -> ViewStats {
-    let mut stats = ViewStats { instance_auths, schema_auths, ..Default::default() };
-    for n in doc.preorder(doc.root()) {
-        stats.labeled_nodes += 1;
-        if labels[n.index()].final_sign == Sign3::Plus {
-            stats.granted_nodes += 1;
-        }
+/// The labels of a run as the walk emits them, one per labeled element
+/// or attribute, counted as they come: the statistics need no second
+/// pass.
+struct Labels {
+    labels: Vec<Label>,
+    stats: ViewStats,
+}
+
+impl Labels {
+    fn new(doc: &Document, stats: ViewStats) -> Labels {
+        Labels { labels: vec![Label::default(); doc.arena_len()], stats }
     }
-    stats
+
+    #[inline]
+    fn set(&mut self, i: usize, lab: Label) {
+        self.stats.labeled_nodes += 1;
+        self.stats.granted_nodes += usize::from(lab.final_sign == Sign3::Plus);
+        self.labels[i] = lab;
+    }
+
+    fn finish(self, incremental: Option<IncrementalState>) -> Labeling {
+        Labeling { labels: self.labels, stats: self.stats, incremental }
+    }
+}
+
+/// A compiled policy's verdict cells by node type: the per-run view of
+/// the table the labeling walks consult.
+struct Cells<'a> {
+    policy: &'a CompiledPolicy,
+    types: &'a NodeTypes,
+    /// The cell of each type id, when the table has one.
+    by_type: Vec<Option<&'a CompiledCell>>,
+}
+
+impl<'a> Cells<'a> {
+    fn new(policy: &'a CompiledPolicy, types: &'a NodeTypes) -> Cells<'a> {
+        let by_type = types
+            .names()
+            .map(|(element, attr)| match attr {
+                None => policy.elements.get(element),
+                Some(a) => policy.attributes.get(element).and_then(|m| m.get(a)),
+            })
+            .collect();
+        Cells { policy, types, by_type }
+    }
+
+    /// The cell of element or attribute `n`'s type.
+    #[inline]
+    fn of(&self, n: NodeId) -> Option<&'a CompiledCell> {
+        self.by_type.get(self.types.of(n)).copied().flatten()
+    }
 }
 
 /// What an incremental run may keep from the previous one.
@@ -574,9 +613,10 @@ struct LabelCtx<'a> {
     /// [`policy_fingerprint`] when a cross-request cache is attached.
     fingerprint: u64,
     decisions: Option<&'a DecisionCache>,
-    /// Fingerprint-verified compiled policy (mixed mode: exact cells
-    /// short-circuit labeling per node type, the rest interprets).
-    compiled: Option<&'a CompiledPolicy>,
+    /// The cells of a fingerprint-verified compiled policy (mixed mode:
+    /// exact cells short-circuit labeling per node type, the rest
+    /// interprets).
+    cells: Option<Cells<'a>>,
     /// Request-scoped cancellation, polled in the subtree walks.
     cancel: Option<&'a CancelToken>,
     /// Set on incremental runs with a compatible previous labeling.
@@ -597,39 +637,14 @@ impl LabelCtx<'_> {
             || (self.policy.completeness == CompletenessPolicy::Open && s == Sign3::Eps)
     }
 
-    /// The compiled exact label for element `n`, when the verdict table
-    /// carries one (every post-fixpoint component a singleton — then the
-    /// concrete propagated label is pinned on conforming instances).
-    fn compiled_element(&self, n: NodeId, memo: &mut Memo) -> Option<Label> {
-        let cp = self.compiled?;
-        let exact = self.doc.element_name(n).and_then(|e| cp.elements.get(e)).and_then(|c| c.exact);
-        match exact {
-            Some(lab) => {
-                if self.is_allowed(lab.final_sign) {
-                    memo.counts.cell_allow += 1;
-                } else {
-                    memo.counts.cell_deny += 1;
-                }
-                Some(lab)
-            }
-            None => {
-                memo.counts.cell_dep += 1;
-                None
-            }
-        }
-    }
-
-    /// The compiled exact label for attribute `a` of element `parent_el`.
-    fn compiled_attribute(&self, a: NodeId, parent_el: NodeId, memo: &mut Memo) -> Option<Label> {
-        let cp = self.compiled?;
-        let NodeData::Attr { name: attr, .. } = self.doc.node(a).data else { return None };
-        let exact = self
-            .doc
-            .element_name(parent_el)
-            .and_then(|e| cp.attributes.get(e))
-            .and_then(|m| m.get(attr))
-            .and_then(|c| c.exact);
-        match exact {
+    /// The compiled exact label for element or attribute `n`, when the
+    /// verdict table carries one (every post-fixpoint component a
+    /// singleton — then the concrete propagated label is pinned on
+    /// conforming instances; an attribute's cell is keyed by its owning
+    /// element's type too).
+    fn compiled_label(&self, n: NodeId, memo: &mut Memo) -> Option<Label> {
+        let cells = self.cells.as_ref()?;
+        match cells.of(n).and_then(|c| c.exact) {
             Some(lab) => {
                 if self.is_allowed(lab.final_sign) {
                     memo.counts.cell_allow += 1;
@@ -771,16 +786,9 @@ impl LabelCtx<'_> {
     }
 
     /// Labels an attribute from its own initial label and the parent
-    /// element's component signs (`parent_el` is the owning element, so
-    /// compiled cells can be looked up by type).
-    fn label_attribute(
-        &self,
-        a: NodeId,
-        parent_el: NodeId,
-        parent: &Label,
-        memo: &mut Memo,
-    ) -> Label {
-        if let Some(lab) = self.compiled_attribute(a, parent_el, memo) {
+    /// element's component signs.
+    fn label_attribute(&self, a: NodeId, parent: &Label, memo: &mut Memo) -> Label {
+        if let Some(lab) = self.compiled_label(a, memo) {
             return lab;
         }
         let mut lab = self.initial_label(a, true, memo);
@@ -797,7 +805,7 @@ impl LabelCtx<'_> {
 
     /// Propagation step for an element with parent label `parent`.
     fn label_element(&self, n: NodeId, parent: &Label, memo: &mut Memo) -> Label {
-        if let Some(lab) = self.compiled_element(n, memo) {
+        if let Some(lab) = self.compiled_label(n, memo) {
             return lab;
         }
         let mut lab = self.initial_label(n, false, memo);
@@ -848,7 +856,7 @@ impl LabelCtx<'_> {
         for &a in self.doc.attributes(n) {
             let lab_a = match self.kept(a.index(), kept.is_some(), memo) {
                 Some(prev) => prev,
-                None => self.label_attribute(a, n, &lab, memo),
+                None => self.label_attribute(a, &lab, memo),
             };
             emit(a.index(), lab_a);
         }
@@ -882,49 +890,35 @@ fn walk(
 }
 
 /// Whole-document fast path over a fully-guaranteed verdict table: one
-/// lookup per element/attribute, writing only the representative final
-/// sign (pruning and the statistics read nothing else — components stay
-/// at their defaults). Returns `Ok(None)` when the document mentions an
-/// element or attribute type the table has no cell for, i.e. it cannot
-/// conform to the compiled schema; the caller then falls back to the
-/// interpreted path. A tripped cancellation token is `Err` — even the
+/// indexed lookup per element/attribute, writing only the representative
+/// final sign (pruning and the statistics read nothing else — components
+/// stay at their defaults). Returns `Ok(None)` when the document mentions
+/// an element or attribute type the table has no cell for, i.e. it
+/// cannot conform to the compiled schema; the caller then falls back to
+/// the interpreted path. A tripped cancellation token is `Err` — even the
 /// table-lookup path stays responsive on huge documents, and a cancelled
 /// request never silently degrades to the interpreted engine.
 fn label_fast_path(
     doc: &Document,
-    cp: &CompiledPolicy,
+    cells: &Cells<'_>,
     policy: PolicyConfig,
+    stats: ViewStats,
     cancel: Option<&CancelToken>,
-) -> Result<Option<Vec<Label>>, Cancelled> {
-    if doc.element_name(doc.root()) != Some(cp.root.as_str()) {
+) -> Result<Option<Labels>, Cancelled> {
+    if doc.element_name(doc.root()) != Some(cells.policy.root.as_str()) {
         return Ok(None);
     }
     let open = policy.completeness == CompletenessPolicy::Open;
-    let mut labels = vec![Label::default(); doc.arena_len()];
+    let mut out = Labels::new(doc, stats);
     let (mut allow, mut deny) = (0u64, 0u64);
     let mut stack = vec![doc.root()];
     while let Some(n) = stack.pop() {
         if let Some(t) = cancel {
             t.poll()?;
         }
-        let Some(name) = doc.element_name(n) else { return Ok(None) };
-        let Some(rep) = cp.elements.get(name).and_then(|c| c.representative) else {
-            return Ok(None);
-        };
-        labels[n.index()].final_sign = rep;
-        if rep == Sign3::Plus || (open && rep == Sign3::Eps) {
-            allow += 1;
-        } else {
-            deny += 1;
-        }
-        let attr_cells = cp.attributes.get(name);
-        for &a in doc.attributes(n) {
-            let NodeData::Attr { name: attr, .. } = doc.node(a).data else { continue };
-            let Some(rep) = attr_cells.and_then(|m| m.get(attr)).and_then(|c| c.representative)
-            else {
-                return Ok(None);
-            };
-            labels[a.index()].final_sign = rep;
+        for m in std::iter::once(n).chain(doc.attributes(n).iter().copied()) {
+            let Some(rep) = cells.of(m).and_then(|c| c.representative) else { return Ok(None) };
+            out.set(m.index(), Label { final_sign: rep, ..Label::default() });
             if rep == Sign3::Plus || (open && rep == Sign3::Eps) {
                 allow += 1;
             } else {
@@ -934,7 +928,7 @@ fn label_fast_path(
         stack.extend(doc.child_elements(n));
     }
     record_cell_hits(allow, deny, 0);
-    Ok(Some(labels))
+    Ok(Some(out))
 }
 
 /// Flushes incremental-relabel traffic to telemetry: how many nodes kept

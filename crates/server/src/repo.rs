@@ -225,12 +225,12 @@ pub struct ParsedDocument {
 impl ParsedDocument {
     /// Wraps a freshly parsed (and normalized) document.
     pub fn new(doc: Document) -> ParsedDocument {
-        ParsedDocument { source: ParsedSource { doc, schema: None }, schema_valid: None }
+        ParsedDocument { source: ParsedSource::new(doc, None), schema_valid: None }
     }
 
     /// The parsed document.
     pub fn doc(&self) -> &Document {
-        &self.source.doc
+        self.source.doc()
     }
 
     /// The document with the schema parsed along with it, as the

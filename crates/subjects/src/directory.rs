@@ -2,8 +2,11 @@
 //! group-membership relation (paper §3: "a group is a set of users defined
 //! at the server. Groups do not need to be disjoint and can be nested").
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Error raised by directory mutations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +58,8 @@ pub struct Directory {
     kinds: BTreeMap<String, PrincipalKind>,
     /// member → direct parent groups.
     parents: BTreeMap<String, BTreeSet<String>>,
+    /// [`Directory::digest`], once computed; every mutator clears it.
+    digest: OnceLock<u64>,
 }
 
 impl Directory {
@@ -79,6 +84,7 @@ impl Directory {
             Some(_) => Err(DirectoryError::KindConflict(name.to_string())),
             None => {
                 self.kinds.insert(name.to_string(), kind);
+                self.digest = OnceLock::new();
                 Ok(())
             }
         }
@@ -116,6 +122,7 @@ impl Directory {
             });
         }
         self.parents.entry(member.to_string()).or_default().insert(group.to_string());
+        self.digest = OnceLock::new();
         Ok(())
     }
 
@@ -160,6 +167,28 @@ impl Directory {
             }
         }
         out
+    }
+
+    /// A digest of the domination relation: every principal, its kind
+    /// and the groups it transitively belongs to. Two directories with
+    /// the same relation have the same digest, however they were built.
+    /// Computed on first use and kept until the next successful
+    /// [`Directory::add_user`], [`Directory::add_group`] or
+    /// [`Directory::add_member`], so a reader that needs it per request
+    /// (the label-decision fingerprint) does not walk the directory.
+    pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            for (name, kind) in self.principals() {
+                name.hash(&mut h);
+                (kind == PrincipalKind::Group).hash(&mut h);
+                for g in self.groups_of(name) {
+                    g.hash(&mut h);
+                }
+                0xfeu8.hash(&mut h); // per-principal separator
+            }
+            h.finish()
+        })
     }
 
     /// All registered principal names (diagnostics).
@@ -250,6 +279,45 @@ mod tests {
         assert!(d.add_member("Nope", "X").is_err());
         d.add_user("Y").unwrap();
         assert!(matches!(d.add_member("Y", "X"), Err(DirectoryError::NotAGroup(_))));
+    }
+
+    #[test]
+    fn every_mutation_changes_the_digest_and_equal_relations_agree() {
+        let mut d = Directory::new();
+        let mut seen = vec![d.digest()];
+        let mut changed = |d: &Directory| {
+            let now = d.digest();
+            assert!(!seen.contains(&now), "a mutation left the digest at {now:#x}");
+            seen.push(now);
+        };
+        d.add_user("Tom").unwrap();
+        changed(&d);
+        d.add_group("Staff").unwrap();
+        changed(&d);
+        d.add_group("All").unwrap();
+        changed(&d);
+        d.add_member("Staff", "All").unwrap();
+        changed(&d);
+        d.add_member("Tom", "Staff").unwrap();
+        changed(&d);
+        // An idempotent or refused call changes nothing.
+        let before = d.digest();
+        d.add_user("Tom").unwrap();
+        assert!(d.add_member("All", "Tom").is_err());
+        assert_eq!(d.digest(), before);
+
+        // The same relation built in another order.
+        let mut e = Directory::new();
+        e.add_group("All").unwrap();
+        e.add_group("Staff").unwrap();
+        e.add_user("Tom").unwrap();
+        e.add_member("Tom", "Staff").unwrap();
+        e.add_member("Staff", "All").unwrap();
+        assert_eq!(e.digest(), d.digest());
+        // Tom in All directly as well adds no domination pair.
+        e.add_member("Tom", "All").unwrap();
+        assert_eq!(e.digest(), d.digest());
+        assert_eq!(d.clone().digest(), d.digest());
     }
 
     #[test]

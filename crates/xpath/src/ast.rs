@@ -2,10 +2,14 @@
 //! the surrounding discussion of conditions, axes, and functions).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A parsed path expression: `l1/l2/.../ln`, optionally absolute, each
 /// step carrying an axis, a node test, and predicates.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Hash` agrees with the structural `==`, so a parsed path can key a
+/// memo of what it selects.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct PathExpr {
     /// `true` when the expression starts with `/` (from the document root).
     pub absolute: bool,
@@ -26,7 +30,7 @@ impl PathExpr {
 }
 
 /// One location step.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Step {
     /// Navigation axis.
     pub axis: Axis,
@@ -115,7 +119,7 @@ impl Axis {
 }
 
 /// Node test within a step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeTest {
     /// A specific element/attribute name.
     Name(String),
@@ -128,7 +132,7 @@ pub enum NodeTest {
 }
 
 /// Comparison operators usable in conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -159,7 +163,7 @@ impl fmt::Display for CmpOp {
 
 /// Built-in functions (the paper names `child`, `descendant`, `ancestor`
 /// as axes/functions; the rest are the standard condition helpers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Func {
     /// `position()` — 1-based position in the evaluation context.
     Position,
@@ -245,7 +249,7 @@ impl Func {
 /// Arithmetic operators (XPath 1.0 §3.5; `*` multiplication is not
 /// supported because `*` is taken by the wildcard node test — use
 /// `div`/`mod`/`+`/`-`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithOp {
     /// `+`
     Add,
@@ -282,6 +286,24 @@ pub enum Expr {
     Call(Func, Vec<Expr>),
 }
 
+impl Hash for Expr {
+    /// Hashes the structure `==` compares. A number hashes by its bits,
+    /// with `-0.0` as `0.0` since the two compare equal.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Expr::Or(a, b) | Expr::And(a, b) | Expr::Union(a, b) => (a, b).hash(h),
+            Expr::Compare(op, a, b) => (op, a, b).hash(h),
+            Expr::Arith(op, a, b) => (op, a, b).hash(h),
+            Expr::Neg(a) => a.hash(h),
+            Expr::Path(p) => p.hash(h),
+            Expr::Literal(s) => s.hash(h),
+            Expr::Number(n) => (if *n == 0.0 { 0.0f64 } else { *n }).to_bits().hash(h),
+            Expr::Call(f, args) => (f, args).hash(h),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,6 +336,26 @@ mod tests {
     fn cmp_display() {
         assert_eq!(CmpOp::Le.to_string(), "<=");
         assert_eq!(CmpOp::Ne.to_string(), "!=");
+    }
+
+    #[test]
+    fn structurally_equal_paths_hash_equally() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(x: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        let hash = |text: &str| hash_of(&crate::parse_path(text).unwrap());
+        let same = ["//a[@n = 0]", "//a[@n=0]", "//child::a[attribute::n = 0.0]"];
+        for text in same {
+            assert_eq!(crate::parse_path(text).unwrap(), crate::parse_path(same[0]).unwrap());
+            assert_eq!(hash(text), hash(same[0]), "{text}");
+        }
+        assert_ne!(hash("//a[@n = 1]"), hash(same[0]));
+        assert_ne!(hash("/a"), hash("a"));
+        assert_eq!(Expr::Number(-0.0), Expr::Number(0.0));
+        assert_eq!(hash_of(&Expr::Number(-0.0)), hash_of(&Expr::Number(0.0)));
     }
 
     #[test]

@@ -62,12 +62,14 @@ const DRAW_CHUNK: u64 = 256;
 /// the local `max_node_visits`, or the cross-evaluation `pool` (see
 /// [`SharedBudget`]) — once per [`DRAW_CHUNK`] and once at the end, so an
 /// evaluation that succeeds has drawn exactly what it visited. `depth`
-/// tracks inner-path nesting; `spare` holds node-set buffers for reuse.
+/// tracks inner-path nesting and `max_depth` the deepest it reached;
+/// `spare` holds node-set buffers for reuse.
 struct Budget<'p> {
     drawn: u64,
     pending: u64,
     evaluations: u64,
     depth: u32,
+    max_depth: u32,
     limits: EvalLimits,
     pool: Option<&'p SharedBudget>,
     spare: Vec<Vec<CtxNode>>,
@@ -75,7 +77,16 @@ struct Budget<'p> {
 
 impl<'p> Budget<'p> {
     fn new(limits: EvalLimits, pool: Option<&'p SharedBudget>) -> Budget<'p> {
-        Budget { drawn: 0, pending: 0, evaluations: 0, depth: 0, limits, pool, spare: Vec::new() }
+        Budget {
+            drawn: 0,
+            pending: 0,
+            evaluations: 0,
+            depth: 0,
+            max_depth: 0,
+            limits,
+            pool,
+            spare: Vec::new(),
+        }
     }
 
     /// Records one node examined.
@@ -109,6 +120,7 @@ impl<'p> Budget<'p> {
             return Err(EvalError::Depth { limit: self.limits.max_eval_depth });
         }
         self.depth += 1;
+        self.max_depth = self.max_depth.max(self.depth);
         self.evaluations += 1;
         Ok(())
     }
@@ -156,7 +168,7 @@ pub fn select_limited(
     path: &PathExpr,
     limits: &EvalLimits,
 ) -> Result<Vec<NodeId>, EvalError> {
-    run(doc, doc.root(), path, Budget::new(*limits, None))
+    run(doc, doc.root(), path, Budget::new(*limits, None)).map(|e| e.nodes)
 }
 
 /// Evaluates `path` from an explicit context node (predicates use this
@@ -173,7 +185,7 @@ pub fn eval_path_limited(
     path: &PathExpr,
     limits: &EvalLimits,
 ) -> Result<Vec<NodeId>, EvalError> {
-    run(doc, context, path, Budget::new(*limits, None))
+    run(doc, context, path, Budget::new(*limits, None)).map(|e| e.nodes)
 }
 
 /// Like [`eval_path_limited`], but draws node visits from `pool` — a
@@ -188,6 +200,34 @@ pub fn eval_path_shared(
     limits: &EvalLimits,
     pool: &SharedBudget,
 ) -> Result<Vec<NodeId>, EvalError> {
+    eval_path_counted(doc, context, path, limits, pool).map(|e| e.nodes)
+}
+
+/// One completed evaluation: its node-set and the work it drew.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Evaluation {
+    /// The selected nodes, in document order.
+    pub nodes: Vec<NodeId>,
+    /// Node visits drawn from the budget: exactly what the evaluation
+    /// visited.
+    pub visits: u64,
+    /// The deepest nesting of path evaluations it reached (1 for a path
+    /// with no inner path), so a caller replaying it can tell whether
+    /// [`EvalLimits::max_eval_depth`] would have refused it.
+    pub depth: u32,
+}
+
+/// [`eval_path_shared`], reporting what the evaluation drew from `pool`
+/// along with its node-set. The counts are this evaluation's own, so
+/// they stay exact while other evaluations draw from the same pool on
+/// other threads.
+pub fn eval_path_counted(
+    doc: &Document,
+    context: NodeId,
+    path: &PathExpr,
+    limits: &EvalLimits,
+    pool: &SharedBudget,
+) -> Result<Evaluation, EvalError> {
     run(doc, context, path, Budget::new(*limits, Some(pool)))
 }
 
@@ -201,7 +241,7 @@ pub fn select_shared(
     limits: &EvalLimits,
     pool: &SharedBudget,
 ) -> Result<Vec<NodeId>, EvalError> {
-    run(doc, doc.root(), path, Budget::new(*limits, Some(pool)))
+    run(doc, doc.root(), path, Budget::new(*limits, Some(pool))).map(|e| e.nodes)
 }
 
 /// Runs one top-level evaluation from `context` (or from the virtual
@@ -214,9 +254,12 @@ fn run(
     context: NodeId,
     path: &PathExpr,
     mut b: Budget,
-) -> Result<Vec<NodeId>, EvalError> {
+) -> Result<Evaluation, EvalError> {
     let start = if path.absolute { CtxNode::Root } else { CtxNode::Node(context) };
-    let r = select_from(doc, start, path, &mut b).and_then(|nodes| b.draw().map(|()| nodes));
+    let r = select_from(doc, start, path, &mut b).and_then(|nodes| {
+        b.draw()?;
+        Ok(Evaluation { nodes, visits: b.drawn, depth: b.max_depth })
+    });
     let m = eval_metrics();
     m.node_visits.add(b.drawn.saturating_add(b.pending));
     m.evaluations.add(b.evaluations);
@@ -1386,6 +1429,10 @@ mod tests {
         let want = eval_path_shared(&d, d.root(), &p, &limits, &big).unwrap();
         let drawn = 1_000_000 - big.remaining();
         assert!(drawn > 0);
+        let counted = eval_path_counted(&d, d.root(), &p, &limits, &SharedBudget::new(drawn));
+        let counted = counted.unwrap();
+        assert_eq!((counted.nodes, counted.visits), (want.clone(), drawn));
+        assert_eq!(counted.depth, 3, "the path, its predicate's path and that one's predicate");
         let exact = SharedBudget::new(drawn);
         assert_eq!(eval_path_shared(&d, d.root(), &p, &limits, &exact).unwrap(), want);
         assert_eq!(exact.remaining(), 0);

@@ -37,8 +37,8 @@ pub mod value;
 
 pub use ast::{Axis, CmpOp, Expr, Func, NodeTest, PathExpr, Step};
 pub use eval::{
-    describe_node, eval_condition, eval_path, eval_path_limited, eval_path_shared, select,
-    select_limited, select_shared, select_str, CtxNode,
+    describe_node, eval_condition, eval_path, eval_path_counted, eval_path_limited,
+    eval_path_shared, select, select_limited, select_shared, select_str, CtxNode, Evaluation,
 };
 pub use lexer::{Result, XPathError};
 pub use limits::{EvalError, EvalLimits, SharedBudget};

@@ -40,7 +40,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let opts = match Opts::parse(rest) {
+    let opts = match Opts::parse(cmd, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -108,6 +108,38 @@ const USAGE: &str = "usage: xmlsec-cli <view|validate|loosen|tree|xpath|xacl> [o
             [--root NAME] [--dir F] [--open] [--format human|json]
   lint:     --xacl F [--dir F]";
 
+/// The switches: flags that take no value.
+const SWITCHES: [&str; 5] = ["open", "pretty", "strict", "prometheus", "writes"];
+
+/// The flags each subcommand takes (the usage text above, as data).
+/// Any other flag is a usage error, so a mistyped or removed flag is
+/// refused instead of ignored.
+const FLAGS: [(&str, &str); 13] = [
+    ("view", "doc uri user ip host dtd dtd-uri xacl dir open pretty"),
+    ("update", "doc uri user ip host ops dtd dtd-uri xacl dir open"),
+    ("validate", "doc dtd strict"),
+    ("loosen", "dtd"),
+    ("tree", "doc dtd root"),
+    ("xpath", "doc expr"),
+    ("xacl", "xacl"),
+    (
+        "serve",
+        "addr site doc uri dtd dtd-uri xacl dir cred workers backlog read-timeout-ms \
+         write-timeout-ms deadline-ms shed-adaptive shed-target-ms shed-interval-ms \
+         cache-capacity max-input-bytes max-depth max-nodes max-entity-expansion \
+         max-node-visits par-threads par-threshold compile",
+    ),
+    (
+        "stats",
+        "doc uri user ip host xacl dir dtd dtd-uri repeat prometheus open par-threads \
+         par-threshold",
+    ),
+    ("explain", "doc uri user ip host xacl dir"),
+    ("analyze", "dtd xacl root dtd-uri dir open subjects subject format writes"),
+    ("compile", "dtd xacl user ip host doc-uri dtd-uri root dir open format"),
+    ("lint", "xacl dir"),
+];
+
 /// Parsed command-line options (flag → values; repeatable flags collect;
 /// non-`--` arguments are kept as positionals, in order).
 struct Opts {
@@ -117,7 +149,10 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parses `cmd`'s arguments, refusing a flag `cmd` does not take. An
+    /// unknown `cmd` is left to the dispatcher to report.
+    fn parse(cmd: &str, args: &[String]) -> Result<Opts, String> {
+        let takes = FLAGS.iter().find(|(c, _)| *c == cmd).map(|(_, flags)| *flags);
         let mut values: HashMap<String, Vec<String>> = HashMap::new();
         let mut flags = Vec::new();
         let mut positionals = Vec::new();
@@ -127,10 +162,11 @@ impl Opts {
                 positionals.push(a.clone());
                 continue;
             };
+            if takes.is_some_and(|t| !t.split_whitespace().any(|f| f == name)) {
+                return Err(format!("{cmd} does not take --{name}"));
+            }
             match name {
-                "open" | "pretty" | "strict" | "prometheus" | "writes" => {
-                    flags.push(name.to_string())
-                }
+                _ if SWITCHES.contains(&name) => flags.push(name.to_string()),
                 _ => {
                     let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                     values.entry(name.to_string()).or_default().push(v.clone());

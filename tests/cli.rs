@@ -517,6 +517,31 @@ fn serve_robustness_flags_are_validated_before_binding() {
 }
 
 #[test]
+fn a_flag_the_subcommand_does_not_take_is_a_usage_error() {
+    // `--doc` names no file: were the flag accepted, serve would stop at
+    // reading it (exit 1) before binding; a refused flag stops earlier.
+    let refused = |args: &[&str], flag: &str| {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("does not take --{flag}")), "{args:?}: {err}");
+        assert!(err.contains("usage: xmlsec-cli"), "{err}");
+        assert!(!err.contains("cannot read"), "refused before any file is read: {err}");
+    };
+    let serve = ["serve", "--doc", "/nonexistent/doc.xml", "--uri", "x", "--addr", "127.0.0.1:0"];
+    // The removed transport flag and a misspelled `--workers`.
+    refused(&[&serve[..], &["--transport", "iocp"]].concat(), "transport");
+    refused(&[&serve[..], &["--worker", "4"]].concat(), "worker");
+    // Flags are per subcommand: `--workers` belongs to serve only.
+    refused(&["view", "--workers", "4"], "workers");
+    refused(&["lint", "--xacl", "/nonexistent/acl.xml", "--pretty"], "pretty");
+    // A flag the subcommand takes still gets past parsing.
+    let taken = run(&[&serve[..], &["--workers", "4"]].concat());
+    assert_eq!(taken.status.code(), Some(1), "{}", stderr(&taken));
+    assert!(stderr(&taken).contains("cannot read"), "{}", stderr(&taken));
+}
+
+#[test]
 fn fixture_paths_are_absolute() {
     // Sanity: fixtures must not depend on the CWD of the test runner.
     let f = Fixture::new("abs");

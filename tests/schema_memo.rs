@@ -11,6 +11,12 @@
 //! that repeated misses on one revision neither reparse, parse the DTD,
 //! nor revalidate.
 //!
+//! A parsed revision also keeps the node set of every authorization
+//! object evaluated on it. The last tests pin that a later miss on the
+//! revision evaluates no object again (it adds nothing to the XPath
+//! counters), yet is refused by the node-visit limit and by
+//! cancellation exactly as the first miss is.
+//!
 //! The stage counts are process-global telemetry, so every test here
 //! holds [`LOCK`] while it issues requests.
 
@@ -288,4 +294,140 @@ fn a_cancelled_first_parse_is_not_kept() {
     assert_eq!(stage_samples("parse"), parses + 1);
     let fresh = server(DTD, DOC).without_cache().handle(&request("tom")).expect("fresh view");
     assert_eq!((view.xml, view.etag), (fresh.xml, fresh.etag));
+}
+
+/// A cache-less server that labels by interpretation (so every object
+/// is evaluated on a first miss), under `max_node_visits`: `tom` reads
+/// `/d/pub` and is denied `//note`, `ed` reads everything but a `pub`
+/// saying "hello".
+fn object_server(max_node_visits: u64) -> SecureServer {
+    let mut dir = Directory::new();
+    for user in ["tom", "ed"] {
+        dir.add_user(user).expect("add user");
+    }
+    let mut base = AuthorizationBase::new();
+    let read = |user: &str, path: &str, sign: Sign| {
+        Authorization::new(
+            Subject::new(user, "*", "*").expect("subject"),
+            ObjectSpec::with_path("doc.xml", path).expect("object"),
+            sign,
+            AuthType::Recursive,
+        )
+    };
+    base.add(read("tom", "/d/pub", Sign::Plus));
+    base.add(read("tom", "//note", Sign::Minus));
+    base.add(read("ed", "/d", Sign::Plus));
+    base.add(read("ed", "//pub[. = \"hello\"]", Sign::Minus));
+    let mut limits = xmlsec::core::ResourceLimits::default();
+    limits.xpath.max_node_visits = max_node_visits;
+    let mut s = SecureServer::new(dir, base)
+        .without_cache()
+        .with_compile(false)
+        .with_limits(limits);
+    for user in ["tom", "ed"] {
+        s.register_credentials(user, "pw");
+    }
+    s.repository_mut().put_dtd("d.dtd", DTD);
+    s.repository_mut().put_document(
+        "doc.xml",
+        "<d><pub>hello</pub><note>n</note></d>",
+        Some("d.dtd"),
+    );
+    s
+}
+
+const EVALUATIONS: &str = "xmlsec_xpath_evaluations_total";
+const VISITS: &str = "xmlsec_xpath_node_visits_total";
+const VISIT_REFUSALS: &str = "xmlsec_limits_rejected_total{kind=\"node_visits\"}";
+
+/// The node visits a first miss for `user` draws on a new revision.
+fn first_miss_visits(user: &str) -> u64 {
+    let s = object_server(u64::MAX);
+    let before = counter(VISITS);
+    s.handle(&request(user)).expect("view");
+    counter(VISITS) - before
+}
+
+#[test]
+fn a_second_miss_on_a_revision_evaluates_no_object() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let s = object_server(u64::MAX);
+    let count = || (counter(EVALUATIONS), counter(VISITS));
+    let before = count();
+    let first = s.handle(&request("tom")).expect("first miss");
+    let after_first = count();
+    assert!(after_first.0 > before.0, "the first miss evaluates tom's objects");
+    let second = s.handle(&request("tom")).expect("second miss");
+    assert!(!second.cached);
+    assert_eq!(count(), after_first, "the second miss evaluates nothing and visits nothing");
+    assert_eq!((&second.xml, &second.etag), (&first.xml, &first.etag));
+
+    // ed's objects are new to the revision: one miss evaluates them,
+    // the next does not.
+    s.handle(&request("ed")).expect("ed's first miss");
+    let after_ed = count();
+    assert!(after_ed.0 > after_first.0);
+    let ed = s.handle(&request("ed")).expect("ed's second miss");
+    assert_eq!(count(), after_ed);
+    let fresh = object_server(u64::MAX).handle(&request("ed")).expect("fresh view");
+    assert_eq!((ed.xml, ed.etag), (fresh.xml, fresh.etag));
+}
+
+#[test]
+fn the_node_visit_limit_refuses_a_memo_hit_as_it_refused_the_first_miss() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let total = first_miss_visits("ed");
+    assert!(total > 1);
+
+    // A budget of exactly the request's total serves both misses: the
+    // second draws the visits the first one made.
+    let exact = object_server(total);
+    let want = object_server(u64::MAX).handle(&request("ed")).expect("view");
+    for _ in 0..2 {
+        let got = exact.handle(&request("ed")).expect("served within the budget");
+        assert_eq!((&got.xml, &got.etag), (&want.xml, &want.etag));
+    }
+
+    // One visit less refuses both with the same 422, each counted once
+    // as a node-visit refusal.
+    let short = object_server(total - 1);
+    let refusals = counter(VISIT_REFUSALS);
+    let first = short.handle(&request("ed")).unwrap_err();
+    assert!(matches!(first, ServerError::LimitExceeded(_)), "{first:?}");
+    assert_eq!(counter(VISIT_REFUSALS), refusals + 1);
+    let evaluations = counter(EVALUATIONS);
+    let second = short.handle(&request("ed")).unwrap_err();
+    assert_eq!(second, first, "the same typed error");
+    assert_eq!(counter(VISIT_REFUSALS), refusals + 2);
+    assert!(
+        counter(EVALUATIONS) - evaluations < first_evaluations_of("ed"),
+        "the object the first miss completed was not evaluated again"
+    );
+}
+
+/// The path evaluations a first miss for `user` makes on a new revision.
+fn first_evaluations_of(user: &str) -> u64 {
+    let s = object_server(u64::MAX);
+    let before = counter(EVALUATIONS);
+    s.handle(&request(user)).expect("view");
+    counter(EVALUATIONS) - before
+}
+
+#[test]
+fn a_cancelled_token_is_answered_typed_on_a_memo_hit() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let s = object_server(u64::MAX);
+    s.handle(&request("tom")).expect("the first miss keeps tom's objects");
+    let cancelled = xmlsec::core::CancelToken::never();
+    cancelled.cancel();
+    // The first poll of a miss that evaluates nothing is the draw of a
+    // kept object's visits.
+    let at_first_poll = xmlsec::core::CancelToken::cancel_after_polls(0);
+    for token in [cancelled, at_first_poll] {
+        let evaluations = counter(EVALUATIONS);
+        let err = s.handle_cancellable(&request("tom"), None, Some(&token)).unwrap_err();
+        assert!(matches!(err, ServerError::Cancelled(_)), "{err:?}");
+        assert_eq!(counter(EVALUATIONS), evaluations);
+    }
+    assert!(s.handle(&request("tom")).is_ok(), "a cancelled miss keeps nothing broken");
 }
